@@ -9,8 +9,8 @@ from .errors import (DegenerateDataError, EvaluationError, FormatError,
                      NumericalError, ValidationError)
 from .kernelfeat import KernelMap, estimate_width, kernelize, select_anchors
 from .labelspace import LabelSet, normalize_labels, semantic_affinity_block
-from .retrieval import (CodeSet, RelevanceJudge, average_precision, hamming,
-                        mean_average_precision, pack_codes, rank_by_hamming,
+from .retrieval import (CodeSet, RelevanceJudge, average_precision, evaluate,
+                        hamming, mean_average_precision, pack_codes, rank_by_hamming,
                         read_codes, topn_precision_curve, unpack_codes, write_codes)
 from .trainer import (ModelState, TrainConfig, TrainReport, init_state,
                       objective_value, train, update_codes, update_label_projection,

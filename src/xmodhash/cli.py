@@ -261,18 +261,19 @@ def cmd_eval(v: dict) -> int:
             f"{queries.n} query codes but {query_labels.n} query labels")
     if db.n != db_labels.n:
         raise ValidationError(f"{db.n} database codes but {db_labels.n} database labels")
+    if v["cutoff"] < 0:
+        raise ValidationError(
+            f"--cutoff must be >= 0 (0 means the full database), got {v['cutoff']}")
+    points = _parse_int_list(v["topn"], "--topn") if v["topn"] else []
     judge = retrieval.RelevanceJudge(query_labels.values, db_labels.values)
-    cutoff = db.n if v["cutoff"] == 0 else v["cutoff"]
-    result = retrieval.mean_average_precision(queries, db, judge, cutoff=cutoff,
-                                              include_empty=v["include_empty"])
+    result, curve = retrieval.evaluate(queries, db, judge, cutoff=v["cutoff"] or None,
+                                       include_empty=v["include_empty"], n_points=points)
     task, bits = v["task"], queries.r
     lines = ["metric,task,bits,value",
              f"map,{task},{bits},{result.value!r}",
              f"excluded_queries,{task},{bits},{result.excluded_queries}"]
-    if v["topn"]:
-        points = _parse_int_list(v["topn"], "--topn")
-        for n_top, precision in retrieval.topn_precision_curve(queries, db, judge, points):
-            lines.append(f"precision_at_{n_top},{task},{bits},{precision!r}")
+    for n_top, precision in curve:
+        lines.append(f"precision_at_{n_top},{task},{bits},{precision!r}")
     print("\n".join(lines))
     return 0
 

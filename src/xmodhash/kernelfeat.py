@@ -40,10 +40,12 @@ class KernelMap:
 
 
 def select_anchors(x: FeatureMatrix, k: int, seed: int) -> np.ndarray:
-    """Sample k distinct training rows uniformly without replacement.
+    """Sample k training rows uniformly without replacement.
 
-    Sampling without replacement avoids duplicate kernel columns, which
-    would make the downstream ridge systems rank deficient.
+    The sampled indices are distinct, but the rows need not be: data with
+    duplicate rows can yield duplicate anchors and hence identical kernel
+    columns.  The downstream ridge systems stay solvable because their
+    ridge weight is positive.
     """
     n = x.n
     if k < 1:

@@ -12,7 +12,7 @@ then n * ceil(r/64) little-endian 64-bit words.
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,16 +84,31 @@ def hamming(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.bitwise_count(a ^ b).sum())
 
 
+# Cells (queries x database items) ranked per block: bounds the block's
+# distance, order and relevance arrays whatever the query count.
+_BLOCK_CELLS = 2 ** 20
+
+
+def _distances(query_words: np.ndarray, db: CodeSet) -> np.ndarray:
+    """B x n Hamming distances from packed query rows to every database code.
+
+    Distances fit in 16 bits below r = 65536, which keeps the stable argsort
+    on numpy's radix path.
+    """
+    dist = np.zeros((query_words.shape[0], db.n),
+                    dtype=np.uint16 if db.r < 2 ** 16 else np.uint32)
+    for w in range(db.words.shape[1]):
+        dist += np.bitwise_count(query_words[:, w, None] ^ db.words[None, :, w])
+    return dist
+
+
 def rank_by_hamming(query: np.ndarray, db: CodeSet) -> np.ndarray:
     """Database indices sorted by ascending distance, ties by ascending index."""
     query = np.asarray(query, dtype=np.uint64).ravel()
     if query.shape[0] != db.words.shape[1]:
         raise ValidationError(
             f"query has {query.shape[0]} words, database codes have {db.words.shape[1]}")
-    if db.n == 0:
-        return np.empty(0, dtype=np.int64)
-    dist = np.bitwise_count(db.words ^ query[None, :]).sum(axis=1)
-    return np.argsort(dist, kind="stable")
+    return np.argsort(_distances(query[None, :], db)[0], kind="stable")
 
 
 @dataclass
@@ -111,14 +126,32 @@ class RelevanceJudge:
                 f"label matrices disagree on class count: "
                 f"{self.query_labels.shape[0]} vs {self.db_labels.shape[0]}")
 
-    def relevance(self, query_index: int) -> np.ndarray:
-        """Boolean relevance of every database item to one query."""
-        return (self.query_labels[:, query_index] @ self.db_labels) > 0
+    def relevance(self, query_index: int | slice) -> np.ndarray:
+        """Boolean relevance of every database item to one query, or to a
+        slice of queries as a (queries x database) matrix."""
+        return (self.query_labels[:, query_index].T @ self.db_labels) > 0
 
 
 class APResult(NamedTuple):
     value: float
     empty_ground_truth: bool
+
+
+def _ap_from_hits(hits: np.ndarray) -> float:
+    """AP from the 0-based ranks of the relevant items, in rank order.
+
+    cumsum adds the precision terms in rank order, so the value is the same
+    as a rank-by-rank walk.
+    """
+    count = np.arange(1, hits.size + 1)
+    return float(np.cumsum(count / (hits + 1))[-1]) / hits.size
+
+
+def _check_cutoff(cutoff: int, n: int) -> None:
+    if cutoff < 1:
+        raise ValidationError(f"cutoff must be at least 1, got {cutoff}")
+    if cutoff > n:
+        raise ValidationError(f"cutoff {cutoff} exceeds ranking length {n}")
 
 
 def average_precision(ranked: np.ndarray, judge: RelevanceJudge, query_index: int,
@@ -129,60 +162,74 @@ def average_precision(ranked: np.ndarray, judge: RelevanceJudge, query_index: in
     so callers can exclude it from aggregate means.
     """
     ranked = np.asarray(ranked, dtype=np.int64)
-    if cutoff > ranked.shape[0]:
-        raise ValidationError(f"cutoff {cutoff} exceeds ranking length {ranked.shape[0]}")
-    rel = judge.relevance(query_index)[ranked[:cutoff]]
-    hits = np.flatnonzero(rel)
+    _check_cutoff(cutoff, ranked.shape[0])
+    hits = np.flatnonzero(judge.relevance(query_index)[ranked[:cutoff]])
     if hits.size == 0:
         return APResult(0.0, True)
-    total = 0.0
-    # sequential sum keeps the value identical to a rank-by-rank evaluation
-    for count, rank in enumerate(hits, start=1):
-        total += count / (int(rank) + 1)
-    return APResult(total / int(hits.size), False)
+    return APResult(_ap_from_hits(hits), False)
+
+
+def evaluate(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
+             cutoff: int | None = None, include_empty: bool = False,
+             n_points: Sequence[int] = ()) -> tuple[MapResult, list[tuple[int, float]]]:
+    """mAP and the top-N precision curve from one ranking of each query.
+
+    Every argument is checked before any distance is computed.  Queries are
+    ranked in blocks of at most _BLOCK_CELLS query-database pairs, so memory
+    stays bounded whatever the query count.  Per-query values are summed in
+    query order, as a query-by-query loop would.
+    """
+    if queries.r != db.r:
+        raise ValidationError(f"code lengths differ: query r={queries.r}, db r={db.r}")
+    if queries.n < 1:
+        raise ValidationError("need at least one query")
+    if db.n < 1:
+        raise ValidationError("need at least one database code")
+    if cutoff is None:
+        cutoff = db.n
+    _check_cutoff(cutoff, db.n)
+    for n_top in n_points:
+        if n_top < 1 or n_top > db.n:
+            raise ValidationError(f"top-N point {n_top} outside [1, {db.n}]")
+    aps = np.zeros(queries.n)
+    empty = np.zeros(queries.n, dtype=bool)
+    precision = np.zeros((queries.n, len(n_points)))
+    height = max(1, _BLOCK_CELLS // db.n)
+    for start in range(0, queries.n, height):
+        block = slice(start, min(start + height, queries.n))
+        order = np.argsort(_distances(queries.words[block], db), axis=1, kind="stable")
+        rel = np.take_along_axis(judge.relevance(block), order, axis=1)
+        for row, qi in enumerate(range(block.start, block.stop)):
+            hits = np.flatnonzero(rel[row, :cutoff])
+            if hits.size:
+                aps[qi] = _ap_from_hits(hits)
+            else:
+                empty[qi] = True
+        for col, n_top in enumerate(n_points):
+            precision[block, col] = np.count_nonzero(rel[:, :n_top], axis=1) / n_top
+    kept = aps if include_empty else aps[~empty]
+    if kept.size == 0:
+        raise EvaluationError("every query has empty ground truth in the top cutoff")
+    result = MapResult(float(np.cumsum(kept)[-1]) / kept.size,
+                       0 if include_empty else int(empty.sum()))
+    sums = np.cumsum(precision, axis=0)[-1]
+    curve = [(n_top, float(sums[col]) / queries.n) for col, n_top in enumerate(n_points)]
+    return result, curve
 
 
 def mean_average_precision(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
                            cutoff: int | None = None,
                            include_empty: bool = False) -> MapResult:
     """Mean AP over queries; empty-ground-truth queries are excluded by default."""
-    if queries.r != db.r:
-        raise ValidationError(f"code lengths differ: query r={queries.r}, db r={db.r}")
-    if queries.n < 1:
-        raise ValidationError("need at least one query")
-    if cutoff is None:
-        cutoff = db.n
-    total = 0.0
-    kept = 0
-    excluded = 0
-    for qi in range(queries.n):
-        ranked = rank_by_hamming(queries.words[qi], db)
-        ap = average_precision(ranked, judge, qi, cutoff)
-        if ap.empty_ground_truth and not include_empty:
-            excluded += 1
-            continue
-        total += ap.value
-        kept += 1
-    if kept == 0:
-        raise EvaluationError("every query has empty ground truth in the top cutoff")
-    return MapResult(total / kept, excluded)
+    return evaluate(queries, db, judge, cutoff=cutoff, include_empty=include_empty)[0]
 
 
 def topn_precision_curve(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
                          n_points: list[int]) -> list[tuple[int, float]]:
     """Mean fraction of relevant items within the top N, for each requested N."""
-    if queries.r != db.r:
-        raise ValidationError(f"code lengths differ: query r={queries.r}, db r={db.r}")
-    for n_top in n_points:
-        if n_top < 1 or n_top > db.n:
-            raise ValidationError(f"top-N point {n_top} outside [1, {db.n}]")
-    sums = {n_top: 0.0 for n_top in n_points}
-    for qi in range(queries.n):
-        ranked = rank_by_hamming(queries.words[qi], db)
-        rel_cum = np.cumsum(judge.relevance(qi)[ranked])
-        for n_top in n_points:
-            sums[n_top] += int(rel_cum[n_top - 1]) / n_top
-    return [(n_top, sums[n_top] / queries.n) for n_top in n_points]
+    # include_empty keeps every query in the (unused) mAP mean, so a query
+    # set without any relevant item still gets a curve
+    return evaluate(queries, db, judge, include_empty=True, n_points=n_points)[1]
 
 
 def write_codes(codes: CodeSet, path) -> None:

@@ -198,10 +198,10 @@ def update_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
     """Maximize the linear score <V, Z> over balanced decorrelated V.
 
     Z collects the rotated label signal and the modality reconstructions.
-    Row-centering Z and taking a rank-revealing factorization (eigenvalues
-    of the small r x r Gram, threshold 1e-10 of the largest) gives the top
-    singular directions; rank-deficient directions are completed with
-    seeded random balanced vectors, which leave the score unchanged.
+    A thin SVD of Y, the row-centered r x n matrix Z, gives the singular
+    directions; those whose squared singular value is at most 1e-10 of the
+    largest count as rank deficient and are completed with seeded random
+    balanced vectors, which leave the score unchanged.
 
     When a feasible ``incumbent`` is supplied it is returned instead of the
     fresh candidate if it scores at least as high: directions just below

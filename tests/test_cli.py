@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xmodhash import dataio
+from xmodhash import dataio, retrieval
 from xmodhash.cli import build_parser, main
 from xmodhash.retrieval import pack_codes, write_codes
 
@@ -176,6 +176,31 @@ def test_eval_mismatched_code_lengths(tmp_path, capsys):
     assert code == 2
     assert "8" in err and "16" in err
 
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--cutoff", "-5"], "--cutoff must be >= 0"),
+    (["--cutoff", "-19999"], "--cutoff must be >= 0"),
+    (["--cutoff", "5"], "cutoff 5 exceeds ranking length 4"),
+    (["--topn", "0"], "top-N point 0 outside [1, 4]"),
+    (["--topn", "2,5"], "top-N point 5 outside [1, 4]"),
+])
+def test_eval_bad_arguments_fail_before_ranking(tmp_path, capsys, monkeypatch, extra,
+                                                message):
+    def no_ranking(*args):
+        raise AssertionError("distances computed before the arguments were checked")
+
+    monkeypatch.setattr(retrieval, "_distances", no_ranking)
+    write_codes(pack_codes(np.ones((4, 8))), tmp_path / "db.abc")
+    write_codes(pack_codes(np.ones((1, 8))), tmp_path / "q.abc")
+    write_class_labels(tmp_path / "dbl.amx", [0, 0, 1, 1], c=2)
+    write_class_labels(tmp_path / "ql.amx", [0], c=2)
+    code, out, err = run(capsys, "eval", "--query-codes", str(tmp_path / "q.abc"),
+                         "--db-codes", str(tmp_path / "db.abc"),
+                         "--query-labels", str(tmp_path / "ql.amx"),
+                         "--db-labels", str(tmp_path / "dbl.amx"), *extra)
+    assert code == 2 and out == ""
+    assert message in err
 
 def test_bench_tiny_sizes(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "40,80", "--bits", "8",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, gradient_scale, prep_modality
-from xmodhash.dataio import FeatureMatrix, generate_synthetic
+from xmodhash.dataio import FeatureMatrix, RawLabelMatrix, generate_synthetic
 from xmodhash.encoder import HashEncoder, encode, fit_ridge_encoder
 from xmodhash.errors import NumericalError, ValidationError
 from xmodhash.kernelfeat import KernelMap
@@ -109,3 +109,25 @@ def test_training_bits_reproduced_on_clean_data():
         bits = unpack_codes(encode(x_query, enc, 1)).astype(np.float64)
         agreement = np.mean(bits == state.codes.T)
         assert agreement >= 0.95
+
+
+def test_duplicate_rows_train_and_encode():
+    # every row appears twice and every row is an anchor, so each kernel
+    # column has an identical twin; training and the ridge fits still solve
+    x1, x2, raw = generate_synthetic(40, 4, 10, 8, 0.3, seed=2)
+    labels = normalize_labels(RawLabelMatrix(np.hstack([raw.values, raw.values])))
+    maps, phis, xs = [], [], []
+    for modality, x in ((1, x1), (2, x2)):
+        doubled = FeatureMatrix(np.vstack([x.values, x.values]), modality_id=modality)
+        km, phi = prep_modality(doubled, 80, 0)
+        assert len({tuple(row) for row in km.anchors}) == 40
+        maps.append(km)
+        phis.append(phi)
+        xs.append(doubled)
+    state, _ = train([phi.T for phi in phis], labels, TrainConfig(r=16, max_iters=5, seed=0))
+    proj = [fit_ridge_encoder(phi, state.codes.T, ridge=1.0) for phi in phis]
+    assert all(np.all(np.isfinite(p)) for p in proj)
+    enc = HashEncoder(proj=proj, kernels=maps)
+    for modality, x in ((1, xs[0]), (2, xs[1])):
+        bits = unpack_codes(encode(x, enc, modality))
+        assert np.array_equal(bits[:40], bits[40:])

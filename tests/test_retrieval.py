@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_map, oracle_rank
+from conftest import oracle_ap, oracle_map, oracle_rank
+from xmodhash import retrieval
 from xmodhash.errors import EvaluationError, FormatError, ValidationError
-from xmodhash.retrieval import (CodeSet, RelevanceJudge, average_precision,
+from xmodhash.retrieval import (CodeSet, RelevanceJudge, average_precision, evaluate,
                                 hamming, mean_average_precision, pack_codes,
                                 rank_by_hamming, read_codes,
                                 topn_precision_curve, unpack_codes, write_codes)
@@ -100,6 +101,12 @@ def test_rank_ties_break_by_index():
     db = pack_codes(signs)
     query = pack_codes(-np.ones((1, 8))).words[0]
     assert np.array_equal(rank_by_hamming(query, db), np.arange(5))
+
+
+def test_rank_returns_int64_indices():
+    rng = np.random.default_rng(13)
+    db = pack_codes(random_signs(rng, 30, 96))
+    assert rank_by_hamming(db.words[0], db).dtype == np.int64
 
 
 def test_rank_is_permutation():
@@ -283,6 +290,75 @@ def test_topn_validates_points():
     judge = _judge_single_class([0], [0, 0, 0], c=1)
     with pytest.raises(ValidationError):
         topn_precision_curve(queries, db, judge, [4])
+
+
+
+def test_cutoff_below_one_rejected():
+    signs = np.ones((3, 8))
+    judge = _judge_single_class([0], [0, 0, 0], c=1)
+    queries, db = pack_codes(signs[:1]), pack_codes(signs)
+    for cutoff in (0, -5):
+        with pytest.raises(ValidationError, match="cutoff"):
+            average_precision(np.arange(3), judge, 0, cutoff=cutoff)
+        with pytest.raises(ValidationError, match="cutoff"):
+            mean_average_precision(queries, db, judge, cutoff=cutoff)
+        with pytest.raises(ValidationError, match="cutoff"):
+            evaluate(queries, db, judge, cutoff=cutoff)
+
+
+# ----------------------------------------------------------- block engine
+
+def _oracle_scores(queries, db, judge, cutoff, include_empty, n_points):
+    """Query-by-query mAP (None if no query is kept) and top-N from the naive
+    rank and AP oracles."""
+    qb, dbb = unpack_codes(queries), unpack_codes(db)
+    total, kept, excluded = 0.0, 0, 0
+    sums = [0.0] * len(n_points)
+    for qi in range(queries.n):
+        ranked = oracle_rank(qb[qi], dbb)
+        relevant = judge.relevance(qi)
+        ap, empty = oracle_ap(ranked, relevant, cutoff)
+        if empty and not include_empty:
+            excluded += 1
+        else:
+            total += ap
+            kept += 1
+        for col, n_top in enumerate(n_points):
+            sums[col] += int(sum(relevant[i] for i in ranked[:n_top])) / n_top
+    curve = [(n_top, sums[col] / queries.n) for col, n_top in enumerate(n_points)]
+    return (total / kept if kept else None), excluded, curve
+
+
+@pytest.mark.parametrize("r", [8, 64, 96, 130])
+@pytest.mark.parametrize("n_query", [1, 4, 11])
+def test_block_engine_matches_oracles(monkeypatch, r, n_query):
+    # four queries per block: 4 is one block, 11 straddles two block boundaries
+    n_db, points = 90, [1, 7, 90]
+    monkeypatch.setattr(retrieval, "_BLOCK_CELLS", 4 * n_db)
+    rng = np.random.default_rng(r * 100 + n_query)
+    db = pack_codes(random_signs(rng, n_db, r))
+    queries = pack_codes(random_signs(rng, n_query, r))
+    ql = (rng.random((6, n_query)) < 0.2).astype(float)
+    dl = (rng.random((6, n_db)) < 0.2).astype(float)
+    judge = RelevanceJudge(ql, dl)
+    for cutoff in (None, 5, 30):
+        for include_empty in (False, True):
+            want_map, want_excluded, want_curve = _oracle_scores(
+                queries, db, judge, cutoff or n_db, include_empty, points)
+            if want_map is None:
+                with pytest.raises(EvaluationError):
+                    evaluate(queries, db, judge, cutoff=cutoff, n_points=points)
+                continue
+            got, curve = evaluate(queries, db, judge, cutoff=cutoff,
+                                  include_empty=include_empty, n_points=points)
+            assert got.value == want_map and got.excluded_queries == want_excluded
+            assert curve == want_curve
+            assert mean_average_precision(queries, db, judge, cutoff=cutoff,
+                                          include_empty=include_empty) == got
+            assert topn_precision_curve(queries, db, judge, points) == curve
+    for qi in range(n_query):
+        ranked = rank_by_hamming(queries.words[qi], db)
+        assert list(ranked) == oracle_rank(unpack_codes(queries)[qi], unpack_codes(db))
 
 
 # ------------------------------------------------------------------ code files
