@@ -4,14 +4,15 @@ Hamming-ranked retrieval."""
 
 from .dataio import (FeatureMatrix, ModelArchive, RawLabelMatrix, generate_synthetic,
                      load_model, read_labels, read_matrix, save_model, write_matrix)
-from .encoder import HashEncoder, encode, fit_ridge_encoder
+from .encoder import (HashEncoder, encode, fit_pipeline, fit_ridge_encoder, from_archive,
+                      to_archive)
 from .errors import (DegenerateDataError, EvaluationError, FormatError,
                      NumericalError, ValidationError)
-from .kernelfeat import KernelMap, estimate_width, kernelize, select_anchors
-from .labelspace import LabelSet, normalize_labels, semantic_affinity_block
+from .kernelfeat import KernelMap, estimate_width, fit_kernel, kernelize, select_anchors
+from .labelspace import LabelSet, normalize_labels
 from .retrieval import (CodeSet, RelevanceJudge, average_precision, evaluate,
-                        hamming, mean_average_precision, pack_codes, rank_by_hamming,
-                        read_codes, topn_precision_curve, unpack_codes, write_codes)
+                        mean_average_precision, pack_codes, rank_by_hamming, read_codes,
+                        topn_precision_curve, write_codes)
 from .trainer import (ModelState, TrainConfig, TrainReport, init_state,
                       objective_value, train, update_codes, update_label_projection,
                       update_latent, update_projection, update_rotation)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, kernelfeat, labelspace, retrieval, trainer
-from .encoder import HashEncoder, encode, fit_ridge_encoder
+from .encoder import encode, fit_pipeline, from_archive, to_archive
 from .errors import NumericalError, ValidationError
 
 
@@ -136,7 +136,12 @@ def _merge_options(args: argparse.Namespace) -> dict:
     values = {dest: opt.default for dest, opt in opts.items()}
     config_path = getattr(args, "config", None)
     if config_path is not None:
-        for lineno, line in enumerate(Path(config_path).read_text().splitlines(), start=1):
+        try:
+            text = Path(config_path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            lineno = e.object.count(b"\n", 0, e.start) + 1
+            raise ValidationError(f"{config_path}:{lineno}: not UTF-8 text ({e})") from e
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -146,7 +151,10 @@ def _merge_options(args: argparse.Namespace) -> dict:
                 raise ValidationError(f"{config_path}:{lineno}: expected key=value")
             if key not in opts:
                 raise ValidationError(f"{config_path}:{lineno}: unknown key {key!r}")
-            values[key] = opts[key].type(raw.strip())
+            try:
+                values[key] = opts[key].type(raw.strip())
+            except ValueError as e:
+                raise ValidationError(f"{config_path}:{lineno}: bad value for {key}: {e}") from e
     for dest in opts:
         if hasattr(args, dest):
             values[dest] = getattr(args, dest)
@@ -178,74 +186,25 @@ def cmd_synth(v: dict) -> int:
     return 0
 
 
-def _fit_kernel(x, k: int, seed: int, sample_cap: int) -> tuple[kernelfeat.KernelMap, np.ndarray]:
-    anchors = kernelfeat.select_anchors(x, k, seed)
-    sigma = kernelfeat.estimate_width(x, anchors, sample_cap=sample_cap, seed=seed)
-    km = kernelfeat.KernelMap(anchors=anchors, sigma=sigma)
-    phi = kernelfeat.kernelize(x, km)
-    return km, phi.values
-
-
 def cmd_train(v: dict) -> int:
-    x1 = dataio.read_matrix(v["x1"])
-    x2 = dataio.read_matrix(v["x2"])
-    x1.modality_id, x2.modality_id = 1, 2
-    labels = labelspace.normalize_labels(dataio.read_labels(v["labels"]))
-    if not (x1.n == x2.n == labels.n):
-        raise ValidationError(
-            f"instance counts disagree: x1 has {x1.n}, x2 has {x2.n}, labels have {labels.n}")
-    km1, phi1 = _fit_kernel(x1, v["k1"], v["seed"], v["sigma_sample_cap"])
-    km2, phi2 = _fit_kernel(x2, v["k2"], v["seed"], v["sigma_sample_cap"])
     cfg = trainer.TrainConfig(r=v["bits"], omega=v["omega"],
                               lambdas=(v["lambda1"], v["lambda2"]),
                               max_iters=v["max_iters"], rel_tol=v["tol"], seed=v["seed"])
-    state, report = trainer.train([phi1.T, phi2.T], labels, cfg)
-    codes_t = state.codes.T
-    ph = [fit_ridge_encoder(phi, codes_t, v["lambda_h"]) for phi in (phi1, phi2)]
-    archive = dataio.ModelArchive(
-        sections={
-            "V": state.latent, "R": state.rotation, "M": state.label_proj,
-            "B": state.codes,
-            "P_1": state.proj[0], "P_2": state.proj[1],
-            "Ph_1": ph[0], "Ph_2": ph[1],
-            "anchors_1": km1.anchors, "anchors_2": km2.anchors,
-            "kcenter_1": km1.center.reshape(1, -1), "kcenter_2": km2.center.reshape(1, -1),
-        },
-        metadata={
-            "r": str(cfg.r), "omega": repr(cfg.omega),
-            "lambda_1": repr(cfg.lambdas[0]), "lambda_2": repr(cfg.lambdas[1]),
-            "lambda_h": repr(v["lambda_h"]),
-            "sigma_1": repr(km1.sigma), "sigma_2": repr(km2.sigma),
-            "k_1": str(v["k1"]), "k_2": str(v["k2"]),
-            "seed": str(cfg.seed), "iterations": str(report.iterations_run),
-            "converged": str(report.converged).lower(),
-            "objective_history": ",".join(repr(x) for x in report.objective_history),
-        })
-    dataio.save_model(archive, v["out"])
+    xs = [dataio.read_matrix(v["x1"]), dataio.read_matrix(v["x2"])]
+    labels = labelspace.normalize_labels(dataio.read_labels(v["labels"]))
+    enc, state, report = fit_pipeline(xs, labels, cfg, (v["k1"], v["k2"]), v["lambda_h"],
+                                      v["sigma_sample_cap"])
+    dataio.save_model(to_archive(enc, state, report, cfg, v["lambda_h"]), v["out"])
     print(f"final objective {report.objective_history[-1]!r} "
           f"after {report.iterations_run} sweeps (converged={report.converged})")
     return 0
 
 
-def _encoder_from_archive(archive: dataio.ModelArchive) -> HashEncoder:
-    kernels = []
-    for t in (1, 2):
-        kernels.append(kernelfeat.KernelMap(
-            anchors=archive.sections[f"anchors_{t}"],
-            sigma=float(archive.metadata[f"sigma_{t}"]),
-            center=archive.sections[f"kcenter_{t}"][0]))
-    ridge = float(archive.metadata.get("lambda_h", "1.0"))
-    return HashEncoder(proj=[archive.sections["Ph_1"], archive.sections["Ph_2"]],
-                       kernels=kernels, ridge=ridge)
-
-
 def cmd_encode(v: dict) -> int:
     if v["modality"] not in (1, 2):
         raise ValidationError(f"--modality must be 1 or 2, got {v['modality']}")
-    archive = dataio.load_model(v["model"])
-    features = dataio.read_matrix(v["features"])
-    features.modality_id = v["modality"]
-    codes = encode(features, _encoder_from_archive(archive), v["modality"])
+    enc = from_archive(dataio.load_model(v["model"]))
+    codes = encode(dataio.read_matrix(v["features"]), enc, v["modality"])
     retrieval.write_codes(codes, v["out"])
     print(f"wrote {codes.n} codes of {codes.r} bits to {v['out']}")
     return 0
@@ -288,8 +247,8 @@ def cmd_bench(v: dict) -> int:
             x1, x2, raw = dataio.generate_synthetic(n, v["c"], v["d1"], v["d2"],
                                                     v["noise"], v["seed"])
             labels = labelspace.normalize_labels(raw)
-            _, phi1 = _fit_kernel(x1, min(v["k1"], n), v["seed"], 2000)
-            _, phi2 = _fit_kernel(x2, min(v["k2"], n), v["seed"], 2000)
+            _, phi1 = kernelfeat.fit_kernel(x1, min(v["k1"], n), v["seed"])
+            _, phi2 = kernelfeat.fit_kernel(x2, min(v["k2"], n), v["seed"])
             # fixed sweep count so per-size times are directly comparable
             cfg = trainer.TrainConfig(r=bits, max_iters=v["sweeps"], rel_tol=1e-300,
                                       seed=v["seed"])

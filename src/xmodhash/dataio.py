@@ -259,12 +259,17 @@ def load_model(path) -> ModelArchive:
         offset += 4
         if len(buf) - offset < name_len:
             raise FormatError(f"{path}: truncated section name")
-        name = buf[offset:offset + name_len].decode("utf-8")
+        # a name that is not UTF-8 decodes to an unknown name, rejected below
+        name = buf[offset:offset + name_len].decode("utf-8", "replace")
         offset += name_len
         if index == count - 1:
             if name != "meta":
                 raise FormatError(f"{path}: final section is {name!r}, expected 'meta'")
-            for lineno, line in enumerate(buf[offset:].decode("utf-8").splitlines(), start=1):
+            try:
+                meta = buf[offset:].decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}: metadata section is not UTF-8 ({e})") from e
+            for lineno, line in enumerate(meta.splitlines(), start=1):
                 if not line:
                     continue
                 key, sep, value = line.partition("=")

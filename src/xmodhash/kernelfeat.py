@@ -102,3 +102,11 @@ def kernelize(x: FeatureMatrix, km: KernelMap) -> FeatureMatrix:
         raise ValidationError(
             f"stored center has length {km.center.shape}, expected ({km.k},)")
     return FeatureMatrix(phi - km.center, modality_id=x.modality_id)
+
+
+def fit_kernel(x: FeatureMatrix, k: int, seed: int,
+               sample_cap: int = 2000) -> tuple[KernelMap, np.ndarray]:
+    """Anchors, width and the centering pass: the map and its n x k training features."""
+    anchors = select_anchors(x, k, seed)
+    km = KernelMap(anchors, estimate_width(x, anchors, sample_cap=sample_cap, seed=seed))
+    return km, kernelize(x, km).values

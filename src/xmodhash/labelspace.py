@@ -1,9 +1,7 @@
-"""Label matrix normalization and the semantic affinity test oracle.
+"""Label matrix normalization.
 
 The trainer only ever touches small Gram contractions of the normalized
-label matrix; ``semantic_affinity_block`` exists for test oracles that want
-explicit affinity entries on toy problems and is deliberately unused by
-the training path.
+label matrix; it never builds explicit pairwise affinity entries.
 """
 
 from dataclasses import dataclass
@@ -11,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import RawLabelMatrix
-from .errors import ValidationError
 
 
 @dataclass
@@ -36,18 +33,3 @@ def normalize_labels(raw: RawLabelMatrix) -> LabelSet:
     norms = np.linalg.norm(l, axis=0, keepdims=True)
     return LabelSet(labels=l, normalized=l / norms)
 
-
-def semantic_affinity_block(labels: LabelSet, rows, cols) -> np.ndarray:
-    """Explicit pairwise affinity sub-block for the requested index ranges.
-
-    Test-oracle only: the full affinity matrix is quadratic in the number
-    of instances and the trainer never materializes it.
-    """
-    rows = np.asarray(list(rows), dtype=np.int64)
-    cols = np.asarray(list(cols), dtype=np.int64)
-    n = labels.n
-    for name, idx in (("rows", rows), ("cols", cols)):
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValidationError(f"{name} indices out of range for {n} instances")
-    g = labels.normalized
-    return g[:, rows].T @ g[:, cols]

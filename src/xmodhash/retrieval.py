@@ -68,22 +68,6 @@ def pack_codes(signs: np.ndarray) -> CodeSet:
     return CodeSet(n=n, r=r, words=packed.view("<u8").reshape(n, width))
 
 
-def unpack_codes(codes: CodeSet) -> np.ndarray:
-    """Inverse of pack_codes: n x r matrix of +-1 (int8)."""
-    raw = codes.words.astype("<u8").view(np.uint8).reshape(codes.n, -1)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :codes.r]
-    return (bits.astype(np.int8) * 2) - 1
-
-
-def hamming(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of differing bits between two packed codes of equal length."""
-    a = np.asarray(a, dtype=np.uint64).ravel()
-    b = np.asarray(b, dtype=np.uint64).ravel()
-    if a.shape != b.shape:
-        raise ValidationError(f"code lengths differ: {a.shape} vs {b.shape}")
-    return int(np.bitwise_count(a ^ b).sum())
-
-
 # Cells (queries x database items) ranked per block: bounds the block's
 # distance, order and relevance arrays whatever the query count.
 _BLOCK_CELLS = 2 ** 20

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import xmodhash
-from xmodhash import dataio, kernelfeat
+from xmodhash import dataio
+from xmodhash.errors import ValidationError
+from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import LabelSet, normalize_labels
-from xmodhash.retrieval import unpack_codes
+from xmodhash.retrieval import CodeSet
 
 
 def cli_env():
@@ -84,6 +86,38 @@ def naive_objective(state, labels, phix, cfg):
     return total
 
 
+def unpack_codes(codes: CodeSet) -> np.ndarray:
+    """Inverse of pack_codes: n x r matrix of +-1 (int8)."""
+    raw = codes.words.astype("<u8").view(np.uint8).reshape(codes.n, -1)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :codes.r]
+    return (bits.astype(np.int8) * 2) - 1
+
+
+def hamming(a: np.ndarray, b: np.ndarray) -> int:
+    """Number of differing bits between two packed codes of equal length."""
+    a = np.asarray(a, dtype=np.uint64).ravel()
+    b = np.asarray(b, dtype=np.uint64).ravel()
+    if a.shape != b.shape:
+        raise ValidationError(f"code lengths differ: {a.shape} vs {b.shape}")
+    return int(np.bitwise_count(a ^ b).sum())
+
+
+def semantic_affinity_block(labels: LabelSet, rows, cols) -> np.ndarray:
+    """Explicit pairwise affinity sub-block for the requested index ranges.
+
+    The full affinity matrix is quadratic in the number of instances; the
+    trainer never materializes it, so only tests build entries of it.
+    """
+    rows = np.asarray(list(rows), dtype=np.int64)
+    cols = np.asarray(list(cols), dtype=np.int64)
+    n = labels.n
+    for name, idx in (("rows", rows), ("cols", cols)):
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ValidationError(f"{name} indices out of range for {n} instances")
+    g = labels.normalized
+    return g[:, rows].T @ g[:, cols]
+
+
 def oracle_rank(query_bits, db_bits):
     """Naive ranking oracle: unpacked +-1 disagreement counts, ties by index."""
     dists = [sum(int(qb != db) for qb, db in zip(query_bits, row)) for row in db_bits]
@@ -122,19 +156,12 @@ def oracle_map(query_codes, db_codes, query_labels, db_labels, cutoff=None):
     return total / kept, excluded
 
 
-def prep_modality(x, k, seed):
-    """Anchor + width + centered kernel features for one modality."""
-    anchors = kernelfeat.select_anchors(x, k, seed)
-    km = kernelfeat.KernelMap(anchors, kernelfeat.estimate_width(x, anchors, seed=seed))
-    return km, kernelfeat.kernelize(x, km).values
-
-
 @pytest.fixture(scope="session")
 def small_synth():
     """A small trained-ready dataset shared by the slower tests."""
     x1, x2, raw = dataio.generate_synthetic(200, 4, 12, 10, 0.25, seed=3)
     labels = normalize_labels(raw)
-    km1, phi1 = prep_modality(x1, 48, 3)
-    km2, phi2 = prep_modality(x2, 48, 3)
+    km1, phi1 = fit_kernel(x1, 48, 3)
+    km2, phi2 = fit_kernel(x2, 48, 3)
     return {"x1": x1, "x2": x2, "labels": labels,
             "km1": km1, "km2": km2, "phi1": phi1, "phi2": phi2}

@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import (cli_env, fd_gradient, gradient_scale, naive_objective,
-                      oracle_map, prep_modality, random_feasible_latent,
-                      random_labelset)
+                      oracle_map, random_feasible_latent, random_labelset)
 from xmodhash import dataio, kernelfeat
 from xmodhash.dataio import FeatureMatrix, RawLabelMatrix
-from xmodhash.encoder import HashEncoder, encode, fit_ridge_encoder
+from xmodhash.encoder import encode, fit_pipeline
+from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import normalize_labels
 from xmodhash.retrieval import (RelevanceJudge, average_precision,
                                 mean_average_precision, pack_codes,
@@ -40,12 +40,6 @@ FROZEN_ORACLE_MAP = {"i2t": 0.9998765429511451, "t2i": 0.9999213285687327}
 def _report(criterion: int, ok: bool, detail: str):
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def _fit_kernel(x, k, seed):
-    anchors = kernelfeat.select_anchors(x, k, seed)
-    km = kernelfeat.KernelMap(anchors, kernelfeat.estimate_width(x, anchors, seed=seed))
-    return km, kernelfeat.kernelize(x, km).values
 
 
 def _ap_from_scores(scores, relevant):
@@ -94,15 +88,12 @@ def pipeline():
     data["labels"] = normalize_labels(RawLabelMatrix(data["lab_tr"]))
     data["judge"] = RelevanceJudge(data["lab_q"], data["lab_tr"])
     data["relevant"] = [(data["lab_q"][:, qi] @ data["lab_tr"]) > 0 for qi in range(200)]
-    data["km1"], data["phi1"] = _fit_kernel(data["x1_tr"], 500, 0)
-    data["km2"], data["phi2"] = _fit_kernel(data["x2_tr"], 1000, 0)
+    data["km1"], data["phi1"] = fit_kernel(data["x1_tr"], 500, 0)
+    data["km2"], data["phi2"] = fit_kernel(data["x2_tr"], 1000, 0)
 
     def run_bits(r):
-        cfg = TrainConfig(r=r, seed=0)
-        state, report = train([data["phi1"].T, data["phi2"].T], data["labels"], cfg)
-        proj = [fit_ridge_encoder(phi, state.codes.T, 1.0)
-                for phi in (data["phi1"], data["phi2"])]
-        enc = HashEncoder(proj=proj, kernels=[data["km1"], data["km2"]])
+        enc, state, report = fit_pipeline([data["x1_tr"], data["x2_tr"]], data["labels"],
+                                          TrainConfig(r=r, seed=0), (500, 1000))
         db = {t: encode(data[f"x{t}_tr"], enc, t) for t in (1, 2)}
         queries = {t: encode(data[f"x{t}_q"], enc, t) for t in (1, 2)}
         return {
@@ -133,8 +124,8 @@ def test_criterion_1_constraint_suite():
     start = time.perf_counter()
     x1, x2, raw = dataio.generate_synthetic(500, 5, 32, 16, 0.3, seed=0)
     labels = normalize_labels(raw)
-    _, phi1 = prep_modality(x1, 200, 0)
-    _, phi2 = prep_modality(x2, 200, 0)
+    _, phi1 = fit_kernel(x1, 200, 0)
+    _, phi2 = fit_kernel(x2, 200, 0)
     worst = {}
     for r in (16, 32):
         state, _ = train([phi1.T, phi2.T], labels, TrainConfig(r=r, seed=0))
@@ -156,8 +147,8 @@ def test_criterion_2_monotone_descent():
     for seed in range(5):
         x1, x2, raw = dataio.generate_synthetic(500, 5, 32, 16, 0.3, seed=seed)
         labels = normalize_labels(raw)
-        _, phi1 = prep_modality(x1, 128, seed)
-        _, phi2 = prep_modality(x2, 128, seed)
+        _, phi1 = fit_kernel(x1, 128, seed)
+        _, phi2 = fit_kernel(x2, 128, seed)
         cfg = TrainConfig(r=16, max_iters=30, rel_tol=1e-30, seed=seed)
         _, report = train([phi1.T, phi2.T], labels, cfg)
         h = report.objective_history
@@ -328,8 +319,8 @@ def test_criterion_8_scaling_and_memory():
     n, c, k, r = 20000, 10, 500, 32
     x1, x2, raw = dataio.generate_synthetic(n, c, 32, 16, 0.3, seed=0)
     labels = normalize_labels(raw)
-    _, phi1 = _fit_kernel(x1, k, 0)
-    _, phi2 = _fit_kernel(x2, k, 0)
+    _, phi1 = fit_kernel(x1, k, 0)
+    _, phi2 = fit_kernel(x2, k, 0)
     phi1, phi2 = np.ascontiguousarray(phi1.T), np.ascontiguousarray(phi2.T)
     cfg = TrainConfig(r=r, max_iters=3, rel_tol=1e-300, seed=0)
     budget = 16 * n * (k + c + r)
@@ -381,18 +372,12 @@ def test_criterion_10_real_data_reproduction():
     root = Path(data_dir)
     x1_tr = dataio.read_matrix(root / "train_img.amx")
     x2_tr = dataio.read_matrix(root / "train_txt.amx")
-    x1_tr.modality_id, x2_tr.modality_id = 1, 2
     labels = normalize_labels(dataio.read_labels(root / "train_labels.amx"))
     x1_q = dataio.read_matrix(root / "query_img.amx")
     x2_q = dataio.read_matrix(root / "query_txt.amx")
-    x1_q.modality_id, x2_q.modality_id = 1, 2
     lab_q = dataio.read_labels(root / "query_labels.amx")
 
-    km1, phi1 = _fit_kernel(x1_tr, 500, 0)
-    km2, phi2 = _fit_kernel(x2_tr, 1000, 0)
-    state, _ = train([phi1.T, phi2.T], labels, TrainConfig(r=128, seed=0))
-    proj = [fit_ridge_encoder(phi, state.codes.T, 1.0) for phi in (phi1, phi2)]
-    enc = HashEncoder(proj=proj, kernels=[km1, km2])
+    enc, _, _ = fit_pipeline([x1_tr, x2_tr], labels, TrainConfig(r=128, seed=0), (500, 1000))
     judge = RelevanceJudge(lab_q.values, labels.labels)
     i2t = mean_average_precision(encode(x1_q, enc, 1), encode(x2_tr, enc, 2), judge).value
     t2i = mean_average_precision(encode(x2_q, enc, 2), encode(x1_tr, enc, 1), judge).value

@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
-from xmodhash import dataio, retrieval
+from xmodhash import dataio, kernelfeat, retrieval
 from xmodhash.cli import build_parser, main
+from xmodhash.encoder import fit_pipeline, to_archive
+from xmodhash.labelspace import normalize_labels
 from xmodhash.retrieval import pack_codes, write_codes
+from xmodhash.trainer import TrainConfig
 
 
 def run(capsys, *argv):
@@ -74,6 +79,41 @@ def test_train_missing_labels_is_exit_2(synth_dir, tmp_path, capsys):
                                            **{"--labels": str(synth_dir / "nope.amx")}))
     assert code == 2
     assert "nope.amx" in err
+
+
+def test_train_archive_equals_library_fit(synth_dir, tmp_path, capsys):
+    model = tmp_path / "cli.amh"
+    assert run(capsys, *train_args(synth_dir, model, **{"--lambda-h": "0.5"}))[0] == 0
+    xs = [dataio.read_matrix(synth_dir / f"x{t}.amx") for t in (1, 2)]
+    labels = normalize_labels(dataio.read_labels(synth_dir / "labels.amx"))
+    cfg = TrainConfig(r=8, max_iters=4)
+    fitted = fit_pipeline(xs, labels, cfg, (16, 16), ridge=0.5)
+    dataio.save_model(to_archive(*fitted, cfg, 0.5), tmp_path / "lib.amh")
+    assert model.read_bytes() == (tmp_path / "lib.amh").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lambda-h", "0", "ridge weight must be positive"),
+    ("--omega", "-1", "omega must be >= 0"),
+    ("--lambda2", "-1", "lambdas must be >= 0"),
+    ("--bits", "0", "code length must be >= 1"),
+    ("--max-iters", "0", "max_iters must be >= 1"),
+    ("--tol", "0", "rel_tol must be positive"),
+    ("--k1", "0", "modality 1 needs 1 to 60 anchors"),
+    ("--k2", "61", "modality 2 needs 1 to 60 anchors"),
+    ("--sigma-sample-cap", "0", "sample cap must be >= 1"),
+])
+def test_train_bad_arguments_fail_before_kernel_work(synth_dir, tmp_path, capsys,
+                                                     monkeypatch, flag, value, message):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernelized before the arguments were checked")
+
+    monkeypatch.setattr(kernelfeat, "kernelize", no_kernel)
+    model = tmp_path / "m.amh"
+    code, out, err = run(capsys, *train_args(synth_dir, model, **{flag: value}))
+    assert code == 2 and out == ""
+    assert message in err
+    assert not model.exists()
 
 
 def test_train_deterministic(synth_dir, tmp_path, capsys):
@@ -148,6 +188,38 @@ def test_encode_wrong_dimensions(synth_dir, tmp_path, capsys):
                        "--out", str(tmp_path / "c.abc"))
     assert code == 2
     assert "8" in err and "6" in err  # expected vs actual feature dimension
+
+
+def _rename_section_v(path):
+    buf = path.read_bytes()
+    at = buf.index(b"\x01\x00\x00\x00V") + 4    # the one-byte name of section "V"
+    path.write_bytes(buf[:at] + b"\xff" + buf[at + 1:])
+
+
+def _malform_sigma(path):
+    path.write_bytes(re.sub(rb"sigma_1=[^\n]*", b"sigma_1=x.149", path.read_bytes()))
+
+
+def _truncate_ph_1(path):
+    archive = dataio.load_model(path)
+    archive.sections["Ph_1"] = archive.sections["Ph_1"][:10]
+    dataio.save_model(archive, path)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_rename_section_v, "unknown section name"),
+    (_malform_sigma, "metadata sigma_1 is not a number"),
+    (_truncate_ph_1, "modality 1: 10 projection rows, 16 anchors"),
+])
+def test_encode_corrupt_archive_is_exit_2(synth_dir, tmp_path, capsys, corrupt, message):
+    model = tmp_path / "model.amh"
+    assert run(capsys, *train_args(synth_dir, model))[0] == 0
+    corrupt(model)
+    code, _, err = run(capsys, "encode", "--model", str(model), "--features",
+                       str(synth_dir / "x1.amx"), "--modality", "1",
+                       "--out", str(tmp_path / "c.abc"))
+    assert code == 2
+    assert message in err
 
 
 def test_eval_perfect_toy(tmp_path, capsys):
@@ -246,6 +318,19 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
                        "--out", str(tmp_path / "o"))
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"n=30\nc=abc\n", "run.cfg:2: bad value for c"),
+    (b"seed=9\n# caf\xe9\n", "run.cfg:2: not UTF-8"),
+])
+def test_config_malformed_value_is_exit_2(tmp_path, capsys, content, message):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(content)
+    code, _, err = run(capsys, "synth", "--config", str(config),
+                       "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert message in err
 
 
 def test_help_lists_defaults():

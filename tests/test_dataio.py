@@ -187,6 +187,20 @@ def test_model_missing_section_is_format_error(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("old, new", [
+    (b"\x01\x00\x00\x00R", b"\x01\x00\x00\x00\xff"),    # section name
+    (b"seed=", b"se\xffd="),                                 # metadata
+])
+def test_model_non_utf8_text_is_format_error(tmp_path, old, new):
+    path = tmp_path / "m.amh"
+    save_model(_tiny_archive(), path)
+    buf = path.read_bytes()
+    assert buf.count(old) == 1
+    path.write_bytes(buf.replace(old, new))
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
 def test_model_save_requires_sections():
     archive = _tiny_archive()
     del archive.sections["R"]

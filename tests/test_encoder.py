@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, gradient_scale, prep_modality
-from xmodhash.dataio import FeatureMatrix, RawLabelMatrix, generate_synthetic
-from xmodhash.encoder import HashEncoder, encode, fit_ridge_encoder
-from xmodhash.errors import NumericalError, ValidationError
+from conftest import fd_gradient, gradient_scale, unpack_codes
+from xmodhash import kernelfeat
+from xmodhash.dataio import (REQUIRED_METADATA, REQUIRED_SECTIONS, FeatureMatrix,
+                             RawLabelMatrix, generate_synthetic, load_model, save_model)
+from xmodhash.encoder import (HashEncoder, encode, fit_pipeline, fit_ridge_encoder,
+                              from_archive, to_archive)
+from xmodhash.errors import FormatError, NumericalError, ValidationError
 from xmodhash.kernelfeat import KernelMap
 from xmodhash.labelspace import normalize_labels
-from xmodhash.retrieval import unpack_codes
-from xmodhash.trainer import TrainConfig, train
+from xmodhash.trainer import TrainConfig
 
 
 def test_identity_features_halve_codes():
@@ -85,6 +87,13 @@ def test_encode_dimension_mismatch_names_dims():
         encode(FeatureMatrix(rng.standard_normal((3, 7))), enc, 1)
 
 
+def test_encoder_projection_rows_must_match_anchors():
+    rng = np.random.default_rng(7)
+    km = KernelMap(rng.standard_normal((6, 4)), sigma=1.0, center=np.zeros(6))
+    with pytest.raises(ValidationError, match="5 projection rows, 6 anchors"):
+        HashEncoder(proj=[rng.standard_normal((5, 8))], kernels=[km])
+
+
 def test_encode_requires_frozen_center():
     rng = np.random.default_rng(6)
     km = KernelMap(rng.standard_normal((4, 3)), sigma=1.0)
@@ -97,16 +106,10 @@ def test_training_bits_reproduced_on_clean_data():
     # threshold calibrated on seed 0: observed agreement is 1.0 on noise-free
     # synthetic data, so the 95% floor leaves plenty of margin
     x1, x2, raw = generate_synthetic(150, 5, 10, 8, 0.0, seed=0)
-    labels = normalize_labels(raw)
-    km1, phi1 = prep_modality(x1, 40, 0)
-    km2, phi2 = prep_modality(x2, 40, 0)
-    cfg = TrainConfig(r=16, max_iters=10, seed=0)
-    state, _ = train([phi1.T, phi2.T], labels, cfg)
-    for km, phi, modality, x in ((km1, phi1, 1, x1), (km2, phi2, 2, x2)):
-        proj = fit_ridge_encoder(phi, state.codes.T, ridge=1.0)
-        enc = HashEncoder(proj=[proj], kernels=[km])
-        x_query = FeatureMatrix(x.values, modality_id=modality)
-        bits = unpack_codes(encode(x_query, enc, 1)).astype(np.float64)
+    enc, state, _ = fit_pipeline([x1, x2], normalize_labels(raw),
+                                 TrainConfig(r=16, max_iters=10, seed=0), (40, 40))
+    for modality, x in ((1, x1), (2, x2)):
+        bits = unpack_codes(encode(x, enc, modality)).astype(np.float64)
         agreement = np.mean(bits == state.codes.T)
         assert agreement >= 0.95
 
@@ -116,18 +119,75 @@ def test_duplicate_rows_train_and_encode():
     # column has an identical twin; training and the ridge fits still solve
     x1, x2, raw = generate_synthetic(40, 4, 10, 8, 0.3, seed=2)
     labels = normalize_labels(RawLabelMatrix(np.hstack([raw.values, raw.values])))
-    maps, phis, xs = [], [], []
-    for modality, x in ((1, x1), (2, x2)):
-        doubled = FeatureMatrix(np.vstack([x.values, x.values]), modality_id=modality)
-        km, phi = prep_modality(doubled, 80, 0)
-        assert len({tuple(row) for row in km.anchors}) == 40
-        maps.append(km)
-        phis.append(phi)
-        xs.append(doubled)
-    state, _ = train([phi.T for phi in phis], labels, TrainConfig(r=16, max_iters=5, seed=0))
-    proj = [fit_ridge_encoder(phi, state.codes.T, ridge=1.0) for phi in phis]
-    assert all(np.all(np.isfinite(p)) for p in proj)
-    enc = HashEncoder(proj=proj, kernels=maps)
+    xs = [FeatureMatrix(np.vstack([x.values, x.values])) for x in (x1, x2)]
+    enc, _, _ = fit_pipeline(xs, labels, TrainConfig(r=16, max_iters=5, seed=0), (80, 80))
+    assert all(len({tuple(row) for row in km.anchors}) == 40 for km in enc.kernels)
+    assert all(np.all(np.isfinite(p)) for p in enc.proj)
     for modality, x in ((1, xs[0]), (2, xs[1])):
         bits = unpack_codes(encode(x, enc, modality))
         assert np.array_equal(bits[:40], bits[40:])
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    x1, x2, raw = generate_synthetic(120, 4, 10, 8, 0.3, seed=5)
+    cfg = TrainConfig(r=16, max_iters=4, seed=5)
+    labels = normalize_labels(raw)
+    enc, state, report = fit_pipeline([x1, x2], labels, cfg, (30, 40), ridge=0.7)
+    return {"xs": (x1, x2), "labels": labels, "cfg": cfg, "enc": enc, "state": state,
+            "report": report}
+
+
+def test_fit_pipeline_takes_the_modality_from_the_position(fitted):
+    # matrices read from files carry modality_id 0; the fit must not depend on it
+    untagged = [FeatureMatrix(x.values) for x in fitted["xs"]]
+    enc, _, _ = fit_pipeline(untagged, fitted["labels"], fitted["cfg"], (30, 40), ridge=0.7)
+    assert [x.modality_id for x in untagged] == [0, 0]
+    for ours, tagged in zip(enc.kernels, fitted["enc"].kernels):
+        assert np.array_equal(ours.anchors, tagged.anchors) and ours.sigma == tagged.sigma
+    assert all(np.array_equal(a, b) for a, b in zip(enc.proj, fitted["enc"].proj))
+
+
+def test_archive_round_trip_encodes_identically(fitted, tmp_path):
+    path = tmp_path / "m.amh"
+    save_model(to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"],
+                          0.7), path)
+    loaded = from_archive(load_model(path))
+    for modality, x in enumerate(fitted["xs"], start=1):
+        ours = encode(x, fitted["enc"], modality).words
+        assert encode(x, loaded, modality).words.tobytes() == ours.tobytes()
+
+
+def test_to_archive_writes_the_required_layout(fitted):
+    archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
+    assert tuple(archive.sections) == REQUIRED_SECTIONS
+    assert set(REQUIRED_METADATA) <= set(archive.metadata)
+    assert archive.metadata["lambda_h"] == "0.7"
+    assert (archive.metadata["k_1"], archive.metadata["k_2"]) == ("30", "40")
+
+
+@pytest.mark.parametrize("value", ["x.149", "", "abc"])
+def test_from_archive_bad_sigma_is_format_error(fitted, value):
+    archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
+    archive.metadata["sigma_2"] = value
+    with pytest.raises(FormatError, match="sigma_2"):
+        from_archive(archive)
+
+
+@pytest.mark.parametrize("kwargs, n_labels, message", [
+    ({"ridge": 0.0}, 60, "ridge weight must be positive"),
+    ({"k": (0, 10)}, 60, "modality 1 needs 1 to 60 anchors, got k=0"),
+    ({"k": (10, 61)}, 60, "modality 2 needs 1 to 60 anchors, got k=61"),
+    ({"sample_cap": 0}, 60, "sample cap must be >= 1"),
+    ({}, 59, "x1 has 60 instances but labels have 59"),
+])
+def test_fit_pipeline_checks_arguments_before_kernelizing(monkeypatch, kwargs, n_labels,
+                                                          message):
+    def no_kernel(*args, **kw):
+        raise AssertionError("kernelized before the arguments were checked")
+
+    monkeypatch.setattr(kernelfeat, "kernelize", no_kernel)
+    x1, x2, raw = generate_synthetic(60, 3, 6, 5, 0.3, seed=1)
+    labels = normalize_labels(RawLabelMatrix(raw.values[:, :n_labels]))
+    with pytest.raises(ValidationError, match=message):
+        fit_pipeline([x1, x2], labels, TrainConfig(r=8, max_iters=2), **{"k": (10, 10), **kwargs})

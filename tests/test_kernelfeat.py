@@ -3,7 +3,8 @@ import pytest
 
 from xmodhash.dataio import FeatureMatrix
 from xmodhash.errors import DegenerateDataError, ValidationError
-from xmodhash.kernelfeat import KernelMap, estimate_width, kernelize, select_anchors
+from xmodhash.kernelfeat import (KernelMap, estimate_width, fit_kernel, kernelize,
+                                 select_anchors)
 
 
 def fm(values, modality=0):
@@ -84,21 +85,17 @@ def test_kernel_scalar_value():
 def test_training_pass_centers_columns():
     rng = np.random.default_rng(4)
     x = fm(rng.standard_normal((100, 3)))
-    anchors = select_anchors(x, 10, seed=0)
-    km = KernelMap(anchors, estimate_width(x, anchors))
-    phi = kernelize(x, km)
-    assert np.abs(phi.values.sum(axis=0)).max() < 1e-9 * 100
+    km, phi = fit_kernel(x, 10, seed=0)
+    assert np.abs(phi.sum(axis=0)).max() < 1e-9 * 100
     # stored center equals the column mean of the raw kernel matrix
-    raw = phi.values + km.center
+    raw = phi + km.center
     assert np.abs(km.center - raw.mean(axis=0)).max() < 1e-12
 
 
 def test_query_pass_reuses_center():
     rng = np.random.default_rng(5)
     x = fm(rng.standard_normal((50, 3)))
-    anchors = select_anchors(x, 8, seed=0)
-    km = KernelMap(anchors, estimate_width(x, anchors))
-    kernelize(x, km)
+    km, _ = fit_kernel(x, 8, seed=0)
     frozen = km.center.copy()
     kernelize(fm(rng.standard_normal((20, 3))), km)
     assert np.array_equal(km.center, frozen)
@@ -107,9 +104,8 @@ def test_query_pass_reuses_center():
 def test_raw_kernel_values_in_unit_interval():
     rng = np.random.default_rng(6)
     x = fm(rng.standard_normal((30, 4)))
-    anchors = select_anchors(x, 6, seed=1)
-    km = KernelMap(anchors, estimate_width(x, anchors))
-    raw = kernelize(x, km).values + km.center
+    km, phi = fit_kernel(x, 6, seed=1)
+    raw = phi + km.center
     assert np.all(raw > 0) and np.all(raw <= 1.0 + 1e-15)
 
 

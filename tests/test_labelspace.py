@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import semantic_affinity_block
 from xmodhash import trainer
 from xmodhash.dataio import RawLabelMatrix
 from xmodhash.errors import ValidationError
-from xmodhash.labelspace import normalize_labels, semantic_affinity_block
+from xmodhash.labelspace import normalize_labels
 
 
 def labelset(values):

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_ap, oracle_map, oracle_rank
+from conftest import hamming, oracle_ap, oracle_map, oracle_rank, unpack_codes
 from xmodhash import retrieval
 from xmodhash.errors import EvaluationError, FormatError, ValidationError
 from xmodhash.retrieval import (CodeSet, RelevanceJudge, average_precision, evaluate,
-                                hamming, mean_average_precision, pack_codes,
-                                rank_by_hamming, read_codes,
-                                topn_precision_curve, unpack_codes, write_codes)
+                                mean_average_precision, pack_codes, rank_by_hamming,
+                                read_codes, topn_precision_curve, write_codes)
 
 
 def signs_from_bits(bit_rows):
