@@ -10,9 +10,8 @@ from .errors import (DegenerateDataError, EvaluationError, FormatError,
                      NumericalError, ValidationError)
 from .kernelfeat import KernelMap, estimate_width, fit_kernel, kernelize, select_anchors
 from .labelspace import LabelSet, normalize_labels
-from .retrieval import (CodeSet, RelevanceJudge, average_precision, evaluate,
-                        mean_average_precision, pack_codes, rank_by_hamming, read_codes,
-                        topn_precision_curve, write_codes)
+from .retrieval import (CodeSet, RelevanceJudge, evaluate, pack_codes, rank_by_hamming,
+                        read_codes, write_codes)
 from .trainer import (ModelState, TrainConfig, TrainReport, init_state,
                       objective_value, train, update_codes, update_label_projection,
                       update_latent, update_projection, update_rotation)

@@ -239,6 +239,9 @@ def cmd_eval(v: dict) -> int:
 
 def cmd_bench(v: dict) -> int:
     sizes = _parse_int_list(v["sizes"], "--sizes")
+    if len(set(sizes)) < 2:
+        raise ValidationError(f"--sizes needs two or more distinct sizes to fit a slope, "
+                              f"got {v['sizes']!r}")
     bit_lengths = _parse_int_list(v["bits"], "--bits")
     print("n,bits,seconds")
     for bits in bit_lengths:

@@ -15,7 +15,7 @@ from .errors import FormatError, NumericalError, ValidationError
 from .kernelfeat import KernelMap, fit_kernel, kernelize
 from .labelspace import LabelSet
 from .retrieval import CodeSet, pack_codes
-from .trainer import ModelState, TrainConfig, TrainReport, train
+from .trainer import ModelState, TrainConfig, TrainReport, check_code_length, train
 
 
 @dataclass
@@ -31,6 +31,8 @@ class HashEncoder:
         for t, (p, km) in enumerate(zip(self.proj, self.kernels), start=1):
             if p.shape[0] != km.k:
                 raise ValidationError(f"modality {t}: {p.shape[0]} projection rows, {km.k} anchors")
+            if not np.all(np.isfinite(p)):
+                raise ValidationError(f"modality {t}: projection contains NaN or Inf entries")
         widths = {p.shape[1] for p in self.proj}
         if len(widths) > 1:
             raise ValidationError(f"projections disagree on code length: {sorted(widths)}")
@@ -73,6 +75,7 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
     """
     if not ridge > 0:
         raise ValidationError(f"ridge weight must be positive, got {ridge}")
+    check_code_length(cfg.r, labels.n)
     for t, (x, k_t) in enumerate(zip(xs, k, strict=True), start=1):
         if x.n != labels.n:
             raise ValidationError(f"x{t} has {x.n} instances but labels have {labels.n}")

@@ -29,10 +29,15 @@ class KernelMap:
             raise ValidationError("anchors must be a non-empty k x d matrix")
         if not np.all(np.isfinite(self.anchors)):
             raise ValidationError("anchors contain NaN or Inf entries")
-        if not self.sigma > 0:
-            raise ValidationError(f"kernel width must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValidationError(f"kernel width must be finite and positive, got {self.sigma}")
         if self.center is not None:
             self.center = np.asarray(self.center, dtype=np.float64)
+            if self.center.shape != (self.k,):
+                raise ValidationError(
+                    f"kernel center has shape {self.center.shape}, expected ({self.k},)")
+            if not np.all(np.isfinite(self.center)):
+                raise ValidationError("kernel center contains NaN or Inf entries")
 
     @property
     def k(self) -> int:
@@ -98,9 +103,6 @@ def kernelize(x: FeatureMatrix, km: KernelMap) -> FeatureMatrix:
     phi = np.exp(-(d * d) / (2.0 * km.sigma * km.sigma))
     if km.center is None:
         km.center = phi.mean(axis=0)
-    elif km.center.shape != (km.k,):
-        raise ValidationError(
-            f"stored center has length {km.center.shape}, expected ({km.k},)")
     return FeatureMatrix(phi - km.center, modality_id=x.modality_id)
 
 

@@ -116,11 +116,6 @@ class RelevanceJudge:
         return (self.query_labels[:, query_index].T @ self.db_labels) > 0
 
 
-class APResult(NamedTuple):
-    value: float
-    empty_ground_truth: bool
-
-
 def _ap_from_hits(hits: np.ndarray) -> float:
     """AP from the 0-based ranks of the relevant items, in rank order.
 
@@ -136,21 +131,6 @@ def _check_cutoff(cutoff: int, n: int) -> None:
         raise ValidationError(f"cutoff must be at least 1, got {cutoff}")
     if cutoff > n:
         raise ValidationError(f"cutoff {cutoff} exceeds ranking length {n}")
-
-
-def average_precision(ranked: np.ndarray, judge: RelevanceJudge, query_index: int,
-                      cutoff: int) -> APResult:
-    """Mean of the precision values at each relevant rank within the top cutoff.
-
-    A query with no relevant item in the top cutoff scores 0 and is flagged
-    so callers can exclude it from aggregate means.
-    """
-    ranked = np.asarray(ranked, dtype=np.int64)
-    _check_cutoff(cutoff, ranked.shape[0])
-    hits = np.flatnonzero(judge.relevance(query_index)[ranked[:cutoff]])
-    if hits.size == 0:
-        return APResult(0.0, True)
-    return APResult(_ap_from_hits(hits), False)
 
 
 def evaluate(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
@@ -199,21 +179,6 @@ def evaluate(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
     sums = np.cumsum(precision, axis=0)[-1]
     curve = [(n_top, float(sums[col]) / queries.n) for col, n_top in enumerate(n_points)]
     return result, curve
-
-
-def mean_average_precision(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
-                           cutoff: int | None = None,
-                           include_empty: bool = False) -> MapResult:
-    """Mean AP over queries; empty-ground-truth queries are excluded by default."""
-    return evaluate(queries, db, judge, cutoff=cutoff, include_empty=include_empty)[0]
-
-
-def topn_precision_curve(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
-                         n_points: list[int]) -> list[tuple[int, float]]:
-    """Mean fraction of relevant items within the top N, for each requested N."""
-    # include_empty keeps every query in the (unused) mAP mean, so a query
-    # set without any relevant item still gets a curve
-    return evaluate(queries, db, judge, include_empty=True, n_points=n_points)[1]
 
 
 def write_codes(codes: CodeSet, path) -> None:

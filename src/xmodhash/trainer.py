@@ -99,13 +99,18 @@ def _balanced_orthonormal_rows(a: np.ndarray) -> np.ndarray:
     return (q * np.sign(np.diag(rr))).T
 
 
-def init_state(phix: Sequence[np.ndarray], labels: LabelSet, cfg: TrainConfig) -> ModelState:
-    """Seeded random feasible starting point; projections are fit to it."""
-    n, c, r = labels.n, labels.c, cfg.r
+def check_code_length(r: int, n: int) -> None:
+    """Reject r >= n: the balanced latent constraints need r+1 instances."""
     if r > n - 1:
         raise ValidationError(
             f"code length r={r} needs at least r+1={r + 1} instances "
             f"(the balanced latent constraints are infeasible otherwise), got n={n}")
+
+
+def init_state(phix: Sequence[np.ndarray], labels: LabelSet, cfg: TrainConfig) -> ModelState:
+    """Seeded random feasible starting point; projections are fit to it."""
+    n, c, r = labels.n, labels.c, cfg.r
+    check_code_length(r, n)
     for t, phi in enumerate(phix, start=1):
         if phi.shape[1] != n:
             raise ValidationError(

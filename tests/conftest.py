@@ -11,7 +11,7 @@ from xmodhash import dataio
 from xmodhash.errors import ValidationError
 from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import LabelSet, normalize_labels
-from xmodhash.retrieval import CodeSet
+from xmodhash.retrieval import CodeSet, pack_codes
 
 
 def cli_env():
@@ -116,6 +116,14 @@ def semantic_affinity_block(labels: LabelSet, rows, cols) -> np.ndarray:
             raise ValidationError(f"{name} indices out of range for {n} instances")
     g = labels.normalized
     return g[:, rows].T @ g[:, cols]
+
+
+def ranked_codes(n):
+    """An all-+1 query code and n database codes, item p differing from the
+    query in exactly p bits: Hamming ranking lists the items in index order."""
+    r = max(1, n - 1)
+    db = np.where(np.arange(r)[None, :] < np.arange(n)[:, None], -1.0, 1.0)
+    return pack_codes(np.ones((1, r))), pack_codes(db)
 
 
 def oracle_rank(query_bits, db_bits):

@@ -17,15 +17,13 @@ import numpy as np
 import pytest
 
 from conftest import (cli_env, fd_gradient, gradient_scale, naive_objective,
-                      oracle_map, random_feasible_latent, random_labelset)
+                      oracle_map, random_feasible_latent, random_labelset, ranked_codes)
 from xmodhash import dataio, kernelfeat
 from xmodhash.dataio import FeatureMatrix, RawLabelMatrix
 from xmodhash.encoder import encode, fit_pipeline
 from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import normalize_labels
-from xmodhash.retrieval import (RelevanceJudge, average_precision,
-                                mean_average_precision, pack_codes,
-                                rank_by_hamming, topn_precision_curve)
+from xmodhash.retrieval import RelevanceJudge, evaluate, pack_codes, rank_by_hamming
 from xmodhash.rng import component_rng
 from xmodhash.trainer import (ModelState, TrainConfig, constraint_residuals,
                               objective_value, train, update_codes,
@@ -98,8 +96,8 @@ def pipeline():
         queries = {t: encode(data[f"x{t}_q"], enc, t) for t in (1, 2)}
         return {
             "state": state, "report": report,
-            "i2t": mean_average_precision(queries[1], db[2], data["judge"]).value,
-            "t2i": mean_average_precision(queries[2], db[1], data["judge"]).value,
+            "i2t": evaluate(queries[1], db[2], data["judge"])[0].value,
+            "t2i": evaluate(queries[2], db[1], data["judge"])[0].value,
         }
 
     results = {}
@@ -107,7 +105,7 @@ def pipeline():
     rng = component_rng(0, "random-baseline")
     db_rand = pack_codes(np.where(rng.random((1000, 32)) < 0.5, -1.0, 1.0))
     q_rand = pack_codes(np.where(rng.random((200, 32)) < 0.5, -1.0, 1.0))
-    random_map = mean_average_precision(q_rand, db_rand, data["judge"]).value
+    random_map = evaluate(q_rand, db_rand, data["judge"])[0].value
     oracle = _ridge_label_oracle(data)
     # generation, kernelization, the r=32 pipeline, and both baselines
     data["criterion6_seconds"] = time.perf_counter() - start
@@ -248,7 +246,7 @@ def test_criterion_5_metric_oracle():
     ql = np.array([[1.0], [0.0]])
     dl = np.array([[1.0, 0, 1, 0], [0.0, 1, 0, 1]])
     judge = RelevanceJudge(ql, dl)
-    ap = average_precision(np.arange(4), judge, 0, cutoff=4)
+    ap, _ = evaluate(*ranked_codes(4), judge, cutoff=4)
     assert ap.value == pytest.approx(0.833333, abs=1e-6)
 
     rng = np.random.default_rng(5)
@@ -263,10 +261,10 @@ def test_criterion_5_metric_oracle():
         dl = np.zeros((c, 300))
         dl[rng.integers(0, c, 300), np.arange(300)] = 1
         judge = RelevanceJudge(ql, dl)
-        ours = mean_average_precision(queries, db, judge)
+        ours, _ = evaluate(queries, db, judge)
         expected, excluded = oracle_map(queries, db, ql, dl)
         assert ours.value == expected and ours.excluded_queries == excluded
-        top = dict(topn_precision_curve(queries, db, judge, [10, 50]))
+        top = dict(evaluate(queries, db, judge, include_empty=True, n_points=[10, 50])[1])
         for n_top in (10, 50):
             total = 0.0
             for qi in range(50):
@@ -379,8 +377,8 @@ def test_criterion_10_real_data_reproduction():
 
     enc, _, _ = fit_pipeline([x1_tr, x2_tr], labels, TrainConfig(r=128, seed=0), (500, 1000))
     judge = RelevanceJudge(lab_q.values, labels.labels)
-    i2t = mean_average_precision(encode(x1_q, enc, 1), encode(x2_tr, enc, 2), judge).value
-    t2i = mean_average_precision(encode(x2_q, enc, 2), encode(x1_tr, enc, 1), judge).value
+    i2t = evaluate(encode(x1_q, enc, 1), encode(x2_tr, enc, 2), judge)[0].value
+    t2i = evaluate(encode(x2_q, enc, 2), encode(x1_tr, enc, 1), judge)[0].value
     ok = abs(i2t - 0.7523) <= 0.03 and abs(t2i - 0.8339) <= 0.03
     _report(10, ok, f"128-bit mAP i2t {i2t:.4f} (target 0.7523), "
                     f"t2i {t2i:.4f} (target 0.8339)")

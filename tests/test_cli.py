@@ -101,6 +101,7 @@ def test_train_archive_equals_library_fit(synth_dir, tmp_path, capsys):
     ("--tol", "0", "rel_tol must be positive"),
     ("--k1", "0", "modality 1 needs 1 to 60 anchors"),
     ("--k2", "61", "modality 2 needs 1 to 60 anchors"),
+    ("--bits", "64", "code length r=64 needs at least r+1=65 instances"),
     ("--sigma-sample-cap", "0", "sample cap must be >= 1"),
 ])
 def test_train_bad_arguments_fail_before_kernel_work(synth_dir, tmp_path, capsys,
@@ -200,16 +201,35 @@ def _malform_sigma(path):
     path.write_bytes(re.sub(rb"sigma_1=[^\n]*", b"sigma_1=x.149", path.read_bytes()))
 
 
-def _truncate_ph_1(path):
+def _edit_section(path, name, edit):
     archive = dataio.load_model(path)
-    archive.sections["Ph_1"] = archive.sections["Ph_1"][:10]
+    archive.sections[name] = edit(archive.sections[name])
     dataio.save_model(archive, path)
+
+
+def _truncate_ph_1(path):
+    _edit_section(path, "Ph_1", lambda p: p[:10])
+
+
+def _nan_ph_1(path):
+    _edit_section(path, "Ph_1", lambda p: np.full_like(p, np.nan))
+
+
+def _inf_kcenter_1(path):
+    _edit_section(path, "kcenter_1", lambda c: np.where(np.arange(c.size) == 3, np.inf, c))
+
+
+def _inf_sigma_1(path):
+    path.write_bytes(re.sub(rb"sigma_1=[^\n]*", b"sigma_1=inf", path.read_bytes()))
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (_rename_section_v, "unknown section name"),
     (_malform_sigma, "metadata sigma_1 is not a number"),
     (_truncate_ph_1, "modality 1: 10 projection rows, 16 anchors"),
+    (_nan_ph_1, "modality 1: projection contains NaN or Inf entries"),
+    (_inf_sigma_1, "kernel width must be finite and positive, got inf"),
+    (_inf_kcenter_1, "kernel center contains NaN or Inf entries"),
 ])
 def test_encode_corrupt_archive_is_exit_2(synth_dir, tmp_path, capsys, corrupt, message):
     model = tmp_path / "model.amh"
@@ -282,6 +302,17 @@ def test_bench_tiny_sizes(capsys):
     assert lines[0] == "n,bits,seconds"
     assert lines[1].startswith("40,8,") and lines[2].startswith("80,8,")
     assert lines[3].startswith("slope,8,")
+
+
+@pytest.mark.parametrize("sizes", ["200", "200,200"])
+def test_bench_needs_two_distinct_sizes(capsys, monkeypatch, sizes):
+    def no_training(*args, **kwargs):
+        raise AssertionError("bench generated data before checking --sizes")
+
+    monkeypatch.setattr(dataio, "generate_synthetic", no_training)
+    code, out, err = run(capsys, "bench", "--sizes", sizes, "--bits", "8")
+    assert code == 2 and out == ""
+    assert "--sizes needs two or more distinct sizes" in err
 
 
 def test_train_degenerate_data_is_exit_3(tmp_path, capsys):

@@ -180,6 +180,7 @@ def test_from_archive_bad_sigma_is_format_error(fitted, value):
     ({"k": (10, 61)}, 60, "modality 2 needs 1 to 60 anchors, got k=61"),
     ({"sample_cap": 0}, 60, "sample cap must be >= 1"),
     ({}, 59, "x1 has 60 instances but labels have 59"),
+    ({"cfg": TrainConfig(r=60)}, 60, r"code length r=60 needs at least r\+1=61 instances"),
 ])
 def test_fit_pipeline_checks_arguments_before_kernelizing(monkeypatch, kwargs, n_labels,
                                                           message):
@@ -190,4 +191,5 @@ def test_fit_pipeline_checks_arguments_before_kernelizing(monkeypatch, kwargs, n
     x1, x2, raw = generate_synthetic(60, 3, 6, 5, 0.3, seed=1)
     labels = normalize_labels(RawLabelMatrix(raw.values[:, :n_labels]))
     with pytest.raises(ValidationError, match=message):
-        fit_pipeline([x1, x2], labels, TrainConfig(r=8, max_iters=2), **{"k": (10, 10), **kwargs})
+        fit_pipeline([x1, x2], labels, **{"cfg": TrainConfig(r=8, max_iters=2), "k": (10, 10),
+                                          **kwargs})

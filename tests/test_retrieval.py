@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hamming, oracle_ap, oracle_map, oracle_rank, unpack_codes
+from conftest import hamming, oracle_ap, oracle_map, oracle_rank, ranked_codes, unpack_codes
 from xmodhash import retrieval
 from xmodhash.errors import EvaluationError, FormatError, ValidationError
-from xmodhash.retrieval import (CodeSet, RelevanceJudge, average_precision, evaluate,
-                                mean_average_precision, pack_codes, rank_by_hamming,
-                                read_codes, topn_precision_curve, write_codes)
+from xmodhash.retrieval import (CodeSet, RelevanceJudge, evaluate, pack_codes,
+                                rank_by_hamming, read_codes, write_codes)
 
 
 def signs_from_bits(bit_rows):
@@ -143,21 +142,23 @@ def _judge_single_class(query_classes, db_classes, c):
 
 def test_ap_all_relevant():
     judge = _judge_single_class([0], [0, 0, 0, 0], c=2)
-    ap = average_precision(np.arange(4), judge, 0, cutoff=4)
-    assert ap.value == 1.0 and not ap.empty_ground_truth
+    result, _ = evaluate(*ranked_codes(4), judge, cutoff=4)
+    assert result.value == 1.0 and result.excluded_queries == 0
 
 
 def test_ap_hand_case():
     # relevance down the ranking is [1, 0, 1, 0] -> (1/2)(1/1 + 2/3)
     judge = _judge_single_class([0], [0, 1, 0, 1], c=2)
-    ap = average_precision(np.arange(4), judge, 0, cutoff=4)
-    assert ap.value == pytest.approx(0.833333, abs=1e-6)
+    result, _ = evaluate(*ranked_codes(4), judge, cutoff=4)
+    assert result.value == pytest.approx(0.833333, abs=1e-6)
 
 
 def test_ap_empty_ground_truth_flagged():
     judge = _judge_single_class([0], [1, 1], c=2)
-    ap = average_precision(np.arange(2), judge, 0, cutoff=2)
-    assert ap.value == 0.0 and ap.empty_ground_truth
+    with pytest.raises(EvaluationError, match="empty ground truth"):
+        evaluate(*ranked_codes(2), judge, cutoff=2)
+    result, _ = evaluate(*ranked_codes(2), judge, cutoff=2, include_empty=True)
+    assert result.value == 0.0 and result.excluded_queries == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,18 +169,18 @@ def test_ap_is_one_iff_relevant_items_lead(seed):
     db_classes = rng.integers(0, 2, n)
     if not db_classes.any():
         db_classes[0] = 1
+    # database item p sits at rank p, so db_classes is the relevance in rank order
     judge = _judge_single_class([1], list(db_classes), c=2)
-    ranked = rng.permutation(n)
-    ap = average_precision(ranked, judge, 0, cutoff=n)
-    rel = db_classes[ranked] == 1
+    result, _ = evaluate(*ranked_codes(n), judge, cutoff=n)
+    rel = db_classes == 1
     leading_block = bool(np.all(np.flatnonzero(rel) == np.arange(rel.sum())))
-    assert (ap.value == 1.0) == leading_block
+    assert (result.value == 1.0) == leading_block
 
 
 def test_ap_cutoff_validated():
     judge = _judge_single_class([0], [0], c=1)
-    with pytest.raises(ValidationError):
-        average_precision(np.arange(1), judge, 0, cutoff=2)
+    with pytest.raises(ValidationError, match="cutoff 2 exceeds ranking length 1"):
+        evaluate(*ranked_codes(1), judge, cutoff=2)
 
 
 def test_map_perfect_single_query():
@@ -188,7 +189,7 @@ def test_map_perfect_single_query():
     db = pack_codes(signs)
     queries = pack_codes(signs[:1])
     judge = _judge_single_class([0], [0] * 6, c=2)
-    result = mean_average_precision(queries, db, judge)
+    result, _ = evaluate(queries, db, judge)
     assert result.value == 1.0 and result.excluded_queries == 0
 
 
@@ -201,7 +202,7 @@ def test_map_matches_brute_force_oracle():
     query_classes = rng.integers(0, 4, 50)
     db_classes = rng.integers(0, 4, 300)
     judge = _judge_single_class(query_classes, db_classes, c=4)
-    result = mean_average_precision(queries, db, judge)
+    result, _ = evaluate(queries, db, judge)
     expected, excluded = oracle_map(queries, db, judge.query_labels, judge.db_labels)
     assert result.value == expected
     assert result.excluded_queries == excluded
@@ -211,23 +212,22 @@ def test_map_mismatched_code_length():
     a = pack_codes(np.ones((2, 8)))
     b = pack_codes(np.ones((2, 16)))
     judge = _judge_single_class([0, 0], [0, 0], c=1)
-    with pytest.raises(ValidationError):
-        mean_average_precision(a, b, judge)
+    with pytest.raises(ValidationError, match="code lengths differ"):
+        evaluate(a, b, judge)
 
 
 def test_map_all_empty_is_error():
     signs = np.ones((2, 8))
     judge = _judge_single_class([0, 0], [1, 1], c=2)
     with pytest.raises(EvaluationError):
-        mean_average_precision(pack_codes(signs), pack_codes(signs), judge)
+        evaluate(pack_codes(signs), pack_codes(signs), judge)
 
 
 def test_map_include_empty_flag():
     signs = np.ones((2, 8))
     judge = _judge_single_class([0, 1], [0, 0], c=2)
-    strict = mean_average_precision(pack_codes(signs), pack_codes(signs), judge)
-    padded = mean_average_precision(pack_codes(signs), pack_codes(signs), judge,
-                                    include_empty=True)
+    strict, _ = evaluate(pack_codes(signs), pack_codes(signs), judge)
+    padded, _ = evaluate(pack_codes(signs), pack_codes(signs), judge, include_empty=True)
     assert strict.value == 1.0 and strict.excluded_queries == 1
     assert padded.value == 0.5 and padded.excluded_queries == 0
 
@@ -238,7 +238,7 @@ def test_topn_all_relevant():
     db = pack_codes(signs)
     queries = pack_codes(signs[:2])
     judge = _judge_single_class([0, 0], [0] * 10, c=1)
-    curve = topn_precision_curve(queries, db, judge, [10])
+    _, curve = evaluate(queries, db, judge, include_empty=True, n_points=[10])
     assert curve == [(10, 1.0)]
 
 
@@ -249,7 +249,7 @@ def test_topn_monotone_relevance_toy():
     db = pack_codes(db_signs)
     queries = pack_codes(base)
     judge = _judge_single_class([0], [0] * 4 + [1] * 6, c=2)
-    curve = dict(topn_precision_curve(queries, db, judge, [1, 2, 3, 4, 6]))
+    curve = dict(evaluate(queries, db, judge, include_empty=True, n_points=[1, 2, 3, 4, 6])[1])
     assert curve[1] == curve[2] == curve[3] == curve[4] == 1.0
     assert curve[6] == pytest.approx(4 / 6)
 
@@ -261,7 +261,7 @@ def test_topn_random_base_rate():
     queries = pack_codes(random_signs(rng, 200, 32))
     db_classes = (rng.random(400) > p).astype(int)  # class 0 with probability p
     judge = _judge_single_class([0] * 200, db_classes, c=2)
-    (_, precision), = topn_precision_curve(queries, db, judge, [100])
+    (_, precision), = evaluate(queries, db, judge, include_empty=True, n_points=[100])[1]
     sigma = np.sqrt(p * (1 - p) / (100 * 200))
     assert abs(precision - p) < 3 * sigma + 0.02
 
@@ -274,7 +274,8 @@ def test_topn_matches_oracle_counts():
     classes_q = rng.integers(0, 3, 9)
     classes_db = rng.integers(0, 3, 60)
     judge = _judge_single_class(classes_q, classes_db, c=3)
-    for n_top, precision in topn_precision_curve(queries, db, judge, [5, 20]):
+    for n_top, precision in evaluate(queries, db, judge, include_empty=True,
+                                     n_points=[5, 20])[1]:
         total = 0.0
         for qi in range(9):
             ranked = oracle_rank(unpack_codes(queries)[qi], unpack_codes(db))
@@ -287,22 +288,15 @@ def test_topn_validates_points():
     db = pack_codes(np.ones((3, 8)))
     queries = pack_codes(np.ones((1, 8)))
     judge = _judge_single_class([0], [0, 0, 0], c=1)
-    with pytest.raises(ValidationError):
-        topn_precision_curve(queries, db, judge, [4])
-
+    with pytest.raises(ValidationError, match="top-N point 4 outside"):
+        evaluate(queries, db, judge, include_empty=True, n_points=[4])
 
 
 def test_cutoff_below_one_rejected():
-    signs = np.ones((3, 8))
     judge = _judge_single_class([0], [0, 0, 0], c=1)
-    queries, db = pack_codes(signs[:1]), pack_codes(signs)
     for cutoff in (0, -5):
-        with pytest.raises(ValidationError, match="cutoff"):
-            average_precision(np.arange(3), judge, 0, cutoff=cutoff)
-        with pytest.raises(ValidationError, match="cutoff"):
-            mean_average_precision(queries, db, judge, cutoff=cutoff)
-        with pytest.raises(ValidationError, match="cutoff"):
-            evaluate(queries, db, judge, cutoff=cutoff)
+        with pytest.raises(ValidationError, match="cutoff must be at least 1"):
+            evaluate(*ranked_codes(3), judge, cutoff=cutoff)
 
 
 # ----------------------------------------------------------- block engine
@@ -352,9 +346,6 @@ def test_block_engine_matches_oracles(monkeypatch, r, n_query):
                                   include_empty=include_empty, n_points=points)
             assert got.value == want_map and got.excluded_queries == want_excluded
             assert curve == want_curve
-            assert mean_average_precision(queries, db, judge, cutoff=cutoff,
-                                          include_empty=include_empty) == got
-            assert topn_precision_curve(queries, db, judge, points) == curve
     for qi in range(n_query):
         ranked = rank_by_hamming(queries.words[qi], db)
         assert list(ranked) == oracle_rank(unpack_codes(queries)[qi], unpack_codes(db))
