@@ -242,9 +242,15 @@ def cmd_bench(v: dict) -> int:
     if len(set(sizes)) < 2:
         raise ValidationError(f"--sizes needs two or more distinct sizes to fit a slope, "
                               f"got {v['sizes']!r}")
-    bit_lengths = _parse_int_list(v["bits"], "--bits")
+    # fixed sweep count so per-size times are directly comparable; every
+    # code length is checked before the first line of output
+    cfgs = [trainer.TrainConfig(r=bits, max_iters=v["sweeps"], rel_tol=1e-300,
+                                seed=v["seed"])
+            for bits in _parse_int_list(v["bits"], "--bits")]
+    for cfg in cfgs:
+        trainer.check_code_length(cfg.r, min(sizes))
     print("n,bits,seconds")
-    for bits in bit_lengths:
+    for cfg in cfgs:
         seconds = []
         for n in sizes:
             x1, x2, raw = dataio.generate_synthetic(n, v["c"], v["d1"], v["d2"],
@@ -252,15 +258,12 @@ def cmd_bench(v: dict) -> int:
             labels = labelspace.normalize_labels(raw)
             _, phi1 = kernelfeat.fit_kernel(x1, min(v["k1"], n), v["seed"])
             _, phi2 = kernelfeat.fit_kernel(x2, min(v["k2"], n), v["seed"])
-            # fixed sweep count so per-size times are directly comparable
-            cfg = trainer.TrainConfig(r=bits, max_iters=v["sweeps"], rel_tol=1e-300,
-                                      seed=v["seed"])
             start = time.perf_counter()
             trainer.train([phi1.T, phi2.T], labels, cfg)
             seconds.append(time.perf_counter() - start)
-            print(f"{n},{bits},{seconds[-1]!r}")
+            print(f"{n},{cfg.r},{seconds[-1]!r}")
         slope = np.polyfit(np.log(sizes), np.log(seconds), 1)[0]
-        print(f"slope,{bits},{float(slope)!r}")
+        print(f"slope,{cfg.r},{float(slope)!r}")
     return 0
 
 

@@ -175,43 +175,40 @@ def _complete_balanced_basis(rng: np.random.Generator, n: int, count: int,
                              existing: np.ndarray) -> np.ndarray:
     """Orthonormal n-vectors orthogonal to ``existing`` columns and to 1_n.
 
-    Gram-Schmidt against the fixed directions runs twice per vector for
-    stability; near-dependent draws are redrawn from the same stream.
+    One seeded Gaussian n x count block is projected off the fixed directions
+    twice (once more for stability) and orthonormalized by a single QR.
     """
     fixed = np.hstack([existing, np.full((n, 1), 1.0 / np.sqrt(n))])
-    cols = []
-    for _ in range(count):
-        for _attempt in range(100):
-            vec = rng.standard_normal(n)
-            for _pass in range(2):
-                vec = vec - fixed @ (fixed.T @ vec)
-                for col in cols:
-                    vec = vec - col * (col @ vec)
-            norm = np.linalg.norm(vec)
-            if norm > 1e-8 * np.sqrt(n):
-                cols.append(vec / norm)
-                break
-        else:
-            raise NumericalError("could not complete an orthonormal balanced basis")
-    return np.column_stack(cols)
+    block = rng.standard_normal((n, count))
+    for _pass in range(2):
+        block -= fixed @ (fixed.T @ block)
+    q, rr = np.linalg.qr(block)
+    if np.abs(np.diag(rr)).min() <= 1e-8 * np.sqrt(n):
+        raise NumericalError("could not complete an orthonormal balanced basis")
+    return q
 
 
 def update_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
                   phix: Sequence[np.ndarray], p: Sequence[np.ndarray],
-                  cfg: TrainConfig, rng: np.random.Generator | None = None,
-                  incumbent: np.ndarray | None = None) -> np.ndarray:
+                  cfg: TrainConfig, rng: np.random.Generator | None = None) -> np.ndarray:
     """Maximize the linear score <V, Z> over balanced decorrelated V.
 
-    Z collects the rotated label signal and the modality reconstructions.
-    A thin SVD of Y, the row-centered r x n matrix Z, gives the singular
-    directions; those whose squared singular value is at most 1e-10 of the
-    largest count as rank deficient and are completed with seeded random
-    balanced vectors, which leave the score unchanged.
+    Z collects the rotated label signal and the modality reconstructions;
+    Y is Z with its rows centered.  One QR factorization of [1_n / sqrt(n), Z^T]
+    gives, in the trailing r columns of Q, an orthonormal n x r basis
+    Q' orthogonal to 1_n to rounding, and in the trailing r x r block T of the
+    triangular factor the coordinates Y^T = Q' T.  An r x r SVD T^T = U S W^T
+    then gives the thin SVD Y = U S (Q' W)^T without an SVD over the n side,
+    and the maximizer is sqrt(n) U (Q' W)^T.  Pinning 1_n / sqrt(n) as the
+    first column keeps every direction balanced however small its singular
+    value; a plain QR of Y^T does not.
 
-    When a feasible ``incumbent`` is supplied it is returned instead of the
-    fresh candidate if it scores at least as high: directions just below
-    the rank threshold carry a sliver of score that the completion cannot
-    see, and the guard keeps the surrounding descent loop monotone.
+    Singular directions with sigma <= max(r, n) * eps * sigma_0 (numpy
+    ``matrix_rank``'s default tolerance) are rounding noise: they count as
+    rank deficient and are completed with seeded random balanced orthonormal
+    vectors, which leave the score unchanged.  The result is the exact
+    maximizer whatever the spectrum, which keeps training monotone without
+    comparing against the previous V.
     """
     l, g = labels.labels, labels.normalized
     r = rot.shape[0]
@@ -221,30 +218,23 @@ def update_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
     z = r * (rot.T @ ((m @ (l @ g.T)) @ g))
     for lam, p_t, phi_t in zip(cfg.lambdas, p, phix):
         z = z + lam * (p_t.T @ phi_t)
-    y = z - z.mean(axis=1, keepdims=True)
-    # the SVD of Y carries the eigendecomposition of Y Y^T (eigenvalues are
-    # the squared singular values) and keeps the paired n-side directions
-    # orthonormal even when the spectrum spans many orders of magnitude
     try:
-        q_full, singvals, wt = np.linalg.svd(y, full_matrices=False)
+        q, tri = np.linalg.qr(np.hstack([np.full((n, 1), 1.0 / np.sqrt(n)), z.T]))
+        basis = q[:, 1:]                               # Q', n x r
+        left, singvals, wt = np.linalg.svd(tri[1:, 1:].T)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"latent factorization failed: {e}") from e
-    top = float(singvals[0] ** 2) if singvals.size else 0.0
+    top = float(singvals[0])
     if top <= 0.0:
-        raise DegenerateDataError("latent update has no signal (all eigenvalues zero)")
-    keep = singvals ** 2 > 1e-10 * top
-    q = q_full[:, keep]
-    p_cols = wt[keep].T                            # n x r', orthonormal, sums to 0
-    v = q @ p_cols.T
-    deficit = r - q.shape[1]
+        raise DegenerateDataError("latent update has no signal (all singular values zero)")
+    keep = singvals > max(r, n) * np.finfo(np.float64).eps * top
+    v = (left[:, keep] @ wt[keep]) @ basis.T
+    deficit = r - int(np.count_nonzero(keep))
     if deficit:
-        q_bar = q_full[:, ~keep]
+        p_cols = basis @ wt[keep].T                    # n x r', orthonormal, sums to 0
         p_bar = _complete_balanced_basis(rng, n, deficit, p_cols)
-        v = v + q_bar @ p_bar.T
-    v = np.sqrt(n) * v
-    if incumbent is not None and np.sum(incumbent * z) > np.sum(v * z):
-        return incumbent
-    return v
+        v = v + left[:, ~keep] @ p_bar.T
+    return np.sqrt(n) * v
 
 
 def update_codes(m: np.ndarray, labels: LabelSet) -> np.ndarray:
@@ -260,6 +250,17 @@ def objective_value(state: ModelState, labels: LabelSet,
     ||A^T C||^2 = trace((A A^T)(C C^T)) applied to A = R V and C = M L,
     plus the cross trace against the label Gram.
     """
+    return _objective(state, labels, cfg, [_squared_norm(phi) for phi in phix],
+                      [phi @ state.latent.T for phi in phix])
+
+
+def _squared_norm(a: np.ndarray) -> float:
+    return float(np.einsum("ij,ij->", a, a))
+
+
+def _objective(state: ModelState, labels: LabelSet, cfg: TrainConfig,
+               phi_sq: Sequence[float], phi_vt: Sequence[np.ndarray]) -> float:
+    """``objective_value`` from each modality's ||phi_t||^2 and phi_t V^T."""
     l, g = labels.labels, labels.normalized
     v, rot, m, b = state.latent, state.rotation, state.label_proj, state.codes
     r = state.r
@@ -272,11 +273,11 @@ def objective_value(state: ModelState, labels: LabelSet,
     affinity += r * r * float(np.sum(gg * gg))
     quantization = cfg.omega * float(np.sum((b - ml) ** 2))
     reconstruction = 0.0
-    for lam, p_t, phi_t in zip(cfg.lambdas, state.proj, phix):
-        phi_sq = float(np.einsum("ij,ij->", phi_t, phi_t))
-        cross = float(np.sum((phi_t @ v.T) * p_t))
-        proj_sq = float(np.sum((p_t.T @ p_t) * (v @ v.T)))
-        reconstruction += lam * (phi_sq - 2.0 * cross + proj_sq)
+    vvt = v @ v.T
+    for lam, p_t, sq, pv in zip(cfg.lambdas, state.proj, phi_sq, phi_vt):
+        cross = float(np.sum(pv * p_t))
+        proj_sq = float(np.sum((p_t.T @ p_t) * vvt))
+        reconstruction += lam * (sq - 2.0 * cross + proj_sq)
     return affinity + quantization + reconstruction
 
 
@@ -296,21 +297,24 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
     start = time.perf_counter()
     state = init_state(phix, labels, cfg)
     completion_rng = component_rng(cfg.seed, "latent-completion")
-    history = [objective_value(state, labels, phix, cfg)]
+    phi_sq = [_squared_norm(phi) for phi in phix]
+    # phi_t V^T serves the objective after a sweep and the next sweep's P step
+    phi_vt = [phi @ state.latent.T for phi in phix]
+    history = [_objective(state, labels, cfg, phi_sq, phi_vt)]
     converged = False
     for sweep in range(1, cfg.max_iters + 1):
         try:
-            state.proj = [update_projection(phi, state.latent) for phi in phix]
+            state.proj = [pv / state.n for pv in phi_vt]   # update_projection's P step
             state.label_proj = update_label_projection(
                 state.latent, state.rotation, state.codes, labels, cfg)
             state.rotation = update_rotation(state.label_proj, labels, state.latent)
             state.latent = update_latent(state.rotation, state.label_proj, labels,
-                                         phix, state.proj, cfg, completion_rng,
-                                         incumbent=state.latent)
+                                         phix, state.proj, cfg, completion_rng)
             state.codes = update_codes(state.label_proj, labels)
         except NumericalError as e:
             raise NumericalError(f"sweep {sweep}: {e}") from e
-        history.append(objective_value(state, labels, phix, cfg))
+        phi_vt = [phi @ state.latent.T for phi in phix]
+        history.append(_objective(state, labels, cfg, phi_sq, phi_vt))
         prev, cur = history[-2], history[-1]
         if prev - cur <= cfg.rel_tol * abs(prev):
             converged = True

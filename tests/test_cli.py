@@ -315,6 +315,21 @@ def test_bench_needs_two_distinct_sizes(capsys, monkeypatch, sizes):
     assert "--sizes needs two or more distinct sizes" in err
 
 
+@pytest.mark.parametrize("bits, message", [
+    ("8,64", "code length r=64 needs at least r+1=65 instances"),
+    ("0", "code length must be >= 1"),
+], ids=["8,64", "0"])
+def test_bench_checks_every_bits_value_first(capsys, monkeypatch, bits, message):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("bench kernelized before checking --bits")
+
+    monkeypatch.setattr(kernelfeat, "fit_kernel", no_kernel)
+    code, out, err = run(capsys, "bench", "--sizes", "40,80", "--bits", bits,
+                         "--c", "3", "--k1", "16", "--k2", "16", "--sweeps", "2")
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_train_degenerate_data_is_exit_3(tmp_path, capsys):
     # identical rows make every point coincide with every anchor (width 0)
     flat = np.ones((20, 4))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (fd_gradient, gradient_scale, naive_objective,
                       random_feasible_latent, random_labelset)
+from xmodhash import trainer
 from xmodhash.errors import DegenerateDataError, ValidationError
 from xmodhash.trainer import (ModelState, TrainConfig, constraint_residuals,
                               init_state, objective_value, train, update_codes,
@@ -235,6 +236,20 @@ def test_latent_feasible_when_rank_deficient():
     assert np.linalg.norm(v @ np.ones(n)) < 1e-6 * np.sqrt(n)
 
 
+def test_latent_feasible_for_graded_spectrum():
+    # singular values spread over 16 decades straddle the rank cut; the
+    # directions kept just above it must still be balanced and orthonormal
+    rng = np.random.default_rng(22)
+    r, n = 8, 60
+    for trial in range(20):
+        u = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        w = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        z = (u * 10.0 ** -rng.uniform(0, 16, r)) @ w.T
+        v = _latent_with_score(rng, r, n, z)
+        assert np.abs(v @ v.T - n * np.eye(r)).max() < 1e-8 * n
+        assert np.linalg.norm(v @ np.ones(n)) < 1e-6 * np.sqrt(n)
+
+
 def test_latent_beats_random_feasible_points():
     rng = np.random.default_rng(15)
     r, n = 5, 40
@@ -349,13 +364,36 @@ def test_objective_small_case_matches_dense():
 # ------------------------------------------------------------------------ train
 
 def test_train_monotone_descent(small_synth):
-    cfg = TrainConfig(r=16, max_iters=15, rel_tol=1e-30, seed=0)
-    _, report = train([small_synth["phi1"].T, small_synth["phi2"].T],
-                      small_synth["labels"], cfg)
-    h = report.objective_history
-    assert len(h) == report.iterations_run + 1
-    for prev, cur in zip(h, h[1:]):
-        assert cur <= prev + 1e-9 * abs(prev)
+    # lambdas of 0 leave Y with rank c < r, so the latent step completes
+    for lambdas in ((0.5, 0.5), (0.0, 0.0)):
+        cfg = TrainConfig(r=16, lambdas=lambdas, max_iters=15, rel_tol=1e-30, seed=0)
+        _, report = train([small_synth["phi1"].T, small_synth["phi2"].T],
+                          small_synth["labels"], cfg)
+        h = report.objective_history
+        assert len(h) == report.iterations_run + 1
+        for prev, cur in zip(h, h[1:]):
+            assert cur <= prev + 1e-9 * abs(prev)
+
+
+def test_train_keeps_every_latent_direction_at_full_rank(small_synth, monkeypatch):
+    def no_completion(*args, **kwargs):
+        raise AssertionError("latent step completed a full-rank score matrix")
+
+    monkeypatch.setattr(trainer, "_complete_balanced_basis", no_completion)
+    cfg = TrainConfig(r=16, seed=0)
+    state, _ = train([small_synth["phi1"].T, small_synth["phi2"].T],
+                     small_synth["labels"], cfg)
+    res = constraint_residuals(state)
+    assert res["latent_gram"] < 1e-8 * state.n
+    assert res["latent_balance"] < 1e-6 * np.sqrt(state.n)
+
+
+def test_train_history_ends_at_objective_value(small_synth):
+    phix = [small_synth["phi1"].T, small_synth["phi2"].T]
+    cfg = TrainConfig(r=12, max_iters=4, rel_tol=1e-30, seed=3)
+    state, report = train(phix, small_synth["labels"], cfg)
+    assert report.objective_history[-1] == objective_value(
+        state, small_synth["labels"], phix, cfg)
 
 
 def test_train_final_state_feasible(small_synth):
