@@ -12,9 +12,9 @@ import numpy as np
 
 from .dataio import FeatureMatrix, ModelArchive
 from .errors import FormatError, NumericalError, ValidationError
-from .kernelfeat import KernelMap, fit_kernel, kernelize
+from .kernelfeat import KernelMap, _kernel_blocks, fit_kernel
 from .labelspace import LabelSet
-from .retrieval import CodeSet, pack_codes
+from .retrieval import CodeSet, _pack_bits
 from .trainer import ModelState, TrainConfig, TrainReport, check_code_length, train
 
 
@@ -127,17 +127,20 @@ def from_archive(archive: ModelArchive) -> HashEncoder:
 
 
 def encode(x_raw: FeatureMatrix, enc: HashEncoder, modality: int) -> CodeSet:
-    """Hash raw features: kernelize with the frozen map, project, sign, pack."""
+    """Hash raw features: kernelize with the frozen map, project, sign, pack.
+
+    Rows go through the kernel map block by block; only the n x r sign bits
+    of each block are kept, so memory stays bounded whatever the row count.
+    """
     if modality < 1 or modality > len(enc.proj):
         raise ValidationError(
             f"modality must be in 1..{len(enc.proj)}, got {modality}")
-    km = enc.kernels[modality - 1]
-    if km.center is None:
-        raise ValidationError(f"kernel map for modality {modality} has no stored center")
+    km, proj = enc.kernels[modality - 1], enc.proj[modality - 1]
     if x_raw.dim != km.anchors.shape[1]:
         raise ValidationError(
             f"modality {modality} expects {km.anchors.shape[1]}-dimensional features, "
             f"got {x_raw.dim}")
-    phi = kernelize(x_raw, km)
-    signs = np.where(phi.values @ enc.proj[modality - 1] >= 0, 1.0, -1.0)
-    return pack_codes(signs)
+    bits = np.empty((x_raw.n, proj.shape[1]), dtype=bool)
+    for rows, phi in _kernel_blocks(x_raw, km):
+        np.greater_equal(phi @ proj, 0.0, out=bits[rows])
+    return _pack_bits(bits)

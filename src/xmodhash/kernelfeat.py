@@ -4,15 +4,27 @@ Raw features are mapped to k similarities exp(-||x - a_j||^2 / (2 sigma^2))
 against anchor rows sampled from the training set, then zero-centered with
 the training-set column mean.  The mean is stored on the map so queries are
 centered with the same offset they would have seen at training time.
+
+The map runs in row blocks of at most _BLOCK_CELLS point-anchor cells, each
+computed in place: the squared distance ||x||^2 + ||a||^2 - 2 x.a (anchor
+norms cached on the map), clipped at 0, scaled, exponentiated and centered.
+Float32 rows are cast to float64 one block at a time, so working memory
+beyond the output is one block whatever the row count.  Squared distances
+go straight into the exponent with no square root, so phi can differ from
+exp(-sqrt(d2)^2 / (2 sigma^2)) in the last ulp.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataio import FeatureMatrix
 from .errors import DegenerateDataError, ValidationError
 from .rng import component_rng
+
+# Point-anchor cells per row block: 512 KB of float64 stays in cache while
+# one block goes through every in-place step.
+_BLOCK_CELLS = 2 ** 16
 
 
 @dataclass
@@ -21,7 +33,8 @@ class KernelMap:
 
     anchors: np.ndarray
     sigma: float
-    center: np.ndarray | None = None
+    center: np.ndarray
+    anchor_sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.anchors = np.asarray(self.anchors, dtype=np.float64)
@@ -31,13 +44,15 @@ class KernelMap:
             raise ValidationError("anchors contain NaN or Inf entries")
         if not 0 < self.sigma < np.inf:
             raise ValidationError(f"kernel width must be finite and positive, got {self.sigma}")
-        if self.center is not None:
-            self.center = np.asarray(self.center, dtype=np.float64)
-            if self.center.shape != (self.k,):
-                raise ValidationError(
-                    f"kernel center has shape {self.center.shape}, expected ({self.k},)")
-            if not np.all(np.isfinite(self.center)):
-                raise ValidationError("kernel center contains NaN or Inf entries")
+        if self.center is None:
+            raise ValidationError("kernel map needs the training-set center")
+        self.center = np.asarray(self.center, dtype=np.float64)
+        if self.center.shape != (self.k,):
+            raise ValidationError(
+                f"kernel center has shape {self.center.shape}, expected ({self.k},)")
+        if not np.all(np.isfinite(self.center)):
+            raise ValidationError("kernel center contains NaN or Inf entries")
+        self.anchor_sq = np.sum(self.anchors * self.anchors, axis=1)
 
     @property
     def k(self) -> int:
@@ -63,7 +78,7 @@ def select_anchors(x: FeatureMatrix, k: int, seed: int) -> np.ndarray:
 
 
 def _distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, points x anchors."""
+    """Pairwise Euclidean distances, points x anchors (the width heuristic's)."""
     sq = (np.sum(points * points, axis=1)[:, None]
           + np.sum(anchors * anchors, axis=1)[None, :]
           - 2.0 * points @ anchors.T)
@@ -88,27 +103,60 @@ def estimate_width(x: FeatureMatrix, anchors: np.ndarray, sample_cap: int = 2000
     return sigma
 
 
+def _row_blocks(n: int, k: int):
+    """Row slices covering n rows, each of at most _BLOCK_CELLS cells (one row minimum)."""
+    height = max(1, _BLOCK_CELLS // k)
+    return (slice(lo, min(lo + height, n)) for lo in range(0, n, height))
+
+
+def _kernel_block(rows: np.ndarray, km: KernelMap, out: np.ndarray) -> np.ndarray:
+    """Write the centered map of ``rows`` (one block) into ``out`` in place."""
+    rows = rows.astype(np.float64, copy=False)
+    np.matmul(rows, km.anchors.T, out=out)
+    out *= -2.0
+    out += np.sum(rows * rows, axis=1)[:, None]
+    out += km.anchor_sq
+    np.maximum(out, 0.0, out=out)
+    out *= -1.0 / (2.0 * km.sigma * km.sigma)
+    np.exp(out, out=out)
+    out -= km.center
+    return out
+
+
+def _kernel_blocks(x: FeatureMatrix, km: KernelMap):
+    """Yield (row slice, centered map of those rows) block by block.
+
+    Every block is written into one reused buffer, so a caller keeps only
+    what it derives from a block before asking for the next.  The caller
+    checks the feature dimension.
+    """
+    buf = np.empty((min(x.n, max(1, _BLOCK_CELLS // km.k)), km.k))
+    for rows in _row_blocks(x.n, km.k):
+        yield rows, _kernel_block(x.values[rows], km, buf[:rows.stop - rows.start])
+
+
 def kernelize(x: FeatureMatrix, km: KernelMap) -> FeatureMatrix:
     """Map raw rows to centered RBF similarities against the anchors.
 
-    On the first (training) pass km.center is unset: the column mean of the
-    raw kernel matrix is computed, stored on the map, and subtracted.  Later
-    passes reuse the stored mean unchanged.  Row blocks are independent, so
-    evaluation order never affects the output.
+    The output is filled block by block with the stored center subtracted.
+    Row blocks are independent, so evaluation order never affects the output.
     """
     if x.dim != km.anchors.shape[1]:
         raise ValidationError(
             f"feature dimension {x.dim} does not match anchor dimension {km.anchors.shape[1]}")
-    d = _distances(x.values.astype(np.float64, copy=False), km.anchors)
-    phi = np.exp(-(d * d) / (2.0 * km.sigma * km.sigma))
-    if km.center is None:
-        km.center = phi.mean(axis=0)
-    return FeatureMatrix(phi - km.center, modality_id=x.modality_id)
+    out = np.empty((x.n, km.k))
+    for rows in _row_blocks(x.n, km.k):
+        _kernel_block(x.values[rows], km, out[rows])
+    return FeatureMatrix(out, modality_id=x.modality_id)
 
 
 def fit_kernel(x: FeatureMatrix, k: int, seed: int,
                sample_cap: int = 2000) -> tuple[KernelMap, np.ndarray]:
     """Anchors, width and the centering pass: the map and its n x k training features."""
     anchors = select_anchors(x, k, seed)
-    km = KernelMap(anchors, estimate_width(x, anchors, sample_cap=sample_cap, seed=seed))
-    return km, kernelize(x, km).values
+    km = KernelMap(anchors, estimate_width(x, anchors, sample_cap=sample_cap, seed=seed),
+                   center=np.zeros(k))
+    phi = kernelize(x, km).values
+    km = replace(km, center=phi.mean(axis=0))
+    phi -= km.center
+    return km, phi

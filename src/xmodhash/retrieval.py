@@ -56,15 +56,20 @@ def pack_codes(signs: np.ndarray) -> CodeSet:
     signs = np.asarray(signs)
     if signs.ndim != 2:
         raise ValidationError(f"sign matrix must be 2-D, got ndim={signs.ndim}")
-    n, r = signs.shape
-    if r < 1:
+    if signs.shape[1] < 1:
         raise ValidationError("codes need at least one bit")
     if not np.all(np.abs(signs) == 1):
         raise ValidationError("sign matrix entries must be exactly -1 or +1")
+    return _pack_bits(signs > 0)
+
+
+def _pack_bits(bits: np.ndarray) -> CodeSet:
+    """Pack an n x r boolean matrix (r >= 1; True is a set bit)."""
+    n, r = bits.shape
     width = words_per_code(r)
-    bits = np.zeros((n, width * 64), dtype=np.uint8)
-    bits[:, :r] = signs > 0
-    packed = np.packbits(bits, axis=1, bitorder="little")
+    padded = np.zeros((n, width * 64), dtype=np.uint8)
+    padded[:, :r] = bits
+    packed = np.packbits(padded, axis=1, bitorder="little")
     return CodeSet(n=n, r=r, words=packed.view("<u8").reshape(n, width))
 
 

@@ -109,6 +109,12 @@ def check_code_length(r: int, n: int) -> None:
 
 def init_state(phix: Sequence[np.ndarray], labels: LabelSet, cfg: TrainConfig) -> ModelState:
     """Seeded random feasible starting point; projections are fit to it."""
+    return _init_state(phix, labels, cfg)[0]
+
+
+def _init_state(phix: Sequence[np.ndarray], labels: LabelSet,
+                cfg: TrainConfig) -> tuple[ModelState, list[np.ndarray]]:
+    """``init_state`` plus each modality's phi_t V^T, which fits its projection."""
     n, c, r = labels.n, labels.c, cfg.r
     check_code_length(r, n)
     for t, phi in enumerate(phix, start=1):
@@ -120,9 +126,10 @@ def init_state(phix: Sequence[np.ndarray], labels: LabelSet, cfg: TrainConfig) -
     label_proj = rng.standard_normal((r, c))
     codes = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     latent = np.sqrt(n) * _balanced_orthonormal_rows(rng.standard_normal((r, n)))
-    proj = [update_projection(phi, latent) for phi in phix]
+    phi_vt = [phi @ latent.T for phi in phix]
+    proj = [pv / n for pv in phi_vt]    # update_projection's P step
     return ModelState(latent=latent, rotation=rotation, label_proj=label_proj,
-                      codes=codes, proj=proj)
+                      codes=codes, proj=proj), phi_vt
 
 
 def update_projection(phix_t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -295,11 +302,10 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
         raise ValidationError(
             f"{len(phix)} modalities but {len(cfg.lambdas)} lambda weights")
     start = time.perf_counter()
-    state = init_state(phix, labels, cfg)
+    # phi_t V^T serves the objective after a sweep and the next sweep's P step
+    state, phi_vt = _init_state(phix, labels, cfg)
     completion_rng = component_rng(cfg.seed, "latent-completion")
     phi_sq = [_squared_norm(phi) for phi in phix]
-    # phi_t V^T serves the objective after a sweep and the next sweep's P step
-    phi_vt = [phi @ state.latent.T for phi in phix]
     history = [_objective(state, labels, cfg, phi_sq, phi_vt)]
     converged = False
     for sweep in range(1, cfg.max_iters + 1):

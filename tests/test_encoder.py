@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,10 +98,54 @@ def test_encoder_projection_rows_must_match_anchors():
 
 def test_encode_requires_frozen_center():
     rng = np.random.default_rng(6)
-    km = KernelMap(rng.standard_normal((4, 3)), sigma=1.0)
-    enc = HashEncoder(proj=[rng.standard_normal((4, 8))], kernels=[km])
-    with pytest.raises(ValidationError):
-        encode(FeatureMatrix(rng.standard_normal((2, 3))), enc, 1)
+    anchors = rng.standard_normal((4, 3))
+    with pytest.raises(TypeError):
+        KernelMap(anchors, sigma=1.0)
+    # the stored center is what encode subtracts before projecting
+    center = rng.random(4)
+    proj = rng.standard_normal((4, 8))
+    enc = HashEncoder(proj=[proj], kernels=[KernelMap(anchors, sigma=1.0, center=center)])
+    x = rng.standard_normal((9, 3))
+    d2 = np.sum((x[:, None, :] - anchors[None, :, :]) ** 2, axis=2)
+    expected = np.where((np.exp(-d2 / 2.0) - center) @ proj >= 0, 1, -1)
+    assert np.array_equal(unpack_codes(encode(FeatureMatrix(x), enc, 1)), expected)
+
+
+def test_bulk_encode_matches_row_at_a_time_across_blocks(monkeypatch):
+    # 6 anchors and 18 cells: 3-row blocks, 11 rows end in a partial block
+    monkeypatch.setattr(kernelfeat, "_BLOCK_CELLS", 18)
+    rng = np.random.default_rng(10)
+    enc = _fitted_encoder(rng)
+    x = rng.standard_normal((11, 4))
+    bulk = encode(FeatureMatrix(x), enc, 1)
+    rows = [encode(FeatureMatrix(x[i:i + 1]), enc, 1).words for i in range(11)]
+    assert bulk.words.tobytes() == np.vstack(rows).tobytes()
+
+
+def test_encode_float32_rows_match_float64(monkeypatch):
+    monkeypatch.setattr(kernelfeat, "_BLOCK_CELLS", 18)
+    rng = np.random.default_rng(11)
+    enc = _fitted_encoder(rng)
+    x32 = rng.standard_normal((11, 4)).astype(np.float32)
+    a = encode(FeatureMatrix(x32), enc, 1)
+    b = encode(FeatureMatrix(x32.astype(np.float64)), enc, 1)
+    assert a.words.tobytes() == b.words.tobytes()
+
+
+def test_encode_memory_stays_below_one_kernel_matrix():
+    rng = np.random.default_rng(12)
+    n, d, k, r = 20000, 16, 256, 32
+    km = KernelMap(rng.standard_normal((k, d)), sigma=4.0, center=np.zeros(k))
+    enc = HashEncoder(proj=[rng.standard_normal((k, r))], kernels=[km])
+    x = FeatureMatrix(rng.standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        codes = encode(x, enc, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.n == n
+    assert peak < 0.5 * n * k * 8
 
 
 def test_training_bits_reproduced_on_clean_data():

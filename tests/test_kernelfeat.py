@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xmodhash import kernelfeat
 from xmodhash.dataio import FeatureMatrix
 from xmodhash.errors import DegenerateDataError, ValidationError
 from xmodhash.kernelfeat import (KernelMap, estimate_width, fit_kernel, kernelize,
@@ -70,16 +71,48 @@ def test_width_sampling_is_seeded():
 
 def test_kernel_value_at_anchor_is_one():
     anchors = np.array([[1.0, 2.0], [3.0, -1.0]])
-    km = KernelMap(anchors, sigma=2.0)
+    km = KernelMap(anchors, sigma=2.0, center=np.zeros(2))
     phi = kernelize(fm([[1.0, 2.0]]), km)
-    # first pass stores the center; add it back to see the raw kernel value
-    assert phi.values[0, 0] + km.center[0] == pytest.approx(1.0)
+    assert phi.values[0, 0] == pytest.approx(1.0)
 
 
 def test_kernel_scalar_value():
-    km = KernelMap(np.array([[5.0]]), sigma=5.0)
+    km = KernelMap(np.array([[5.0]]), sigma=5.0, center=np.zeros(1))
     phi = kernelize(fm([[0.0]]), km)
-    assert phi.values[0, 0] + km.center[0] == pytest.approx(np.exp(-0.5), abs=1e-6)
+    assert phi.values[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-6)
+
+
+def reference_kernel(x, anchors, sigma):
+    """exp(-d^2 / (2 sigma^2)) from explicit point-anchor differences."""
+    d2 = np.sum((x[:, None, :] - anchors[None, :, :]) ** 2, axis=2)
+    return np.exp(-d2 / (2.0 * sigma * sigma))
+
+
+@pytest.mark.parametrize("cells", [20, 3])
+def test_kernelize_matches_reference_across_block_boundaries(monkeypatch, cells):
+    # 5 anchors: 20 cells give 4-row blocks, 3 cells fall back to 1-row blocks
+    monkeypatch.setattr(kernelfeat, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(8)
+    anchors = rng.standard_normal((5, 3))
+    center = rng.random(5)
+    km = KernelMap(anchors, sigma=1.5, center=center)
+    block = max(1, cells // 5)
+    for n in sorted({1, block - 1, block, block + 1, 3 * block + 2} - {0}):
+        x = rng.standard_normal((n, 3))
+        phi = kernelize(fm(x), km).values
+        assert phi.shape == (n, 5)
+        assert np.abs(phi + center - reference_kernel(x, anchors, 1.5)).max() < 1e-12
+
+
+def test_kernelize_float32_rows_match_float64(monkeypatch):
+    monkeypatch.setattr(kernelfeat, "_BLOCK_CELLS", 12)
+    rng = np.random.default_rng(9)
+    km = KernelMap(rng.standard_normal((4, 3)), sigma=1.2, center=rng.random(4))
+    x32 = rng.standard_normal((11, 3)).astype(np.float32)
+    a = kernelize(FeatureMatrix(x32), km).values
+    b = kernelize(FeatureMatrix(x32.astype(np.float64)), km).values
+    assert a.dtype == np.float64
+    assert np.array_equal(a, b)
 
 
 def test_training_pass_centers_columns():
@@ -121,13 +154,27 @@ def test_kernelize_is_row_independent():
 
 
 def test_dimension_mismatch():
-    km = KernelMap(np.zeros((2, 3)) + 1.0, sigma=1.0)
+    km = KernelMap(np.zeros((2, 3)) + 1.0, sigma=1.0, center=np.zeros(2))
     with pytest.raises(ValidationError):
         kernelize(fm(np.ones((4, 2))), km)
 
 
 def test_kernel_map_validation():
     with pytest.raises(ValidationError):
-        KernelMap(np.ones((2, 2)), sigma=0.0)
+        KernelMap(np.ones((2, 2)), sigma=0.0, center=np.zeros(2))
     with pytest.raises(ValidationError):
-        KernelMap(np.array([[np.inf, 0.0]]), sigma=1.0)
+        KernelMap(np.array([[np.inf, 0.0]]), sigma=1.0, center=np.zeros(1))
+    with pytest.raises(ValidationError, match="center"):
+        KernelMap(np.ones((2, 2)), sigma=1.0, center=None)
+    with pytest.raises(ValidationError, match="expected \\(2,\\)"):
+        KernelMap(np.ones((2, 2)), sigma=1.0, center=np.zeros(3))
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        KernelMap(np.ones((2, 2)), sigma=1.0, center=np.array([0.0, np.nan]))
+    with pytest.raises(TypeError):
+        KernelMap(np.ones((2, 2)), sigma=1.0)
+
+
+def test_kernel_map_caches_anchor_norms():
+    anchors = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 0.5]])
+    km = KernelMap(anchors, sigma=1.0, center=np.zeros(3))
+    assert np.array_equal(km.anchor_sq, [5.0, 10.0, 0.25])

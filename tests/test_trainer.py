@@ -396,6 +396,15 @@ def test_train_history_ends_at_objective_value(small_synth):
         state, small_synth["labels"], phix, cfg)
 
 
+def test_train_history_starts_at_objective_value(small_synth):
+    phix = [small_synth["phi1"].T, small_synth["phi2"].T]
+    cfg = TrainConfig(r=12, max_iters=2, rel_tol=1e-30, seed=3)
+    _, report = train(phix, small_synth["labels"], cfg)
+    start = init_state(phix, small_synth["labels"], cfg)
+    assert report.objective_history[0] == objective_value(
+        start, small_synth["labels"], phix, cfg)
+
+
 def test_train_final_state_feasible(small_synth):
     cfg = TrainConfig(r=12, max_iters=10, rel_tol=1e-30, seed=2)
     state, _ = train([small_synth["phi1"].T, small_synth["phi2"].T],
