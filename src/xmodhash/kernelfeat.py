@@ -78,11 +78,20 @@ def select_anchors(x: FeatureMatrix, k: int, seed: int) -> np.ndarray:
 
 
 def _distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, points x anchors (the width heuristic's)."""
-    sq = (np.sum(points * points, axis=1)[:, None]
-          + np.sum(anchors * anchors, axis=1)[None, :]
-          - 2.0 * points @ anchors.T)
-    return np.sqrt(np.maximum(sq, 0.0))
+    """Pairwise Euclidean distances, points x anchors (the width heuristic's).
+
+    One output buffer: -(2p).a, plus ||p||^2 + ||a||^2 added a row block at
+    a time, clipped at 0 and square-rooted in place.  Doubling and negation
+    are exact, so the values equal sqrt(max(||p||^2 + ||a||^2 - 2p.a, 0)).
+    """
+    out = np.matmul(2.0 * points, anchors.T)
+    np.negative(out, out=out)
+    point_sq = np.sum(points * points, axis=1)
+    anchor_sq = np.sum(anchors * anchors, axis=1)
+    for rows in _row_blocks(points.shape[0], anchors.shape[0]):
+        out[rows] += point_sq[rows, None] + anchor_sq
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
 def estimate_width(x: FeatureMatrix, anchors: np.ndarray, sample_cap: int = 2000,

@@ -5,12 +5,20 @@ instance i lives in word i*ceil(r/64) + j//64 at bit position j%64, with a
 set bit meaning +1.  Ranking is a linear scan with XOR + popcount; ties are
 broken by ascending database index so every metric is bit-reproducible.
 
+Distances are kept in the narrowest unsigned type that holds r (uint8 up to
+r = 255), so each query's stable argsort is one counting pass.  Label sets
+are packed once into bit-mask words, and relevance is "masks AND to
+non-zero".  evaluate ranks queries in blocks of at most _BLOCK_CELLS
+query-database cells and allocates its buffers once per call: beyond the
+per-query results it holds about two bytes per block cell plus a few
+database-length rows, whatever the query count.
+
 The ABC1 code file is: magic "ABC1", unsigned 64-bit n, unsigned 32-bit r,
 then n * ceil(r/64) little-endian 64-bit words.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -74,21 +82,28 @@ def _pack_bits(bits: np.ndarray) -> CodeSet:
 
 
 # Cells (queries x database items) ranked per block: bounds the block's
-# distance, order and relevance arrays whatever the query count.
+# distance and relevance buffers whatever the query count.
 _BLOCK_CELLS = 2 ** 20
 
 
-def _distances(query_words: np.ndarray, db: CodeSet) -> np.ndarray:
-    """B x n Hamming distances from packed query rows to every database code.
+def _distances(query_words: np.ndarray, db: CodeSet, out: np.ndarray) -> np.ndarray:
+    """Write the B x n Hamming distances from packed query rows to every
+    database code into ``out`` and return it.
 
-    Distances fit in 16 bits below r = 65536, which keeps the stable argsort
-    on numpy's radix path.
+    ``out`` has the narrowest unsigned type that holds r, so below r = 256 the
+    stable argsort of a row is one radix (counting) pass over uint8 keys.  Each
+    query row is XORed into one n-word scratch row, word by word, and
+    popcounted straight into its output row.
     """
-    dist = np.zeros((query_words.shape[0], db.n),
-                    dtype=np.uint16 if db.r < 2 ** 16 else np.uint32)
-    for w in range(db.words.shape[1]):
-        dist += np.bitwise_count(query_words[:, w, None] ^ db.words[None, :, w])
-    return dist
+    scratch = np.empty(db.n, dtype=np.uint64)
+    counts = np.empty(db.n, dtype=out.dtype)
+    for query, row in zip(query_words, out):
+        np.bitwise_xor(db.words[:, 0], query[0], out=scratch)
+        np.bitwise_count(scratch, out=row)
+        for w in range(1, db.words.shape[1]):
+            np.bitwise_xor(db.words[:, w], query[w], out=scratch)
+            row += np.bitwise_count(scratch, out=counts)
+    return out
 
 
 def rank_by_hamming(query: np.ndarray, db: CodeSet) -> np.ndarray:
@@ -97,15 +112,35 @@ def rank_by_hamming(query: np.ndarray, db: CodeSet) -> np.ndarray:
     if query.shape[0] != db.words.shape[1]:
         raise ValidationError(
             f"query has {query.shape[0]} words, database codes have {db.words.shape[1]}")
-    return np.argsort(_distances(query[None, :], db)[0], kind="stable")
+    dist = np.empty((1, db.n), dtype=np.min_scalar_type(db.r))
+    return np.argsort(_distances(query[None, :], db, dist)[0], kind="stable")
+
+
+def _label_masks(labels: np.ndarray) -> np.ndarray:
+    """n x ceil(c/64) bit masks of a c x n 0/1 label matrix, class j at bit j,
+    in the narrowest unsigned type that holds min(c, 64) bits."""
+    c, n = labels.shape
+    dtype = np.min_scalar_type((1 << min(c, 64)) - 1)
+    word_bits = 8 * dtype.itemsize
+    padded = np.zeros((n, max(1, -(-c // word_bits)) * word_bits), dtype=bool)
+    padded[:, :c] = labels.T == 1
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return packed.view(dtype.newbyteorder("<")).astype(dtype, copy=False)
 
 
 @dataclass
 class RelevanceJudge:
-    """Share-any-label relevance between query and database instances."""
+    """Share-any-label relevance between query and database instances.
+
+    Each instance's label set is packed once into bit-mask words; a query and
+    a database item are relevant when their masks AND to non-zero, which for
+    0/1 labels is exactly (q^T d) > 0.
+    """
 
     query_labels: np.ndarray  # c x n_query, 0/1
     db_labels: np.ndarray     # c x n_db, 0/1
+    query_masks: np.ndarray = field(init=False, repr=False, compare=False)
+    db_masks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.query_labels = np.asarray(self.query_labels, dtype=np.float64)
@@ -114,11 +149,11 @@ class RelevanceJudge:
             raise ValidationError(
                 f"label matrices disagree on class count: "
                 f"{self.query_labels.shape[0]} vs {self.db_labels.shape[0]}")
-
-    def relevance(self, query_index: int | slice) -> np.ndarray:
-        """Boolean relevance of every database item to one query, or to a
-        slice of queries as a (queries x database) matrix."""
-        return (self.query_labels[:, query_index].T @ self.db_labels) > 0
+        for name, labels in (("query", self.query_labels), ("database", self.db_labels)):
+            if not np.all((labels == 0) | (labels == 1)):
+                raise ValidationError(f"{name} label entries must be 0 or 1")
+        self.query_masks = _label_masks(self.query_labels)
+        self.db_masks = _label_masks(self.db_labels)
 
 
 def _ap_from_hits(hits: np.ndarray) -> float:
@@ -145,8 +180,10 @@ def evaluate(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
 
     Every argument is checked before any distance is computed.  Queries are
     ranked in blocks of at most _BLOCK_CELLS query-database pairs, so memory
-    stays bounded whatever the query count.  Per-query values are summed in
-    query order, as a query-by-query loop would.
+    stays bounded whatever the query count.  Each query's relevance is taken
+    in database order from the label masks, then gathered through its
+    ranking.  Per-query values are summed in query order, as a query-by-query
+    loop would.
     """
     if queries.r != db.r:
         raise ValidationError(f"code lengths differ: query r={queries.r}, db r={db.r}")
@@ -154,6 +191,10 @@ def evaluate(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
         raise ValidationError("need at least one query")
     if db.n < 1:
         raise ValidationError("need at least one database code")
+    if judge.query_masks.shape[0] != queries.n or judge.db_masks.shape[0] != db.n:
+        raise ValidationError(
+            f"labels cover {judge.query_masks.shape[0]} queries and "
+            f"{judge.db_masks.shape[0]} database items, codes {queries.n} and {db.n}")
     if cutoff is None:
         cutoff = db.n
     _check_cutoff(cutoff, db.n)
@@ -163,19 +204,31 @@ def evaluate(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
     aps = np.zeros(queries.n)
     empty = np.zeros(queries.n, dtype=bool)
     precision = np.zeros((queries.n, len(n_points)))
-    height = max(1, _BLOCK_CELLS // db.n)
+    height = min(queries.n, max(1, _BLOCK_CELLS // db.n))
+    dist = np.empty((height, db.n), dtype=np.min_scalar_type(db.r))
+    rel = np.empty((height, db.n), dtype=bool)
+    shared = np.empty(db.n, dtype=judge.db_masks.dtype)
+    word = np.empty_like(shared)
+    unranked = np.empty(db.n, dtype=bool)
     for start in range(0, queries.n, height):
-        block = slice(start, min(start + height, queries.n))
-        order = np.argsort(_distances(queries.words[block], db), axis=1, kind="stable")
-        rel = np.take_along_axis(judge.relevance(block), order, axis=1)
-        for row, qi in enumerate(range(block.start, block.stop)):
+        rows = min(height, queries.n - start)
+        _distances(queries.words[start:start + rows], db, dist[:rows])
+        for row, qi in enumerate(range(start, start + rows)):
+            query_mask = judge.query_masks[qi]
+            np.bitwise_and(judge.db_masks[:, 0], query_mask[0], out=shared)
+            for w in range(1, query_mask.size):
+                shared |= np.bitwise_and(judge.db_masks[:, w], query_mask[w], out=word)
+            np.not_equal(shared, 0, out=unranked)
+            # argsort indices are in range; "clip" writes straight into the row
+            np.take(unranked, np.argsort(dist[row], kind="stable"), out=rel[row], mode="clip")
             hits = np.flatnonzero(rel[row, :cutoff])
             if hits.size:
                 aps[qi] = _ap_from_hits(hits)
             else:
                 empty[qi] = True
         for col, n_top in enumerate(n_points):
-            precision[block, col] = np.count_nonzero(rel[:, :n_top], axis=1) / n_top
+            precision[start:start + rows, col] = (
+                np.count_nonzero(rel[:rows, :n_top], axis=1) / n_top)
     kept = aps if include_empty else aps[~empty]
     if kept.size == 0:
         raise EvaluationError("every query has empty ground truth in the top cutoff")

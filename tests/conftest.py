@@ -126,6 +126,12 @@ def ranked_codes(n):
     return pack_codes(np.ones((1, r))), pack_codes(db)
 
 
+def relevance(judge, query_index):
+    """Share-any-label relevance of every database item to one query, from the
+    judge's raw label matrices: (q^T d) > 0, independent of its bit masks."""
+    return (judge.query_labels[:, query_index].T @ judge.db_labels) > 0
+
+
 def oracle_rank(query_bits, db_bits):
     """Naive ranking oracle: unpacked +-1 disagreement counts, ties by index."""
     dists = [sum(int(qb != db) for qb, db in zip(query_bits, row)) for row in db_bits]

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import (cli_env, fd_gradient, gradient_scale, naive_objective,
-                      oracle_map, random_feasible_latent, random_labelset, ranked_codes)
+                      oracle_map, random_feasible_latent, random_labelset, ranked_codes,
+                      relevance)
 from xmodhash import dataio, kernelfeat
 from xmodhash.dataio import FeatureMatrix, RawLabelMatrix
 from xmodhash.encoder import encode, fit_pipeline
@@ -269,7 +270,7 @@ def test_criterion_5_metric_oracle():
             total = 0.0
             for qi in range(50):
                 ranked = rank_by_hamming(queries.words[qi], db)
-                total += int(judge.relevance(qi)[ranked[:n_top]].sum()) / n_top
+                total += int(relevance(judge, qi)[ranked[:n_top]].sum()) / n_top
             assert top[n_top] == total / 50
         exact += 1
     _report(5, exact == 10, f"{exact}/10 patterns matched brute force exactly")

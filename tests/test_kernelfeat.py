@@ -69,6 +69,21 @@ def test_width_sampling_is_seeded():
     assert a == b
 
 
+@pytest.mark.parametrize("d, k", [(128, 500), (64, 1000), (128, 300)])
+def test_width_equals_the_direct_expression_across_blocks(d, k):
+    # 2000 rows span 10 to 31 row blocks at these anchor counts, the last one partial
+    rng = np.random.default_rng(d + k)
+    points = rng.standard_normal((2000, d))
+    anchors = points[rng.choice(2000, size=k, replace=False)]
+    sq = (np.sum(points * points, axis=1)[:, None]
+          + np.sum(anchors * anchors, axis=1)[None, :]
+          - 2.0 * points @ anchors.T)
+    direct = np.sqrt(np.maximum(sq, 0.0))
+    assert 2000 % max(1, kernelfeat._BLOCK_CELLS // k) != 0
+    assert np.array_equal(kernelfeat._distances(points, anchors), direct)
+    assert estimate_width(fm(points), anchors) == float(direct.mean())
+
+
 def test_kernel_value_at_anchor_is_one():
     anchors = np.array([[1.0, 2.0], [3.0, -1.0]])
     km = KernelMap(anchors, sigma=2.0, center=np.zeros(2))

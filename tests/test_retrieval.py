@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hamming, oracle_ap, oracle_map, oracle_rank, ranked_codes, unpack_codes
+from conftest import (hamming, oracle_ap, oracle_map, oracle_rank, ranked_codes, relevance,
+                      unpack_codes)
 from xmodhash import retrieval
 from xmodhash.errors import EvaluationError, FormatError, ValidationError
 from xmodhash.retrieval import (CodeSet, RelevanceJudge, evaluate, pack_codes,
@@ -130,6 +133,21 @@ def test_rank_matches_naive_oracle():
         assert list(ranked) == oracle_rank(unpacked[qi], unpacked)
 
 
+@pytest.mark.parametrize("r, key_type", [(255, np.uint8), (256, np.uint16)])
+def test_rank_matches_naive_oracle_at_key_width_boundary(r, key_type):
+    rng = np.random.default_rng(r)
+    signs = random_signs(rng, 120, r)
+    signs[60:70] = signs[5]  # exact ties, broken by ascending index
+    db = pack_codes(signs)
+    unpacked = unpack_codes(db)
+    dist = retrieval._distances(db.words[:3], db, np.empty((3, db.n), dtype=key_type))
+    for qi in range(3):
+        assert list(dist[qi]) == [hamming(db.words[qi], row) for row in db.words]
+    for qi in (0, 5, 64, 119):
+        ranked = rank_by_hamming(db.words[qi], db)
+        assert list(ranked) == oracle_rank(unpacked[qi], unpacked)
+
+
 # ------------------------------------------------------------------- metrics
 
 def _judge_single_class(query_classes, db_classes, c):
@@ -138,6 +156,37 @@ def _judge_single_class(query_classes, db_classes, c):
     dl = np.zeros((c, len(db_classes)))
     dl[db_classes, np.arange(len(db_classes))] = 1
     return RelevanceJudge(ql, dl)
+
+
+@pytest.mark.parametrize("c", [1, 6, 8, 9, 16, 17, 32, 33, 64, 65, 130])
+def test_label_masks_match_label_products(c):
+    rng = np.random.default_rng(c)
+    ql = (rng.random((c, 7)) < 2.0 / c).astype(float)
+    dl = (rng.random((c, 40)) < 2.0 / c).astype(float)
+    dl[c - 1, 0] = ql[c - 1, 0] = 1.0  # the highest class bit is in use
+    judge = RelevanceJudge(ql, dl)
+    words = max(1, -(-c // 64))
+    assert judge.db_masks.shape == (40, words) and judge.query_masks.shape == (7, words)
+    assert judge.db_masks.dtype == np.min_scalar_type((1 << min(c, 64)) - 1)
+    for qi in range(7):
+        shared = (judge.db_masks & judge.query_masks[qi]).any(axis=1)
+        assert np.array_equal(shared, relevance(judge, qi))
+
+
+@pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
+def test_judge_rejects_non_binary_labels(bad):
+    dl = np.array([[1.0, 0.0], [0.0, 1.0]])
+    ql = np.array([[1.0], [0.0]])
+    with pytest.raises(ValidationError, match="label entries must be 0 or 1"):
+        RelevanceJudge(np.where(ql == 1, bad, ql), dl)
+    with pytest.raises(ValidationError, match="label entries must be 0 or 1"):
+        RelevanceJudge(ql, np.where(dl == 1, bad, dl))
+
+
+def test_evaluate_rejects_labels_for_other_code_counts():
+    judge = _judge_single_class([0], [0, 0, 0], c=1)
+    with pytest.raises(ValidationError, match="labels cover 1 queries and 3 database"):
+        evaluate(*ranked_codes(4), judge)
 
 
 def test_ap_all_relevant():
@@ -279,7 +328,7 @@ def test_topn_matches_oracle_counts():
         total = 0.0
         for qi in range(9):
             ranked = oracle_rank(unpack_codes(queries)[qi], unpack_codes(db))
-            rel = judge.relevance(qi)
+            rel = relevance(judge, qi)
             total += sum(rel[i] for i in ranked[:n_top]) / n_top
         assert precision == total / 9
 
@@ -301,15 +350,13 @@ def test_cutoff_below_one_rejected():
 
 # ----------------------------------------------------------- block engine
 
-def _oracle_scores(queries, db, judge, cutoff, include_empty, n_points):
+def _oracle_scores(rankings, judge, cutoff, include_empty, n_points):
     """Query-by-query mAP (None if no query is kept) and top-N from the naive
-    rank and AP oracles."""
-    qb, dbb = unpack_codes(queries), unpack_codes(db)
+    rankings (oracle_rank of each query) and the AP oracle."""
     total, kept, excluded = 0.0, 0, 0
     sums = [0.0] * len(n_points)
-    for qi in range(queries.n):
-        ranked = oracle_rank(qb[qi], dbb)
-        relevant = judge.relevance(qi)
+    for qi, ranked in enumerate(rankings):
+        relevant = relevance(judge, qi)
         ap, empty = oracle_ap(ranked, relevant, cutoff)
         if empty and not include_empty:
             excluded += 1
@@ -318,26 +365,37 @@ def _oracle_scores(queries, db, judge, cutoff, include_empty, n_points):
             kept += 1
         for col, n_top in enumerate(n_points):
             sums[col] += int(sum(relevant[i] for i in ranked[:n_top])) / n_top
-    curve = [(n_top, sums[col] / queries.n) for col, n_top in enumerate(n_points)]
+    curve = [(n_top, sums[col] / len(rankings)) for col, n_top in enumerate(n_points)]
     return (total / kept if kept else None), excluded, curve
 
 
-@pytest.mark.parametrize("r", [8, 64, 96, 130])
+# (r, c) cases; six classes keep the bare r id
+_ENGINE_CASES = [pytest.param(r, c, id=str(r) if c == 6 else f"{r}-c{c}")
+                 for c in (6, 64, 65, 130) for r in (8, 64, 96, 130, 255, 256)]
+
+
+@pytest.mark.parametrize("r, c", _ENGINE_CASES)
 @pytest.mark.parametrize("n_query", [1, 4, 11])
-def test_block_engine_matches_oracles(monkeypatch, r, n_query):
-    # four queries per block: 4 is one block, 11 straddles two block boundaries
+def test_block_engine_matches_oracles(monkeypatch, r, n_query, c):
+    # four queries per block: 4 is one block, 11 straddles two block boundaries;
+    # r = 255 / 256 is the uint8 / uint16 distance boundary, c = 65 and 130
+    # need two and three mask words
     n_db, points = 90, [1, 7, 90]
     monkeypatch.setattr(retrieval, "_BLOCK_CELLS", 4 * n_db)
     rng = np.random.default_rng(r * 100 + n_query)
     db = pack_codes(random_signs(rng, n_db, r))
     queries = pack_codes(random_signs(rng, n_query, r))
-    ql = (rng.random((6, n_query)) < 0.2).astype(float)
-    dl = (rng.random((6, n_db)) < 0.2).astype(float)
+    # about a fifth of the pairs share a label whatever the class count
+    density = min(0.2, 0.5 / np.sqrt(c))
+    ql = (rng.random((c, n_query)) < density).astype(float)
+    dl = (rng.random((c, n_db)) < density).astype(float)
     judge = RelevanceJudge(ql, dl)
+    db_bits = unpack_codes(db)
+    rankings = [oracle_rank(q, db_bits) for q in unpack_codes(queries)]
     for cutoff in (None, 5, 30):
         for include_empty in (False, True):
             want_map, want_excluded, want_curve = _oracle_scores(
-                queries, db, judge, cutoff or n_db, include_empty, points)
+                rankings, judge, cutoff or n_db, include_empty, points)
             if want_map is None:
                 with pytest.raises(EvaluationError):
                     evaluate(queries, db, judge, cutoff=cutoff, n_points=points)
@@ -347,8 +405,27 @@ def test_block_engine_matches_oracles(monkeypatch, r, n_query):
             assert got.value == want_map and got.excluded_queries == want_excluded
             assert curve == want_curve
     for qi in range(n_query):
-        ranked = rank_by_hamming(queries.words[qi], db)
-        assert list(ranked) == oracle_rank(unpack_codes(queries)[qi], unpack_codes(db))
+        assert list(rank_by_hamming(queries.words[qi], db)) == rankings[qi]
+
+
+def test_block_engine_memory_is_bounded_per_block_cell():
+    # ten full blocks of 20 000-item rankings.  The buffers are allocated once
+    # per call: one byte per block cell each for distances and relevance, plus
+    # a few database-length rows, whatever the query count
+    rng = np.random.default_rng(13)
+    n_db, r = 20_000, 32
+    height = retrieval._BLOCK_CELLS // n_db
+    db = pack_codes(random_signs(rng, n_db, r))
+    queries = pack_codes(random_signs(rng, 10 * height, r))
+    judge = RelevanceJudge((rng.random((24, queries.n)) < 0.1).astype(float),
+                           (rng.random((24, n_db)) < 0.1).astype(float))
+    tracemalloc.start()
+    try:
+        evaluate(queries, db, judge, include_empty=True, n_points=[50, 500])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (height * n_db) < 4.0
 
 
 # ------------------------------------------------------------------ code files
