@@ -32,9 +32,9 @@ _HEADER_LEN = 24
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
-#: Matrix sections a two-modality model archive must carry.
+#: Matrix sections a two-modality model archive must carry; none scales with n.
 REQUIRED_SECTIONS = (
-    "V", "R", "M", "B",
+    "R", "M",
     "P_1", "P_2", "Ph_1", "Ph_2",
     "anchors_1", "anchors_2", "kcenter_1", "kcenter_2",
 )

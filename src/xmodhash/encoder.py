@@ -90,11 +90,12 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
 
 def to_archive(enc: HashEncoder, state: ModelState, report: TrainReport,
                cfg: TrainConfig, ridge: float) -> ModelArchive:
-    """The AMH1 sections and metadata of a fitted two-modality model."""
+    """The AMH1 sections and metadata of a fitted two-modality model; the r x n
+    factors V and B are left out (``encode`` reads neither; B is sign(M L))."""
     km1, km2 = enc.kernels
     return ModelArchive(
         sections={
-            "V": state.latent, "R": state.rotation, "M": state.label_proj, "B": state.codes,
+            "R": state.rotation, "M": state.label_proj,
             "P_1": state.proj[0], "P_2": state.proj[1],
             "Ph_1": enc.proj[0], "Ph_2": enc.proj[1],
             "anchors_1": km1.anchors, "anchors_2": km2.anchors,

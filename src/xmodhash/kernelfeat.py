@@ -144,8 +144,8 @@ def _kernel_blocks(x: FeatureMatrix, km: KernelMap):
         yield rows, _kernel_block(x.values[rows], km, buf[:rows.stop - rows.start])
 
 
-def kernelize(x: FeatureMatrix, km: KernelMap) -> FeatureMatrix:
-    """Map raw rows to centered RBF similarities against the anchors.
+def kernelize(x: FeatureMatrix, km: KernelMap) -> np.ndarray:
+    """Map raw rows to their n x k centered RBF similarities against the anchors.
 
     The output is filled block by block with the stored center subtracted.
     Row blocks are independent, so evaluation order never affects the output.
@@ -156,7 +156,7 @@ def kernelize(x: FeatureMatrix, km: KernelMap) -> FeatureMatrix:
     out = np.empty((x.n, km.k))
     for rows in _row_blocks(x.n, km.k):
         _kernel_block(x.values[rows], km, out[rows])
-    return FeatureMatrix(out, modality_id=x.modality_id)
+    return out
 
 
 def fit_kernel(x: FeatureMatrix, k: int, seed: int,
@@ -165,7 +165,7 @@ def fit_kernel(x: FeatureMatrix, k: int, seed: int,
     anchors = select_anchors(x, k, seed)
     km = KernelMap(anchors, estimate_width(x, anchors, sample_cap=sample_cap, seed=seed),
                    center=np.zeros(k))
-    phi = kernelize(x, km).values
+    phi = kernelize(x, km)
     km = replace(km, center=phi.mean(axis=0))
     phi -= km.center
     return km, phi

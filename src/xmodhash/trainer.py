@@ -12,7 +12,8 @@ P, M, R, V, B, so the objective
 
 never increases.  Every term is evaluated through c x c / r x r Gram
 contractions; nothing here allocates an n x n array, which keeps training
-linear in the number of instances.
+linear in the number of instances.  ``train`` reaches every step only
+through the public functions below.
 """
 
 import time
@@ -38,10 +39,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValidationError(f"code length must be >= 1, got {self.r}")
-        if self.omega < 0:
-            raise ValidationError(f"omega must be >= 0, got {self.omega}")
-        if any(lam < 0 for lam in self.lambdas):
-            raise ValidationError(f"lambdas must be >= 0, got {self.lambdas}")
+        if not 0 <= self.omega < np.inf:    # NaN fails every comparison
+            raise ValidationError(f"omega must be >= 0 and finite, got {self.omega}")
+        for lam in self.lambdas:
+            if not 0 <= lam < np.inf:
+                raise ValidationError(
+                    f"lambdas must be >= 0 and finite, got {lam} in {self.lambdas}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.rel_tol > 0:
@@ -107,14 +110,10 @@ def check_code_length(r: int, n: int) -> None:
             f"(the balanced latent constraints are infeasible otherwise), got n={n}")
 
 
-def init_state(phix: Sequence[np.ndarray], labels: LabelSet, cfg: TrainConfig) -> ModelState:
-    """Seeded random feasible starting point; projections are fit to it."""
-    return _init_state(phix, labels, cfg)[0]
-
-
-def _init_state(phix: Sequence[np.ndarray], labels: LabelSet,
-                cfg: TrainConfig) -> tuple[ModelState, list[np.ndarray]]:
-    """``init_state`` plus each modality's phi_t V^T, which fits its projection."""
+def init_state(phix: Sequence[np.ndarray], labels: LabelSet,
+               cfg: TrainConfig) -> tuple[ModelState, list[np.ndarray]]:
+    """Seeded random feasible starting point with projections fit to it, plus
+    each modality's phi_t V^T, which the starting objective reuses."""
     n, c, r = labels.n, labels.c, cfg.r
     check_code_length(r, n)
     for t, phi in enumerate(phix, start=1):
@@ -127,15 +126,15 @@ def _init_state(phix: Sequence[np.ndarray], labels: LabelSet,
     codes = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     latent = np.sqrt(n) * _balanced_orthonormal_rows(rng.standard_normal((r, n)))
     phi_vt = [phi @ latent.T for phi in phix]
-    proj = [pv / n for pv in phi_vt]    # update_projection's P step
+    proj = [update_projection(pv, n) for pv in phi_vt]
     return ModelState(latent=latent, rotation=rotation, label_proj=label_proj,
                       codes=codes, proj=proj), phi_vt
 
 
-def update_projection(phix_t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Least-squares projection onto the latent rows; V V^T = n I collapses
-    the normal equations to a single scaled product."""
-    return (phix_t @ v.T) / v.shape[1]
+def update_projection(phi_vt_t: np.ndarray, n: int) -> np.ndarray:
+    """Least-squares projection onto the latent rows, from phi_t V^T;
+    V V^T = n I collapses the normal equations to a single scaled product."""
+    return phi_vt_t / n
 
 
 def update_label_projection(v: np.ndarray, rot: np.ndarray, b: np.ndarray,
@@ -249,25 +248,15 @@ def update_codes(m: np.ndarray, labels: LabelSet) -> np.ndarray:
     return np.where(m @ labels.labels >= 0, 1.0, -1.0)
 
 
-def objective_value(state: ModelState, labels: LabelSet,
-                    phix: Sequence[np.ndarray], cfg: TrainConfig) -> float:
+def objective_value(state: ModelState, labels: LabelSet, cfg: TrainConfig,
+                    phi_sq: Sequence[float], phi_vt: Sequence[np.ndarray]) -> float:
     """Evaluate the training objective without forming any n x n matrix.
 
+    The features enter through each modality's ||phi_t||^2 and phi_t V^T.
     The affinity term expands into r x r and c x c Gram contractions:
     ||A^T C||^2 = trace((A A^T)(C C^T)) applied to A = R V and C = M L,
     plus the cross trace against the label Gram.
     """
-    return _objective(state, labels, cfg, [_squared_norm(phi) for phi in phix],
-                      [phi @ state.latent.T for phi in phix])
-
-
-def _squared_norm(a: np.ndarray) -> float:
-    return float(np.einsum("ij,ij->", a, a))
-
-
-def _objective(state: ModelState, labels: LabelSet, cfg: TrainConfig,
-               phi_sq: Sequence[float], phi_vt: Sequence[np.ndarray]) -> float:
-    """``objective_value`` from each modality's ||phi_t||^2 and phi_t V^T."""
     l, g = labels.labels, labels.normalized
     v, rot, m, b = state.latent, state.rotation, state.label_proj, state.codes
     r = state.r
@@ -303,14 +292,14 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
             f"{len(phix)} modalities but {len(cfg.lambdas)} lambda weights")
     start = time.perf_counter()
     # phi_t V^T serves the objective after a sweep and the next sweep's P step
-    state, phi_vt = _init_state(phix, labels, cfg)
+    state, phi_vt = init_state(phix, labels, cfg)
     completion_rng = component_rng(cfg.seed, "latent-completion")
-    phi_sq = [_squared_norm(phi) for phi in phix]
-    history = [_objective(state, labels, cfg, phi_sq, phi_vt)]
+    phi_sq = [float(np.einsum("ij,ij->", phi, phi)) for phi in phix]
+    history = [objective_value(state, labels, cfg, phi_sq, phi_vt)]
     converged = False
     for sweep in range(1, cfg.max_iters + 1):
         try:
-            state.proj = [pv / state.n for pv in phi_vt]   # update_projection's P step
+            state.proj = [update_projection(pv, state.n) for pv in phi_vt]
             state.label_proj = update_label_projection(
                 state.latent, state.rotation, state.codes, labels, cfg)
             state.rotation = update_rotation(state.label_proj, labels, state.latent)
@@ -320,7 +309,7 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
         except NumericalError as e:
             raise NumericalError(f"sweep {sweep}: {e}") from e
         phi_vt = [phi @ state.latent.T for phi in phix]
-        history.append(_objective(state, labels, cfg, phi_sq, phi_vt))
+        history.append(objective_value(state, labels, cfg, phi_sq, phi_vt))
         prev, cur = history[-2], history[-1]
         if prev - cur <= cfg.rel_tol * abs(prev):
             converged = True

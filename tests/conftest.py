@@ -12,6 +12,7 @@ from xmodhash.errors import ValidationError
 from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import LabelSet, normalize_labels
 from xmodhash.retrieval import CodeSet, pack_codes
+from xmodhash.trainer import objective_value
 
 
 def cli_env():
@@ -84,6 +85,14 @@ def naive_objective(state, labels, phix, cfg):
     for lam, p_t, phi_t in zip(cfg.lambdas, state.proj, phix):
         total += lam * float(np.sum((phi_t - p_t @ state.latent) ** 2))
     return total
+
+
+def objective_from_features(state, labels, phix, cfg):
+    """``objective_value`` from the kernel features (k_t x n each): ||phi_t||^2
+    and phi_t V^T computed the way ``train`` computes them."""
+    return objective_value(state, labels, cfg,
+                           [float(np.einsum("ij,ij->", phi, phi)) for phi in phix],
+                           [phi @ state.latent.T for phi in phix])
 
 
 def unpack_codes(codes: CodeSet) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import (cli_env, fd_gradient, gradient_scale, naive_objective,
-                      oracle_map, random_feasible_latent, random_labelset, ranked_codes,
-                      relevance)
+                      objective_from_features, oracle_map, random_feasible_latent,
+                      random_labelset, ranked_codes, relevance)
 from xmodhash import dataio, kernelfeat
 from xmodhash.dataio import FeatureMatrix, RawLabelMatrix
 from xmodhash.encoder import encode, fit_pipeline
@@ -26,9 +26,8 @@ from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import normalize_labels
 from xmodhash.retrieval import RelevanceJudge, evaluate, pack_codes, rank_by_hamming
 from xmodhash.rng import component_rng
-from xmodhash.trainer import (ModelState, TrainConfig, constraint_residuals,
-                              objective_value, train, update_codes,
-                              update_label_projection, update_latent,
+from xmodhash.trainer import (ModelState, TrainConfig, constraint_residuals, train,
+                              update_codes, update_label_projection, update_latent,
                               update_projection, update_rotation)
 
 # ridge-to-label oracle baseline on the criterion-6 dataset, frozen before
@@ -60,7 +59,7 @@ def _ridge_label_oracle(data):
         gram[np.diag_indices_from(gram)] += 1.0
         w = np.linalg.solve(gram, phi.T @ data["labels"].labels.T)
         predicted[f"db{t}"] = phi @ w
-        predicted[f"q{t}"] = kernelfeat.kernelize(x_query, km).values @ w
+        predicted[f"q{t}"] = kernelfeat.kernelize(x_query, km) @ w
     result = {}
     for task, (qs, dbs) in (("i2t", (predicted["q1"], predicted["db2"])),
                             ("t2i", (predicted["q2"], predicted["db1"]))):
@@ -165,7 +164,7 @@ def test_criterion_3_substep_oracles():
     # P-step and M-step: vanishing finite-difference gradients
     v = random_feasible_latent(rng, 3, 12)
     phix = rng.standard_normal((6, 12))
-    p_hat = update_projection(phix, v)
+    p_hat = update_projection(phix @ v.T, 12)
     f_p = lambda p: float(np.sum((phix - p @ v) ** 2))
     rel_p = np.abs(fd_gradient(f_p, p_hat)).max() / gradient_scale(f_p, p_hat, rng)
     assert rel_p < 1e-5
@@ -234,7 +233,7 @@ def test_criterion_4_dense_oracle_equivalence():
                            proj=[rng.standard_normal((k, r))])
         phix = [rng.standard_normal((k, n))]
         cfg = TrainConfig(r=r, omega=rng.random(), lambdas=(rng.random(),))
-        fast = objective_value(state, labels, phix, cfg)
+        fast = objective_from_features(state, labels, phix, cfg)
         dense = naive_objective(state, labels, phix, cfg)
         rel = abs(fast - dense) / abs(dense)
         worst = max(worst, rel)

@@ -68,7 +68,7 @@ def test_train_end_to_end(synth_dir, tmp_path, capsys):
     assert model.exists()
     assert "final objective" in out and "sweeps" in out
     archive = dataio.load_model(model)
-    assert archive.sections["B"].shape == (8, 60)
+    assert archive.sections["M"].shape == (8, 3)
     assert archive.metadata["r"] == "8"
     history = [float(x) for x in archive.metadata["objective_history"].split(",")]
     assert all(b <= a + 1e-9 * abs(a) for a, b in zip(history, history[1:]))
@@ -95,7 +95,10 @@ def test_train_archive_equals_library_fit(synth_dir, tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--lambda-h", "0", "ridge weight must be positive"),
     ("--omega", "-1", "omega must be >= 0"),
+    ("--omega", "nan", "omega must be >= 0 and finite, got nan"),
+    ("--omega", "inf", "omega must be >= 0 and finite, got inf"),
     ("--lambda2", "-1", "lambdas must be >= 0"),
+    ("--lambda1", "nan", "lambdas must be >= 0 and finite, got nan"),
     ("--bits", "0", "code length must be >= 1"),
     ("--max-iters", "0", "max_iters must be >= 1"),
     ("--tol", "0", "rel_tol must be positive"),
@@ -191,9 +194,9 @@ def test_encode_wrong_dimensions(synth_dir, tmp_path, capsys):
     assert "8" in err and "6" in err  # expected vs actual feature dimension
 
 
-def _rename_section_v(path):
+def _rename_section_r(path):
     buf = path.read_bytes()
-    at = buf.index(b"\x01\x00\x00\x00V") + 4    # the one-byte name of section "V"
+    at = buf.index(b"\x01\x00\x00\x00R") + 4    # the one-byte name of section "R"
     path.write_bytes(buf[:at] + b"\xff" + buf[at + 1:])
 
 
@@ -224,7 +227,7 @@ def _inf_sigma_1(path):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (_rename_section_v, "unknown section name"),
+    (_rename_section_r, "unknown section name"),
     (_malform_sigma, "metadata sigma_1 is not a number"),
     (_truncate_ph_1, "modality 1: 10 projection rows, 16 anchors"),
     (_nan_ph_1, "modality 1: projection contains NaN or Inf entries"),
@@ -240,6 +243,24 @@ def test_encode_corrupt_archive_is_exit_2(synth_dir, tmp_path, capsys, corrupt, 
                        "--out", str(tmp_path / "c.abc"))
     assert code == 2
     assert message in err
+
+
+def test_encode_rejects_archive_with_training_sized_sections(synth_dir, tmp_path, capsys,
+                                                           monkeypatch):
+    # the older layout also stored the r x n latent matrix V and codes B
+    model = tmp_path / "model.amh"
+    assert run(capsys, *train_args(synth_dir, model))[0] == 0
+    archive = dataio.load_model(model)
+    archive.sections = {"V": np.zeros((8, 60)), **archive.sections, "B": np.ones((8, 60))}
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "REQUIRED_SECTIONS", tuple(archive.sections))
+        dataio.save_model(archive, model)
+    code, _, err = run(capsys, "encode", "--model", str(model), "--features",
+                       str(synth_dir / "x1.amx"), "--modality", "1",
+                       "--out", str(tmp_path / "c.abc"))
+    assert code == 2
+    assert "unknown section name 'V'" in err
+    assert not (tmp_path / "c.abc").exists()
 
 
 def test_eval_perfect_toy(tmp_path, capsys):

@@ -207,6 +207,8 @@ def test_archive_round_trip_encodes_identically(fitted, tmp_path):
 def test_to_archive_writes_the_required_layout(fitted):
     archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
     assert tuple(archive.sections) == REQUIRED_SECTIONS
+    n = fitted["labels"].n
+    assert all(n not in values.shape for values in archive.sections.values())
     assert set(REQUIRED_METADATA) <= set(archive.metadata)
     assert archive.metadata["lambda_h"] == "0.7"
     assert (archive.metadata["k_1"], archive.metadata["k_2"]) == ("30", "40")

@@ -88,13 +88,13 @@ def test_kernel_value_at_anchor_is_one():
     anchors = np.array([[1.0, 2.0], [3.0, -1.0]])
     km = KernelMap(anchors, sigma=2.0, center=np.zeros(2))
     phi = kernelize(fm([[1.0, 2.0]]), km)
-    assert phi.values[0, 0] == pytest.approx(1.0)
+    assert phi[0, 0] == pytest.approx(1.0)
 
 
 def test_kernel_scalar_value():
     km = KernelMap(np.array([[5.0]]), sigma=5.0, center=np.zeros(1))
     phi = kernelize(fm([[0.0]]), km)
-    assert phi.values[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-6)
+    assert phi[0, 0] == pytest.approx(np.exp(-0.5), abs=1e-6)
 
 
 def reference_kernel(x, anchors, sigma):
@@ -114,7 +114,7 @@ def test_kernelize_matches_reference_across_block_boundaries(monkeypatch, cells)
     block = max(1, cells // 5)
     for n in sorted({1, block - 1, block, block + 1, 3 * block + 2} - {0}):
         x = rng.standard_normal((n, 3))
-        phi = kernelize(fm(x), km).values
+        phi = kernelize(fm(x), km)
         assert phi.shape == (n, 5)
         assert np.abs(phi + center - reference_kernel(x, anchors, 1.5)).max() < 1e-12
 
@@ -124,8 +124,8 @@ def test_kernelize_float32_rows_match_float64(monkeypatch):
     rng = np.random.default_rng(9)
     km = KernelMap(rng.standard_normal((4, 3)), sigma=1.2, center=rng.random(4))
     x32 = rng.standard_normal((11, 3)).astype(np.float32)
-    a = kernelize(FeatureMatrix(x32), km).values
-    b = kernelize(FeatureMatrix(x32.astype(np.float64)), km).values
+    a = kernelize(FeatureMatrix(x32), km)
+    b = kernelize(FeatureMatrix(x32.astype(np.float64)), km)
     assert a.dtype == np.float64
     assert np.array_equal(a, b)
 
@@ -162,9 +162,9 @@ def test_kernelize_is_row_independent():
     x = rng.standard_normal((25, 4))
     anchors = rng.standard_normal((5, 4))
     km = KernelMap(anchors, sigma=1.5, center=np.zeros(5))
-    phi = kernelize(fm(x), km).values
+    phi = kernelize(fm(x), km)
     perm = rng.permutation(25)
-    phi_perm = kernelize(fm(x[perm]), km).values
+    phi_perm = kernelize(fm(x[perm]), km)
     assert np.array_equal(phi_perm, phi[perm])
 
 

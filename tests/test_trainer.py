@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (fd_gradient, gradient_scale, naive_objective,
+from conftest import (fd_gradient, gradient_scale, naive_objective, objective_from_features,
                       random_feasible_latent, random_labelset)
 from xmodhash import trainer
 from xmodhash.errors import DegenerateDataError, ValidationError
-from xmodhash.trainer import (ModelState, TrainConfig, constraint_residuals,
-                              init_state, objective_value, train, update_codes,
-                              update_label_projection, update_latent,
+from xmodhash.trainer import (ModelState, TrainConfig, constraint_residuals, init_state,
+                              train, update_codes, update_label_projection, update_latent,
                               update_projection, update_rotation)
 
 
@@ -26,19 +25,20 @@ def test_init_is_deterministic():
     rng = np.random.default_rng(0)
     labels = random_labelset(rng, 3, 20)
     phix = [rng.standard_normal((5, 20))]
-    a = init_state(phix, labels, cfg_for(4, seed=7))
-    b = init_state(phix, labels, cfg_for(4, seed=7))
+    a, a_phi_vt = init_state(phix, labels, cfg_for(4, seed=7))
+    b, b_phi_vt = init_state(phix, labels, cfg_for(4, seed=7))
     assert a.latent.tobytes() == b.latent.tobytes()
     assert a.rotation.tobytes() == b.rotation.tobytes()
     assert a.label_proj.tobytes() == b.label_proj.tobytes()
     assert a.codes.tobytes() == b.codes.tobytes()
     assert a.proj[0].tobytes() == b.proj[0].tobytes()
+    assert a_phi_vt[0].tobytes() == b_phi_vt[0].tobytes()
 
 
 def test_init_satisfies_invariants():
     rng = np.random.default_rng(1)
     labels = random_labelset(rng, 4, 50)
-    state = init_state([rng.standard_normal((6, 50))], labels, cfg_for(8, seed=1))
+    state, _ = init_state([rng.standard_normal((6, 50))], labels, cfg_for(8, seed=1))
     res = constraint_residuals(state)
     assert res["rotation"] < 1e-8
     assert res["latent_gram"] < 1e-8 * 50
@@ -59,20 +59,20 @@ def test_projection_recovers_exact_factor():
     rng = np.random.default_rng(3)
     v = random_feasible_latent(rng, 4, 30)
     p_true = rng.standard_normal((7, 4))
-    assert np.allclose(update_projection(p_true @ v, v), p_true, atol=1e-10)
+    assert np.allclose(update_projection(p_true @ v @ v.T, 30), p_true, atol=1e-10)
 
 
 def test_projection_hand_case():
     v = np.array([[1.0, -1.0]])
     phix = np.array([[2.0, 4.0]])
-    assert update_projection(phix, v)[0, 0] == pytest.approx(-1.0)
+    assert update_projection(phix @ v.T, 2)[0, 0] == pytest.approx(-1.0)
 
 
 def test_projection_gradient_vanishes():
     rng = np.random.default_rng(4)
     v = random_feasible_latent(rng, 3, 12)
     phix = rng.standard_normal((6, 12))
-    p_hat = update_projection(phix, v)
+    p_hat = update_projection(phix @ v.T, 12)
 
     def f(p):
         return float(np.sum((phix - p @ v) ** 2))
@@ -324,7 +324,7 @@ def _exact_fit_state():
 def test_objective_zero_at_exact_fit():
     state, labels, phix = _exact_fit_state()
     cfg = TrainConfig(r=2, omega=0.3, lambdas=(0.8,))
-    assert objective_value(state, labels, phix, cfg) == pytest.approx(0.0, abs=1e-8)
+    assert objective_from_features(state, labels, phix, cfg) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_objective_nonnegative_and_matches_dense():
@@ -340,7 +340,7 @@ def test_objective_nonnegative_and_matches_dense():
                            codes=np.where(rng.random((r, n)) < 0.5, -1.0, 1.0),
                            proj=[rng.standard_normal((k, r))])
         cfg = TrainConfig(r=r, omega=rng.random(), lambdas=(rng.random(),))
-        fast = objective_value(state, labels, phix, cfg)
+        fast = objective_from_features(state, labels, phix, cfg)
         dense = naive_objective(state, labels, phix, cfg)
         assert fast >= 0.0
         assert fast == pytest.approx(dense, rel=1e-9)
@@ -357,7 +357,7 @@ def test_objective_small_case_matches_dense():
                        proj=[rng.standard_normal((3, r))])
     phix = [rng.standard_normal((3, n))]
     cfg = TrainConfig(r=r, omega=0.5, lambdas=(0.5,))
-    assert objective_value(state, labels, phix, cfg) == pytest.approx(
+    assert objective_from_features(state, labels, phix, cfg) == pytest.approx(
         naive_objective(state, labels, phix, cfg), rel=1e-9)
 
 
@@ -392,7 +392,7 @@ def test_train_history_ends_at_objective_value(small_synth):
     phix = [small_synth["phi1"].T, small_synth["phi2"].T]
     cfg = TrainConfig(r=12, max_iters=4, rel_tol=1e-30, seed=3)
     state, report = train(phix, small_synth["labels"], cfg)
-    assert report.objective_history[-1] == objective_value(
+    assert report.objective_history[-1] == objective_from_features(
         state, small_synth["labels"], phix, cfg)
 
 
@@ -400,8 +400,8 @@ def test_train_history_starts_at_objective_value(small_synth):
     phix = [small_synth["phi1"].T, small_synth["phi2"].T]
     cfg = TrainConfig(r=12, max_iters=2, rel_tol=1e-30, seed=3)
     _, report = train(phix, small_synth["labels"], cfg)
-    start = init_state(phix, small_synth["labels"], cfg)
-    assert report.objective_history[0] == objective_value(
+    start, _ = init_state(phix, small_synth["labels"], cfg)
+    assert report.objective_history[0] == objective_from_features(
         start, small_synth["labels"], phix, cfg)
 
 
@@ -464,3 +464,8 @@ def test_config_validation():
         TrainConfig(r=4, rel_tol=0.0)
     with pytest.raises(ValidationError):
         TrainConfig(r=4, max_iters=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match=f"omega must be >= 0 and finite, got {bad}"):
+            TrainConfig(r=4, omega=bad)
+        with pytest.raises(ValidationError, match=f"lambdas must be >= 0 and finite, got {bad}"):
+            TrainConfig(r=4, lambdas=(0.5, bad))
