@@ -111,12 +111,16 @@ _HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a ``command``, only that subcommand gets its
+    arguments, while every subcommand stays registered with its help line."""
     parser = argparse.ArgumentParser(prog="xmodhash",
                                      description="cross-modal hashing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, opts in _SPECS.items():
-        p = sub.add_parser(command, help=_HELP[command])
+    for name, opts in _SPECS.items():
+        p = sub.add_parser(name, help=_HELP[name])
+        if command is not None and name != command:
+            continue
         p.add_argument("--config", type=str, default=argparse.SUPPRESS,
                        help="key=value config file; flags on the command line win")
         for opt in opts:
@@ -272,7 +276,11 @@ _COMMANDS = {"synth": cmd_synth, "train": cmd_train, "encode": cmd_encode,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first word that names a command is the one argparse picks: the
+    # top-level parser has no option that takes a value
+    command = next((word for word in argv if word in _SPECS), None)
+    args = build_parser(command).parse_args(argv)
     try:
         values = _merge_options(args)
         return _COMMANDS[args.command](values)

@@ -10,15 +10,27 @@ as f64) and the canonical AMX1 binary layout:
     bytes 16..23  cols, unsigned 64-bit little-endian
     then rows*cols values, row-major, little-endian
 
+AMX1 payloads go straight between file and array.  A reader checks the
+declared payload size against the file's size (``os.fstat``) before it
+allocates anything, then reads the payload with ``readinto`` into the final
+array; a writer writes the header and then the array's own buffer.  Neither
+holds a second copy of the payload, so reading a matrix costs about its own
+size in memory and writing one costs nothing beyond the array.
+
 Model archives use the AMH1 container: magic "AMH1", an unsigned 32-bit
 section count, then each section as (unsigned 32-bit name length, UTF-8
 name, embedded AMX1 blob).  The final section is named "meta" and holds
-UTF-8 key=value lines instead of an AMX1 blob.
+UTF-8 key=value lines instead of an AMX1 blob, joined and split at "\n"
+only.
 """
 
+import io
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -89,7 +101,7 @@ class RawLabelMatrix:
             i, j = np.argwhere(bad)[0]
             raise ValidationError(
                 f"label matrix entries must be 0 or 1; entry ({i},{j}) is {self.values[i, j]}")
-        self.values = self.values.astype(np.float64)
+        self.values = self.values.astype(np.float64, copy=False)
         empty = np.flatnonzero(self.values.sum(axis=0) == 0)
         if empty.size:
             raise ValidationError(f"unlabeled instance: column {empty[0]} has no labels")
@@ -111,7 +123,9 @@ class ModelArchive:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
-def _encode_array(a: np.ndarray) -> bytes:
+def _encode_array(a: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """AMX1 header and C-order little-endian values of a 2-D matrix; the
+    values are ``a`` itself unless its layout or byte order differs."""
     a = np.ascontiguousarray(a)
     if a.ndim != 2:
         raise ValidationError(f"only 2-D matrices are serializable, got ndim={a.ndim}")
@@ -122,38 +136,79 @@ def _encode_array(a: np.ndarray) -> bytes:
     if code is None:
         raise ValidationError(f"unsupported dtype {a.dtype}; use float32 or float64")
     header = AMX_MAGIC + bytes([code, 0, 0, 0]) + struct.pack("<QQ", rows, cols)
-    return header + a.astype(_CODE_TO_DTYPE[code], copy=False).tobytes(order="C")
+    return header, a.astype(_CODE_TO_DTYPE[code], copy=False)
+
+
+def _parse_header(header: bytes) -> tuple[np.dtype, int, int]:
+    """(dtype, rows, cols) of an AMX1 header; fewer than 24 bytes in
+    ``header`` mean the header is truncated."""
+    if len(header) < _HEADER_LEN:
+        raise FormatError("truncated AMX1 header")
+    if header[:4] != AMX_MAGIC:
+        raise FormatError("bad magic: not an AMX1 matrix")
+    code = header[4]
+    if code not in _CODE_TO_DTYPE:
+        raise FormatError(f"unknown AMX1 dtype code {code}")
+    if header[5:8] != b"\x00\x00\x00":
+        raise FormatError("AMX1 reserved header bytes are not zero")
+    rows, cols = struct.unpack_from("<QQ", header, 8)
+    return _CODE_TO_DTYPE[code], rows, cols
+
+
+def _check_payload(rows: int, cols: int, need: int, available: int) -> None:
+    if available < need:
+        raise FormatError(
+            f"truncated AMX1 payload: declared {rows}x{cols} needs {need} bytes, "
+            f"{available} available")
 
 
 def _decode_array(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode one AMX1 blob at ``offset``; return (matrix, end offset)."""
-    if len(buf) - offset < _HEADER_LEN:
-        raise FormatError("truncated AMX1 header")
-    if buf[offset:offset + 4] != AMX_MAGIC:
-        raise FormatError("bad magic: not an AMX1 matrix")
-    code = buf[offset + 4]
-    if code not in _CODE_TO_DTYPE:
-        raise FormatError(f"unknown AMX1 dtype code {code}")
-    if buf[offset + 5:offset + 8] != b"\x00\x00\x00":
-        raise FormatError("AMX1 reserved header bytes are not zero")
-    rows, cols = struct.unpack_from("<QQ", buf, offset + 8)
-    dtype = _CODE_TO_DTYPE[code]
+    dtype, rows, cols = _parse_header(buf[offset:offset + _HEADER_LEN])
     need = rows * cols * dtype.itemsize
     start = offset + _HEADER_LEN
-    if len(buf) - start < need:
-        raise FormatError(
-            f"truncated AMX1 payload: declared {rows}x{cols} needs {need} bytes, "
-            f"{len(buf) - start} available")
+    _check_payload(rows, cols, need, len(buf) - start)
     a = np.frombuffer(buf, dtype=dtype, count=rows * cols, offset=start)
     return a.reshape(rows, cols).copy(), start + need
+
+
+def _read_payload(f: BinaryIO, shape: tuple[int, ...], dtype: np.dtype | str,
+                  check: Callable[[int], None]) -> np.ndarray:
+    """Read the rest of the open binary file ``f`` into a new C-order array.
+
+    ``check(size)`` raises the caller's error when ``size`` bytes cannot be
+    the payload.  It sees the number of bytes left in the file before
+    anything is allocated, and the number read once the array is filled, so
+    a file that shrinks in between is caught too.  A regular file's size
+    comes from ``os.fstat``; a pipe has none, so its rest is read first.
+    """
+    info = os.fstat(f.fileno())
+    if stat.S_ISREG(info.st_mode):
+        available = info.st_size - f.tell()
+    else:
+        rest = f.read()
+        f, available = io.BytesIO(rest), len(rest)
+    check(available)
+    a = np.empty(shape, dtype=dtype)
+    buf = a.reshape(-1).view(np.uint8)
+    got = 0
+    while got < buf.size:
+        count = f.readinto(buf[got:])
+        if not count:
+            break
+        got += count
+    check(got)
+    return a
 
 
 def write_matrix(m, path) -> None:
     """Write a matrix (FeatureMatrix or 2-D array) as an AMX1 file."""
     values = m.values if isinstance(m, FeatureMatrix) else np.asarray(m)
-    data = _encode_array(values)
+    header, values = _encode_array(values)
     try:
-        Path(path).write_bytes(data)
+        with Path(path).open("wb") as f:
+            f.write(header)
+            f.write(values)
     except OSError as e:
         raise OSError(f"cannot write matrix to {path}: {e}") from e
 
@@ -183,13 +238,19 @@ def _read_csv_matrix(data: bytes, path) -> np.ndarray:
 
 
 def _read_values(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:4] == AMX_MAGIC:
-        values, end = _decode_array(data)
-        if end != len(data):
-            raise FormatError(f"{path}: {len(data) - end} trailing bytes after AMX1 payload")
-        return values
-    return _read_csv_matrix(data, path)
+    with Path(path).open("rb") as f:
+        header = f.read(_HEADER_LEN)
+        if header[:4] != AMX_MAGIC:
+            return _read_csv_matrix(header + f.read(), path)
+        dtype, rows, cols = _parse_header(header)
+        need = rows * cols * dtype.itemsize
+
+        def check(size: int) -> None:
+            _check_payload(rows, cols, need, size)
+            if size > need:
+                raise FormatError(f"{path}: {size - need} trailing bytes after AMX1 payload")
+
+        return _read_payload(f, (rows, cols), dtype, check)
 
 
 def read_matrix(path) -> FeatureMatrix:
@@ -226,7 +287,7 @@ def save_model(archive: ModelArchive, path) -> None:
         encoded_name = name.encode("utf-8")
         parts.append(struct.pack("<I", len(encoded_name)))
         parts.append(encoded_name)
-        parts.append(_encode_array(values))
+        parts.extend(_encode_array(values))
     meta_lines = []
     for key, value in archive.metadata.items():
         value = str(value)
@@ -237,7 +298,8 @@ def save_model(archive: ModelArchive, path) -> None:
     parts.append(b"meta")
     parts.append("\n".join(meta_lines).encode("utf-8"))
     try:
-        Path(path).write_bytes(b"".join(parts))
+        with Path(path).open("wb") as f:
+            f.writelines(parts)
     except OSError as e:
         raise OSError(f"cannot write model archive to {path}: {e}") from e
 
@@ -269,7 +331,7 @@ def load_model(path) -> ModelArchive:
                 meta = buf[offset:].decode("utf-8")
             except UnicodeDecodeError as e:
                 raise FormatError(f"{path}: metadata section is not UTF-8 ({e})") from e
-            for lineno, line in enumerate(meta.splitlines(), start=1):
+            for lineno, line in enumerate(meta.split("\n"), start=1):
                 if not line:
                     continue
                 key, sep, value = line.partition("=")

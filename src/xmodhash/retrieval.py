@@ -14,7 +14,10 @@ per-query results it holds about two bytes per block cell plus a few
 database-length rows, whatever the query count.
 
 The ABC1 code file is: magic "ABC1", unsigned 64-bit n, unsigned 32-bit r,
-then n * ceil(r/64) little-endian 64-bit words.
+then n * ceil(r/64) little-endian 64-bit words.  As with AMX1 matrices, the
+words go straight between file and array: the reader checks the declared
+size against the file's size before it allocates, then reads the words into
+the final array; the writer writes the header and then the words' own buffer.
 """
 
 import struct
@@ -24,6 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dataio import _read_payload
 from .errors import EvaluationError, FormatError, ValidationError
 
 ABC_MAGIC = b"ABC1"
@@ -242,30 +246,36 @@ def evaluate(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
 def write_codes(codes: CodeSet, path) -> None:
     """Write a code set as an ABC1 file."""
     header = ABC_MAGIC + struct.pack("<QI", codes.n, codes.r)
-    payload = np.ascontiguousarray(codes.words, dtype="<u8").tobytes(order="C")
+    words = np.ascontiguousarray(codes.words, dtype="<u8")
     try:
-        Path(path).write_bytes(header + payload)
+        with Path(path).open("wb") as f:
+            f.write(header)
+            f.write(words)
     except OSError as e:
         raise OSError(f"cannot write codes to {path}: {e}") from e
 
 
 def read_codes(path) -> CodeSet:
     """Read an ABC1 file; the unused-bit invariant is re-checked on load."""
-    buf = Path(path).read_bytes()
-    if buf[:4] != ABC_MAGIC:
-        raise FormatError(f"{path}: bad magic, not an ABC1 code file")
-    if len(buf) < 16:
-        raise FormatError(f"{path}: truncated ABC1 header")
-    n, r = struct.unpack_from("<QI", buf, 4)
-    if r < 1:
-        raise FormatError(f"{path}: declared code length {r} is invalid")
-    width = words_per_code(r)
-    need = n * width * 8
-    if len(buf) - 16 != need:
-        raise FormatError(
-            f"{path}: payload is {len(buf) - 16} bytes, {n} codes of {r} bits need {need}")
-    words = np.frombuffer(buf, dtype="<u8", count=n * width, offset=16)
+    with Path(path).open("rb") as f:
+        header = f.read(16)
+        if header[:4] != ABC_MAGIC:
+            raise FormatError(f"{path}: bad magic, not an ABC1 code file")
+        if len(header) < 16:
+            raise FormatError(f"{path}: truncated ABC1 header")
+        n, r = struct.unpack_from("<QI", header, 4)
+        if r < 1:
+            raise FormatError(f"{path}: declared code length {r} is invalid")
+        width = words_per_code(r)
+        need = n * width * 8
+
+        def check(size: int) -> None:
+            if size != need:
+                raise FormatError(
+                    f"{path}: payload is {size} bytes, {n} codes of {r} bits need {need}")
+
+        words = _read_payload(f, (n, width), "<u8", check)
     try:
-        return CodeSet(n=n, r=r, words=words.reshape(n, width).copy())
+        return CodeSet(n=n, r=r, words=words)
     except ValidationError as e:
         raise FormatError(f"{path}: {e}") from e

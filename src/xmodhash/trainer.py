@@ -283,8 +283,11 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
 
     The history records the objective before training and after every
     sweep; a sweep whose relative decrease falls below ``cfg.rel_tol``
-    stops the loop.  Identical inputs and seed reproduce the final state
-    bitwise on a given platform.
+    stops the loop.  ``init_state`` fits the first sweep's P; every later
+    P step runs at the end of the sweep before, from the phi_t V^T the
+    objective just took, so no P is fit that no latent step reads.
+    Identical inputs and seed reproduce the final state bitwise on a given
+    platform.
     """
     phix = [np.asarray(phi, dtype=np.float64) for phi in phix]
     if len(phix) != len(cfg.lambdas):
@@ -299,7 +302,6 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
     converged = False
     for sweep in range(1, cfg.max_iters + 1):
         try:
-            state.proj = [update_projection(pv, state.n) for pv in phi_vt]
             state.label_proj = update_label_projection(
                 state.latent, state.rotation, state.codes, labels, cfg)
             state.rotation = update_rotation(state.label_proj, labels, state.latent)
@@ -314,6 +316,8 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
         if prev - cur <= cfg.rel_tol * abs(prev):
             converged = True
             break
+        if sweep < cfg.max_iters:
+            state.proj = [update_projection(pv, state.n) for pv in phi_vt]
     report = TrainReport(objective_history=history,
                          iterations_run=len(history) - 1,
                          converged=converged,

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from xmodhash import dataio, kernelfeat, retrieval
+from xmodhash import cli, dataio, kernelfeat, retrieval
 from xmodhash.cli import build_parser, main
 from xmodhash.encoder import fit_pipeline, to_archive
 from xmodhash.labelspace import normalize_labels
@@ -414,3 +414,34 @@ def test_help_lists_defaults():
     assert "default: 500" in train_help       # k1
     assert "default: 1000" in train_help      # k2
     assert "default: 30" in train_help        # max-iters
+
+
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+def test_named_command_parser_matches_the_full_parser():
+    full = build_parser()
+    for command in _subparsers(full):
+        named = build_parser(command)
+        assert list(_subparsers(named)) == list(_subparsers(full))
+        assert named.format_help() == full.format_help()
+        for other, sub in _subparsers(named).items():
+            if other == command:
+                assert sub.format_help() == _subparsers(full)[other].format_help()
+            else:
+                assert [a.dest for a in sub._actions] == ["help"]
+
+
+def test_main_builds_only_the_named_command(monkeypatch, capsys, tmp_path):
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["synth", "--n", "40", "--c", "2", "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == ["synth", None]

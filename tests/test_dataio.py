@@ -1,4 +1,7 @@
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +62,79 @@ def test_trailing_bytes_are_format_error(tmp_path):
     path.write_bytes(amx_bytes(np.zeros((2, 2))) + b"junk")
     with pytest.raises(FormatError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("read", [read_matrix, read_labels])
+def test_huge_declared_payload_fails_before_allocating(tmp_path, read):
+    # 2^40 x 2^20 f64 values would need 2^63 bytes; the header is checked
+    # against the file's size before anything is allocated
+    path = tmp_path / "huge.amx"
+    path.write_bytes(b"AMX1" + bytes([1, 0, 0, 0]) + struct.pack("<QQ", 2 ** 40, 2 ** 20)
+                     + bytes(8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated AMX1 payload"):
+            read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def _peak_per_byte(fn, nbytes):
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / nbytes
+
+
+def test_matrix_io_holds_no_second_copy_of_the_payload(tmp_path):
+    # the payload goes straight between file and array: a read holds the
+    # result (plus FeatureMatrix's 1-byte-per-value finiteness mask) and a
+    # write holds nothing beyond the caller's array
+    values = np.random.default_rng(3).standard_normal((1000, 500))
+    path = tmp_path / "m.amx"
+    assert _peak_per_byte(lambda: write_matrix(values, path), values.nbytes) <= 0.25
+    assert _peak_per_byte(lambda: read_matrix(path), values.nbytes) <= 1.25
+    assert read_matrix(path).values.tobytes() == values.tobytes()
+
+
+def test_label_read_holds_no_second_copy_of_the_payload(tmp_path):
+    labels = (np.random.default_rng(4).random((20, 25_000)) < 0.1).astype(np.float64)
+    labels[0] = 1.0
+    path = tmp_path / "labels.amx"
+    write_matrix(labels, path)
+    assert _peak_per_byte(lambda: read_labels(path), labels.nbytes) <= 1.5
+
+
+@pytest.mark.parametrize("values, dtype_code", [
+    (np.asfortranarray(np.arange(12.0).reshape(3, 4)), 1),
+    (np.arange(12.0).reshape(4, 3).T, 1),
+    (np.arange(12, dtype=np.float32).reshape(3, 4) / 7, 0),
+])
+def test_write_matrix_layouts_give_the_reference_bytes(tmp_path, values, dtype_code):
+    path = tmp_path / "m.amx"
+    write_matrix(values, path)
+    assert path.read_bytes() == amx_bytes(values, dtype_code)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_matrix_from_a_pipe(tmp_path):
+    # a pipe reports no size, so its payload is read before it is checked
+    values = np.random.default_rng(5).standard_normal((40, 3))
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=lambda: path.write_bytes(amx_bytes(values)), daemon=True)
+    writer.start()
+    try:
+        back = read_matrix(path)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert back.values.tobytes() == values.tobytes()
 
 
 def test_bad_magic_is_format_error(tmp_path):
@@ -155,6 +231,18 @@ def test_model_round_trip_bitwise(tmp_path):
         assert back.sections[name].tobytes() == values.tobytes()
     assert back.metadata == archive.metadata
     assert int(back.metadata["seed"]) == 123456789
+
+
+@pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_model_metadata_keeps_line_breaks_other_than_newline(tmp_path, brk):
+    # lines are joined with "\n" alone, so only "\n" may split them again
+    archive = _tiny_archive()
+    archive.metadata["note"] = f"a{brk}b"
+    archive.metadata[f"key{brk}"] = "value"
+    path = tmp_path / "m.amh"
+    save_model(archive, path)
+    assert load_model(path).metadata == archive.metadata
 
 
 def test_model_unknown_section_is_format_error(tmp_path):

@@ -440,6 +440,37 @@ def test_code_file_round_trip(tmp_path):
     assert back.words.tobytes() == codes.words.tobytes()
 
 
+def test_code_file_io_holds_no_second_copy_of_the_words(tmp_path):
+    codes = pack_codes(random_signs(np.random.default_rng(14), 100_000, 64))
+    path = tmp_path / "c.abc"
+    tracemalloc.start()
+    try:
+        write_codes(codes, path)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = read_codes(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.words.tobytes() == codes.words.tobytes()
+    assert write_peak <= 0.25 * codes.words.nbytes
+    assert read_peak <= 1.25 * codes.words.nbytes
+
+
+def test_code_file_huge_count_fails_before_allocating(tmp_path):
+    import struct
+    path = tmp_path / "c.abc"
+    path.write_bytes(b"ABC1" + struct.pack("<QI", 2 ** 60, 64) + bytes(8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="payload is 8 bytes"):
+            read_codes(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_code_file_bad_magic(tmp_path):
     path = tmp_path / "c.abc"
     path.write_bytes(b"XYZ1" + bytes(12))

@@ -388,6 +388,24 @@ def test_train_keeps_every_latent_direction_at_full_rank(small_synth, monkeypatc
     assert res["latent_balance"] < 1e-6 * np.sqrt(state.n)
 
 
+@pytest.mark.parametrize("max_iters, rel_tol", [(8, 1e-30), (30, 1e-3)])
+def test_train_runs_one_p_step_per_latent(small_synth, monkeypatch, max_iters, rel_tol):
+    # init_state fits P to the starting V and each later P step follows a
+    # sweep that another sweep follows, so P is fit once to every V a
+    # latent step reads
+    calls = []
+
+    def counted(phi_vt_t, n):
+        calls.append(n)
+        return update_projection(phi_vt_t, n)
+
+    monkeypatch.setattr(trainer, "update_projection", counted)
+    cfg = TrainConfig(r=8, max_iters=max_iters, rel_tol=rel_tol, seed=1)
+    _, report = train([small_synth["phi1"].T, small_synth["phi2"].T],
+                      small_synth["labels"], cfg)
+    assert len(calls) == 2 * report.iterations_run
+
+
 def test_train_history_ends_at_objective_value(small_synth):
     phix = [small_synth["phi1"].T, small_synth["phi2"].T]
     cfg = TrainConfig(r=12, max_iters=4, rel_tol=1e-30, seed=3)
