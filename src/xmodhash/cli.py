@@ -67,7 +67,6 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("--lambda-h", float, 1.0, "hash-encoder ridge weight"),
         Opt("--max-iters", int, 30, "maximum training sweeps"),
         Opt("--tol", float, 1e-5, "relative objective decrease that stops training"),
-        Opt("--sigma-sample-cap", int, 2000, "sample cap for the kernel width estimate"),
         Opt("--seed", int, 0, "random seed"),
     ],
     "encode": [
@@ -196,8 +195,7 @@ def cmd_train(v: dict) -> int:
                               max_iters=v["max_iters"], rel_tol=v["tol"], seed=v["seed"])
     xs = [dataio.read_matrix(v["x1"]), dataio.read_matrix(v["x2"])]
     labels = labelspace.normalize_labels(dataio.read_labels(v["labels"]))
-    enc, state, report = fit_pipeline(xs, labels, cfg, (v["k1"], v["k2"]), v["lambda_h"],
-                                      v["sigma_sample_cap"])
+    enc, state, report = fit_pipeline(xs, labels, cfg, (v["k1"], v["k2"]), v["lambda_h"])
     dataio.save_model(to_archive(enc, state, report, cfg, v["lambda_h"]), v["out"])
     print(f"final objective {report.objective_history[-1]!r} "
           f"after {report.iterations_run} sweeps (converged={report.converged})")

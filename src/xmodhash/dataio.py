@@ -6,22 +6,24 @@ as f64) and the canonical AMX1 binary layout:
     bytes 0..3    magic "AMX1"
     byte  4       dtype code (0 = f32, 1 = f64)
     bytes 5..7    zero padding
-    bytes 8..15   rows, unsigned 64-bit little-endian
-    bytes 16..23  cols, unsigned 64-bit little-endian
+    bytes 8..15   rows >= 1, unsigned 64-bit little-endian
+    bytes 16..23  cols >= 1, unsigned 64-bit little-endian
     then rows*cols values, row-major, little-endian
-
-AMX1 payloads go straight between file and array.  A reader checks the
-declared payload size against the file's size (``os.fstat``) before it
-allocates anything, then reads the payload with ``readinto`` into the final
-array; a writer writes the header and then the array's own buffer.  Neither
-holds a second copy of the payload, so reading a matrix costs about its own
-size in memory and writing one costs nothing beyond the array.
 
 Model archives use the AMH1 container: magic "AMH1", an unsigned 32-bit
 section count, then each section as (unsigned 32-bit name length, UTF-8
 name, embedded AMX1 blob).  The final section is named "meta" and holds
 UTF-8 key=value lines instead of an AMX1 blob, joined and split at "\n"
 only.
+
+One reader serves matrix files, archive sections and ABC1 code files
+(``retrieval``): ``_sized`` gives the bytes left in the open file
+(``os.fstat``; a pipe's rest is read into memory once), and ``_read_array``
+checks the declared payload size against them before it allocates
+anything, then reads the payload into the final array with ``readinto``.
+An archive is read section by section from the open file, so loading it
+holds about one copy, as reading a matrix or code file does.  One writer,
+``_write_file``, writes the header and then each array's own buffer.
 """
 
 import io
@@ -152,65 +154,67 @@ def _parse_header(header: bytes) -> tuple[np.dtype, int, int]:
     if header[5:8] != b"\x00\x00\x00":
         raise FormatError("AMX1 reserved header bytes are not zero")
     rows, cols = struct.unpack_from("<QQ", header, 8)
+    if rows < 1 or cols < 1:
+        raise FormatError(f"AMX1 header declares a {rows}x{cols} matrix; "
+                          f"both dimensions must be >= 1")
     return _CODE_TO_DTYPE[code], rows, cols
 
 
-def _check_payload(rows: int, cols: int, need: int, available: int) -> None:
-    if available < need:
-        raise FormatError(
-            f"truncated AMX1 payload: declared {rows}x{cols} needs {need} bytes, "
-            f"{available} available")
-
-
-def _decode_array(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one AMX1 blob at ``offset``; return (matrix, end offset)."""
-    dtype, rows, cols = _parse_header(buf[offset:offset + _HEADER_LEN])
-    need = rows * cols * dtype.itemsize
-    start = offset + _HEADER_LEN
-    _check_payload(rows, cols, need, len(buf) - start)
-    a = np.frombuffer(buf, dtype=dtype, count=rows * cols, offset=start)
-    return a.reshape(rows, cols).copy(), start + need
-
-
-def _read_payload(f: BinaryIO, shape: tuple[int, ...], dtype: np.dtype | str,
-                  check: Callable[[int], None]) -> np.ndarray:
-    """Read the rest of the open binary file ``f`` into a new C-order array.
-
-    ``check(size)`` raises the caller's error when ``size`` bytes cannot be
-    the payload.  It sees the number of bytes left in the file before
-    anything is allocated, and the number read once the array is filled, so
-    a file that shrinks in between is caught too.  A regular file's size
-    comes from ``os.fstat``; a pipe has none, so its rest is read first.
-    """
+def _sized(f: BinaryIO) -> tuple[BinaryIO, int]:
+    """``f`` and the number of bytes left in it.  A regular file's size comes
+    from ``os.fstat``; a pipe has none, so its rest is read into memory once."""
     info = os.fstat(f.fileno())
     if stat.S_ISREG(info.st_mode):
-        available = info.st_size - f.tell()
-    else:
-        rest = f.read()
-        f, available = io.BytesIO(rest), len(rest)
-    check(available)
+        return f, info.st_size - f.tell()
+    rest = f.read()
+    return io.BytesIO(rest), len(rest)
+
+
+def _read_array(f: BinaryIO, shape: tuple[int, ...], dtype: np.dtype | str, need: int,
+                left: int, error: Callable[[int], str]) -> np.ndarray:
+    """Read the next ``need`` bytes of ``f`` into a new C-order array.
+
+    ``left`` is the number of bytes ``f`` has left.  When it is short of
+    ``need``, ``FormatError(error(left))`` is raised before anything is
+    allocated; when the file ends early all the same (it shrank while being
+    read), ``FormatError(error(got))`` is.  Bytes past the payload stay unread.
+    """
+    if left < need:
+        raise FormatError(error(left))
     a = np.empty(shape, dtype=dtype)
     buf = a.reshape(-1).view(np.uint8)
     got = 0
-    while got < buf.size:
+    while got < need:
         count = f.readinto(buf[got:])
         if not count:
-            break
+            raise FormatError(error(got))
         got += count
-    check(got)
     return a
+
+
+def _read_amx(f: BinaryIO, header: bytes, left: int) -> np.ndarray:
+    """Read the payload of the AMX1 ``header`` just read from ``f``, which
+    has ``left`` bytes left after it."""
+    dtype, rows, cols = _parse_header(header)
+    need = rows * cols * dtype.itemsize
+    return _read_array(f, (rows, cols), dtype, need, left, lambda size: (
+        f"truncated AMX1 payload: declared {rows}x{cols} needs {need} bytes, "
+        f"{size} available"))
+
+
+def _write_file(path, what: str, parts) -> None:
+    """Write ``parts`` (bytes and arrays, each through its own buffer) to ``path``."""
+    try:
+        with Path(path).open("wb") as f:
+            f.writelines(parts)
+    except OSError as e:
+        raise OSError(f"cannot write {what} to {path}: {e}") from e
 
 
 def write_matrix(m, path) -> None:
     """Write a matrix (FeatureMatrix or 2-D array) as an AMX1 file."""
     values = m.values if isinstance(m, FeatureMatrix) else np.asarray(m)
-    header, values = _encode_array(values)
-    try:
-        with Path(path).open("wb") as f:
-            f.write(header)
-            f.write(values)
-    except OSError as e:
-        raise OSError(f"cannot write matrix to {path}: {e}") from e
+    _write_file(path, "matrix", _encode_array(values))
 
 
 def _read_csv_matrix(data: bytes, path) -> np.ndarray:
@@ -238,19 +242,15 @@ def _read_csv_matrix(data: bytes, path) -> np.ndarray:
 
 
 def _read_values(path) -> np.ndarray:
-    with Path(path).open("rb") as f:
-        header = f.read(_HEADER_LEN)
+    with Path(path).open("rb") as raw:
+        header = raw.read(_HEADER_LEN)
         if header[:4] != AMX_MAGIC:
-            return _read_csv_matrix(header + f.read(), path)
-        dtype, rows, cols = _parse_header(header)
-        need = rows * cols * dtype.itemsize
-
-        def check(size: int) -> None:
-            _check_payload(rows, cols, need, size)
-            if size > need:
-                raise FormatError(f"{path}: {size - need} trailing bytes after AMX1 payload")
-
-        return _read_payload(f, (rows, cols), dtype, check)
+            return _read_csv_matrix(header + raw.read(), path)
+        f, left = _sized(raw)
+        values = _read_amx(f, header, left)
+    if left > values.nbytes:
+        raise FormatError(f"{path}: {left - values.nbytes} trailing bytes after AMX1 payload")
+    return values
 
 
 def read_matrix(path) -> FeatureMatrix:
@@ -297,58 +297,58 @@ def save_model(archive: ModelArchive, path) -> None:
     parts.append(struct.pack("<I", len(b"meta")))
     parts.append(b"meta")
     parts.append("\n".join(meta_lines).encode("utf-8"))
-    try:
-        with Path(path).open("wb") as f:
-            f.writelines(parts)
-    except OSError as e:
-        raise OSError(f"cannot write model archive to {path}: {e}") from e
+    _write_file(path, "model archive", parts)
 
 
 def load_model(path) -> ModelArchive:
-    """Load an AMH1 model archive; unknown or missing sections are errors."""
-    buf = Path(path).read_bytes()
-    if buf[:4] != AMH_MAGIC:
-        raise FormatError(f"{path}: bad magic, not an AMH1 model archive (version mismatch?)")
-    if len(buf) < 8:
-        raise FormatError(f"{path}: truncated archive header")
-    (count,) = struct.unpack_from("<I", buf, 4)
-    offset = 8
+    """Load an AMH1 model archive; unknown or missing sections are errors.
+
+    Sections are read in order from the open file, each matrix straight into
+    its array, so loading holds about one copy of the archive.
+    """
     archive = ModelArchive()
-    for index in range(count):
-        if len(buf) - offset < 4:
-            raise FormatError(f"{path}: truncated section header")
-        (name_len,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if len(buf) - offset < name_len:
-            raise FormatError(f"{path}: truncated section name")
-        # a name that is not UTF-8 decodes to an unknown name, rejected below
-        name = buf[offset:offset + name_len].decode("utf-8", "replace")
-        offset += name_len
-        if index == count - 1:
-            if name != "meta":
-                raise FormatError(f"{path}: final section is {name!r}, expected 'meta'")
-            try:
-                meta = buf[offset:].decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise FormatError(f"{path}: metadata section is not UTF-8 ({e})") from e
-            for lineno, line in enumerate(meta.split("\n"), start=1):
-                if not line:
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise FormatError(f"{path}: metadata line {lineno} is not key=value")
-                archive.metadata[key] = value
-            offset = len(buf)
-            break
-        if name == "meta":
-            raise FormatError(f"{path}: 'meta' must be the final section")
-        if name in archive.sections:
-            raise FormatError(f"{path}: duplicate section name {name!r}")
-        if name not in REQUIRED_SECTIONS:
-            raise FormatError(f"{path}: unknown section name {name!r}")
-        archive.sections[name], offset = _decode_array(buf, offset)
-    else:
-        raise FormatError(f"{path}: archive has no metadata section")
+    with Path(path).open("rb") as raw:
+        f, size = _sized(raw)  # nothing is read yet: size is the whole file
+        head = f.read(8)
+        if head[:4] != AMH_MAGIC:
+            raise FormatError(f"{path}: bad magic, not an AMH1 model archive (version mismatch?)")
+        if len(head) < 8:
+            raise FormatError(f"{path}: truncated archive header")
+        (count,) = struct.unpack_from("<I", head, 4)
+        for index in range(count):
+            head = f.read(4)
+            if len(head) < 4:
+                raise FormatError(f"{path}: truncated section header")
+            (name_len,) = struct.unpack("<I", head)
+            if size - f.tell() < name_len:
+                raise FormatError(f"{path}: truncated section name")
+            # a name that is not UTF-8 decodes to an unknown name, rejected below
+            name = f.read(name_len).decode("utf-8", "replace")
+            if index == count - 1:
+                if name != "meta":
+                    raise FormatError(f"{path}: final section is {name!r}, expected 'meta'")
+                try:
+                    meta = f.read().decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise FormatError(f"{path}: metadata section is not UTF-8 ({e})") from e
+                for lineno, line in enumerate(meta.split("\n"), start=1):
+                    if not line:
+                        continue
+                    key, sep, value = line.partition("=")
+                    if not sep:
+                        raise FormatError(f"{path}: metadata line {lineno} is not key=value")
+                    archive.metadata[key] = value
+                break
+            if name == "meta":
+                raise FormatError(f"{path}: 'meta' must be the final section")
+            if name in archive.sections:
+                raise FormatError(f"{path}: duplicate section name {name!r}")
+            if name not in REQUIRED_SECTIONS:
+                raise FormatError(f"{path}: unknown section name {name!r}")
+            header = f.read(_HEADER_LEN)
+            archive.sections[name] = _read_amx(f, header, size - f.tell())
+        else:
+            raise FormatError(f"{path}: archive has no metadata section")
     missing = [s for s in REQUIRED_SECTIONS if s not in archive.sections]
     if missing:
         raise FormatError(f"{path}: archive missing mandatory sections: {', '.join(missing)}")

@@ -65,8 +65,8 @@ def fit_ridge_encoder(phix: np.ndarray, codes: np.ndarray, ridge: float) -> np.n
 
 
 def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig,
-                 k: Sequence[int], ridge: float = 1.0,
-                 sample_cap: int = 2000) -> tuple[HashEncoder, ModelState, TrainReport]:
+                 k: Sequence[int],
+                 ridge: float = 1.0) -> tuple[HashEncoder, ModelState, TrainReport]:
     """Fit a model on training rows: kernel maps, then codes, then hash encoders.
 
     ``xs[t - 1]`` is modality t, fit with ``k[t - 1]`` anchors from modality
@@ -81,7 +81,7 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
             raise ValidationError(f"x{t} has {x.n} instances but labels have {labels.n}")
         if not 1 <= k_t <= x.n:
             raise ValidationError(f"modality {t} needs 1 to {x.n} anchors, got k={k_t}")
-    fits = [fit_kernel(replace(x, modality_id=t), k_t, cfg.seed, sample_cap)
+    fits = [fit_kernel(replace(x, modality_id=t), k_t, cfg.seed)
             for t, (x, k_t) in enumerate(zip(xs, k), start=1)]
     state, report = train([phi.T for _, phi in fits], labels, cfg)
     proj = [fit_ridge_encoder(phi, state.codes.T, ridge) for _, phi in fits]

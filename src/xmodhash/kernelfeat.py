@@ -26,6 +26,9 @@ from .rng import component_rng
 # one block goes through every in-place step.
 _BLOCK_CELLS = 2 ** 16
 
+# Rows sampled (seeded) for the kernel width estimate when a modality has more.
+_WIDTH_SAMPLE_CAP = 2000
+
 
 @dataclass
 class KernelMap:
@@ -94,18 +97,16 @@ def _distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def estimate_width(x: FeatureMatrix, anchors: np.ndarray, sample_cap: int = 2000,
-                   seed: int = 0) -> float:
-    """Kernel width heuristic: mean point-to-anchor distance over a capped sample."""
+def estimate_width(x: FeatureMatrix, anchors: np.ndarray, seed: int = 0) -> float:
+    """Kernel width heuristic: mean point-to-anchor distance over at most
+    _WIDTH_SAMPLE_CAP rows."""
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.ndim != 2 or anchors.shape[0] < 1:
         raise ValidationError("anchors must be a non-empty k x d matrix")
-    if sample_cap < 1:
-        raise ValidationError(f"sample cap must be >= 1, got {sample_cap}")
     points = x.values.astype(np.float64, copy=False)
-    if x.n > sample_cap:
+    if x.n > _WIDTH_SAMPLE_CAP:
         rng = component_rng(seed, f"width-sample-{x.modality_id}")
-        points = points[rng.choice(x.n, size=sample_cap, replace=False)]
+        points = points[rng.choice(x.n, size=_WIDTH_SAMPLE_CAP, replace=False)]
     sigma = float(_distances(points, anchors).mean())
     if sigma == 0.0:
         raise DegenerateDataError("all sampled points coincide with all anchors (width 0)")
@@ -159,12 +160,10 @@ def kernelize(x: FeatureMatrix, km: KernelMap) -> np.ndarray:
     return out
 
 
-def fit_kernel(x: FeatureMatrix, k: int, seed: int,
-               sample_cap: int = 2000) -> tuple[KernelMap, np.ndarray]:
+def fit_kernel(x: FeatureMatrix, k: int, seed: int) -> tuple[KernelMap, np.ndarray]:
     """Anchors, width and the centering pass: the map and its n x k training features."""
     anchors = select_anchors(x, k, seed)
-    km = KernelMap(anchors, estimate_width(x, anchors, sample_cap=sample_cap, seed=seed),
-                   center=np.zeros(k))
+    km = KernelMap(anchors, estimate_width(x, anchors, seed=seed), center=np.zeros(k))
     phi = kernelize(x, km)
     km = replace(km, center=phi.mean(axis=0))
     phi -= km.center

@@ -14,10 +14,11 @@ per-query results it holds about two bytes per block cell plus a few
 database-length rows, whatever the query count.
 
 The ABC1 code file is: magic "ABC1", unsigned 64-bit n, unsigned 32-bit r,
-then n * ceil(r/64) little-endian 64-bit words.  As with AMX1 matrices, the
-words go straight between file and array: the reader checks the declared
-size against the file's size before it allocates, then reads the words into
-the final array; the writer writes the header and then the words' own buffer.
+then n * ceil(r/64) little-endian 64-bit words.  It is read and written
+through ``dataio``'s one payload reader and writer, as AMX1 matrices and
+AMH1 archives are: the declared size is checked against the file's before
+anything is allocated, then the words go straight into the final array, and
+the writer writes the header and then the words' own buffer.
 """
 
 import struct
@@ -27,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataio import _read_payload
+from .dataio import _read_array, _sized, _write_file
 from .errors import EvaluationError, FormatError, ValidationError
 
 ABC_MAGIC = b"ABC1"
@@ -245,20 +246,14 @@ def evaluate(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
 
 def write_codes(codes: CodeSet, path) -> None:
     """Write a code set as an ABC1 file."""
-    header = ABC_MAGIC + struct.pack("<QI", codes.n, codes.r)
-    words = np.ascontiguousarray(codes.words, dtype="<u8")
-    try:
-        with Path(path).open("wb") as f:
-            f.write(header)
-            f.write(words)
-    except OSError as e:
-        raise OSError(f"cannot write codes to {path}: {e}") from e
+    _write_file(path, "codes", [ABC_MAGIC + struct.pack("<QI", codes.n, codes.r),
+                                np.ascontiguousarray(codes.words, dtype="<u8")])
 
 
 def read_codes(path) -> CodeSet:
     """Read an ABC1 file; the unused-bit invariant is re-checked on load."""
-    with Path(path).open("rb") as f:
-        header = f.read(16)
+    with Path(path).open("rb") as raw:
+        header = raw.read(16)
         if header[:4] != ABC_MAGIC:
             raise FormatError(f"{path}: bad magic, not an ABC1 code file")
         if len(header) < 16:
@@ -269,12 +264,13 @@ def read_codes(path) -> CodeSet:
         width = words_per_code(r)
         need = n * width * 8
 
-        def check(size: int) -> None:
-            if size != need:
-                raise FormatError(
-                    f"{path}: payload is {size} bytes, {n} codes of {r} bits need {need}")
+        def error(size: int) -> str:
+            return f"{path}: payload is {size} bytes, {n} codes of {r} bits need {need}"
 
-        words = _read_payload(f, (n, width), "<u8", check)
+        f, left = _sized(raw)
+        if left > need:
+            raise FormatError(error(left))
+        words = _read_array(f, (n, width), "<u8", need, left, error)
     try:
         return CodeSet(n=n, r=r, words=words)
     except ValidationError as e:

@@ -16,7 +16,6 @@ linear in the number of instances.  ``train`` reaches every step only
 through the public functions below.
 """
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -75,7 +74,6 @@ class TrainReport:
     objective_history: list[float]
     iterations_run: int
     converged: bool
-    wall_time_seconds: float
 
 
 def constraint_residuals(state: ModelState) -> dict[str, float]:
@@ -293,7 +291,6 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
     if len(phix) != len(cfg.lambdas):
         raise ValidationError(
             f"{len(phix)} modalities but {len(cfg.lambdas)} lambda weights")
-    start = time.perf_counter()
     # phi_t V^T serves the objective after a sweep and the next sweep's P step
     state, phi_vt = init_state(phix, labels, cfg)
     completion_rng = component_rng(cfg.seed, "latent-completion")
@@ -320,6 +317,5 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
             state.proj = [update_projection(pv, state.n) for pv in phi_vt]
     report = TrainReport(objective_history=history,
                          iterations_run=len(history) - 1,
-                         converged=converged,
-                         wall_time_seconds=time.perf_counter() - start)
+                         converged=converged)
     return state, report

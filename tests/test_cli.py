@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -105,7 +106,6 @@ def test_train_archive_equals_library_fit(synth_dir, tmp_path, capsys):
     ("--k1", "0", "modality 1 needs 1 to 60 anchors"),
     ("--k2", "61", "modality 2 needs 1 to 60 anchors"),
     ("--bits", "64", "code length r=64 needs at least r+1=65 instances"),
-    ("--sigma-sample-cap", "0", "sample cap must be >= 1"),
 ])
 def test_train_bad_arguments_fail_before_kernel_work(synth_dir, tmp_path, capsys,
                                                      monkeypatch, flag, value, message):
@@ -192,6 +192,17 @@ def test_encode_wrong_dimensions(synth_dir, tmp_path, capsys):
                        "--out", str(tmp_path / "c.abc"))
     assert code == 2
     assert "8" in err and "6" in err  # expected vs actual feature dimension
+
+
+def test_encode_zero_dimension_features_is_exit_2(synth_dir, tmp_path, capsys):
+    model = tmp_path / "model.amh"
+    assert run(capsys, *train_args(synth_dir, model))[0] == 0
+    features = tmp_path / "z.amx"
+    features.write_bytes(b"AMX1" + bytes([1, 0, 0, 0]) + struct.pack("<QQ", 2 ** 64 - 1, 0))
+    code, out, err = run(capsys, "encode", "--model", str(model), "--features",
+                         str(features), "--modality", "1", "--out", str(tmp_path / "c.abc"))
+    assert code == 2 and out == ""
+    assert "declares a 18446744073709551615x0 matrix" in err
 
 
 def _rename_section_r(path):

@@ -1,3 +1,4 @@
+import io
 import os
 import struct
 import threading
@@ -121,19 +122,32 @@ def test_write_matrix_layouts_give_the_reference_bytes(tmp_path, values, dtype_c
     assert path.read_bytes() == amx_bytes(values, dtype_code)
 
 
+def test_payload_read_fails_when_the_file_ends_early():
+    # the file had 8 bytes left when it was sized, then shrank to 4
+    with pytest.raises(FormatError, match="^4 bytes arrived$"):
+        dataio._read_array(io.BytesIO(bytes(4)), (1,), "<f8", 8, 8,
+                           lambda got: f"{got} bytes arrived")
+
+
+def _read_through_pipe(tmp_path, data, read):
+    """``read`` of a named pipe that a second thread fills with ``data``."""
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=lambda: path.write_bytes(data), daemon=True)
+    writer.start()
+    try:
+        result = read(path)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    return result
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_read_matrix_from_a_pipe(tmp_path):
     # a pipe reports no size, so its payload is read before it is checked
     values = np.random.default_rng(5).standard_normal((40, 3))
-    path = tmp_path / "pipe"
-    os.mkfifo(path)
-    writer = threading.Thread(target=lambda: path.write_bytes(amx_bytes(values)), daemon=True)
-    writer.start()
-    try:
-        back = read_matrix(path)
-    finally:
-        writer.join(timeout=30)
-    assert not writer.is_alive()
+    back = _read_through_pipe(tmp_path, amx_bytes(values), read_matrix)
     assert back.values.tobytes() == values.tobytes()
 
 
@@ -155,6 +169,15 @@ def test_nan_entry_is_validation_error(tmp_path):
 def test_zero_dimension_rejected(tmp_path):
     with pytest.raises(ValidationError):
         write_matrix(np.zeros((0, 3)), tmp_path / "z.amx")
+
+
+@pytest.mark.parametrize("rows, cols", [(2 ** 64 - 1, 0), (0, 3)])
+def test_zero_dimension_header_is_format_error(tmp_path, rows, cols):
+    # 0 payload bytes pass the size check; the header itself is rejected
+    path = tmp_path / "z.amx"
+    path.write_bytes(b"AMX1" + bytes([1, 0, 0, 0]) + struct.pack("<QQ", rows, cols))
+    with pytest.raises(FormatError, match=f"declares a {rows}x{cols} matrix"):
+        read_matrix(path)
 
 
 def test_single_value_file_size(tmp_path):
@@ -301,6 +324,81 @@ def test_model_bad_magic(tmp_path):
     path.write_bytes(b"AMH2" + bytes(16))
     with pytest.raises(FormatError):
         load_model(path)
+
+
+def _amh_bytes(sections, count=None):
+    """AMH1 bytes of (name, payload) pairs followed by an empty 'meta' section."""
+    parts = [b"AMH1", struct.pack("<I", len(sections) + 1 if count is None else count)]
+    for name, payload in [*sections, (b"meta", b"")]:
+        parts += [struct.pack("<I", len(name)), name, payload]
+    return b"".join(parts)
+
+
+_R = amx_bytes(np.zeros((3, 2)))  # 24 + 48 bytes
+_R_AT = 13  # section R's AMX1 blob starts after 8 + 4 + 1 bytes
+_HUGE = b"AMX1" + bytes([1, 0, 0, 0]) + struct.pack("<QQ", 2 ** 40, 2 ** 20) + bytes(8)
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(b"AMH1\x01\x00", "{path}: truncated archive header", id="archive-header"),
+    pytest.param(b"AMH1\x02\x00\x00\x00\x01\x00", "{path}: truncated section header",
+                 id="section-header"),
+    pytest.param(b"AMH1\x02\x00\x00\x00\x05\x00\x00\x00R", "{path}: truncated section name",
+                 id="section-name"),
+    pytest.param(_amh_bytes([(b"R", _R)])[:_R_AT + 10], "truncated AMX1 header",
+                 id="section-amx-header"),
+    pytest.param(_amh_bytes([(b"R", _R)])[:_R_AT + 24 + 20],
+                 "truncated AMX1 payload: declared 3x2 needs 48 bytes, 20 available",
+                 id="section-payload"),
+    pytest.param(_amh_bytes([(b"R", _HUGE)]),
+                 "truncated AMX1 payload: declared 1099511627776x1048576 needs "
+                 "9223372036854775808 bytes, 16 available", id="huge-section-payload"),
+    pytest.param(_amh_bytes([(b"R", _R[:16] + struct.pack("<Q", 0))]),
+                 "AMX1 header declares a 3x0 matrix; both dimensions must be >= 1",
+                 id="zero-dimension-section"),
+    pytest.param(_amh_bytes([(b"R", _R), (b"R", _R)]), "{path}: duplicate section name 'R'",
+                 id="duplicate-section"),
+    pytest.param(_amh_bytes([(b"meta", b""), (b"R", _R)]),
+                 "{path}: 'meta' must be the final section", id="meta-not-last"),
+    pytest.param(_amh_bytes([(b"R", _R)], count=1),
+                 "{path}: final section is 'R', expected 'meta'", id="final-not-meta"),
+    pytest.param(b"AMH1" + bytes(4), "{path}: archive has no metadata section", id="no-meta"),
+])
+def test_model_malformed_archive_fails_before_allocating(tmp_path, data, message):
+    path = tmp_path / "m.amh"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as caught:
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == message.format(path=path)
+    assert peak < 2 ** 20
+
+
+def test_load_model_holds_one_copy_of_the_archive(tmp_path):
+    # sections are read straight into their arrays: about 1.00x the file,
+    # where reading the whole file first and copying each section out is 2x
+    rng = np.random.default_rng(8)
+    archive = _tiny_archive()
+    archive.sections = {name: rng.standard_normal((200, 160))
+                        for name in dataio.REQUIRED_SECTIONS}
+    path = tmp_path / "m.amh"
+    save_model(archive, path)
+    assert _peak_per_byte(lambda: load_model(path), path.stat().st_size) <= 1.25
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_model_from_a_pipe(tmp_path):
+    archive = _tiny_archive()
+    saved = tmp_path / "m.amh"
+    save_model(archive, saved)
+    back = _read_through_pipe(tmp_path, saved.read_bytes(), load_model)
+    assert back.metadata == archive.metadata
+    assert {name: a.tobytes() for name, a in back.sections.items()} == {
+        name: a.tobytes() for name, a in archive.sections.items()}
 
 
 def test_synthetic_noise_free_classes_identical():

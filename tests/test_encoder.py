@@ -226,7 +226,6 @@ def test_from_archive_bad_sigma_is_format_error(fitted, value):
     ({"ridge": 0.0}, 60, "ridge weight must be positive"),
     ({"k": (0, 10)}, 60, "modality 1 needs 1 to 60 anchors, got k=0"),
     ({"k": (10, 61)}, 60, "modality 2 needs 1 to 60 anchors, got k=61"),
-    ({"sample_cap": 0}, 60, "sample cap must be >= 1"),
     ({}, 59, "x1 has 60 instances but labels have 59"),
     ({"cfg": TrainConfig(r=60)}, 60, r"code length r=60 needs at least r\+1=61 instances"),
 ])

@@ -61,12 +61,13 @@ def test_width_scale_equivariant():
 
 
 def test_width_sampling_is_seeded():
+    # more rows than the 2000-row sample cap, so the estimate samples
     rng = np.random.default_rng(3)
-    x = fm(rng.standard_normal((500, 3)))
+    x = fm(rng.standard_normal((2500, 3)))
     anchors = rng.standard_normal((4, 3))
-    a = estimate_width(x, anchors, sample_cap=50, seed=1)
-    b = estimate_width(x, anchors, sample_cap=50, seed=1)
-    assert a == b
+    a = estimate_width(x, anchors, seed=1)
+    assert estimate_width(x, anchors, seed=1) == a
+    assert estimate_width(x, anchors, seed=2) != a
 
 
 @pytest.mark.parametrize("d, k", [(128, 500), (64, 1000), (128, 300)])
