@@ -9,14 +9,14 @@ validation problem, 3 numerical failure.
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio, kernelfeat, labelspace, retrieval, trainer
 from .encoder import encode, fit_pipeline, from_archive, to_archive
-from .errors import NumericalError, ValidationError
+from .errors import FormatError, NumericalError, ValidationError
 
 
 @dataclass
@@ -42,6 +42,9 @@ def _bool(text) -> bool:
     raise ValidationError(f"expected a boolean, got {text!r}")
 
 
+# the training defaults are TrainConfig's own, so they are stated once
+_TRAIN = {f.name: f.default for f in fields(trainer.TrainConfig)}
+
 _SPECS: dict[str, list[Opt]] = {
     "synth": [
         Opt("--n", int, 1000, "number of instances"),
@@ -59,15 +62,15 @@ _SPECS: dict[str, list[Opt]] = {
         Opt("--labels", str, None, "label file (AMX1 or CSV, 0/1 entries)", required=True),
         Opt("--out", str, None, "output model archive (.amh)", required=True),
         Opt("--bits", int, 32, "code length in bits"),
-        Opt("--omega", float, 0.5, "weight of the code-quantization term"),
-        Opt("--lambda1", float, 0.5, "modality-1 reconstruction weight"),
-        Opt("--lambda2", float, 0.5, "modality-2 reconstruction weight"),
+        Opt("--omega", float, _TRAIN["omega"], "weight of the code-quantization term"),
+        Opt("--lambda1", float, _TRAIN["lambdas"][0], "modality-1 reconstruction weight"),
+        Opt("--lambda2", float, _TRAIN["lambdas"][1], "modality-2 reconstruction weight"),
         Opt("--k1", int, 500, "modality-1 anchor count"),
         Opt("--k2", int, 1000, "modality-2 anchor count"),
         Opt("--lambda-h", float, 1.0, "hash-encoder ridge weight"),
-        Opt("--max-iters", int, 30, "maximum training sweeps"),
-        Opt("--tol", float, 1e-5, "relative objective decrease that stops training"),
-        Opt("--seed", int, 0, "random seed"),
+        Opt("--max-iters", int, _TRAIN["max_iters"], "maximum training sweeps"),
+        Opt("--tol", float, _TRAIN["rel_tol"], "relative objective decrease that stops training"),
+        Opt("--seed", int, _TRAIN["seed"], "random seed"),
     ],
     "encode": [
         Opt("--model", str, None, "trained model archive (.amh)", required=True),
@@ -205,7 +208,12 @@ def cmd_train(v: dict) -> int:
 def cmd_encode(v: dict) -> int:
     if v["modality"] not in (1, 2):
         raise ValidationError(f"--modality must be 1 or 2, got {v['modality']}")
-    enc = from_archive(dataio.load_model(v["model"]))
+    archive = dataio.load_model(v["model"])
+    try:
+        enc = from_archive(archive)
+    except FormatError as e:
+        raise FormatError(f"{v['model']}: {e}") from e
+    del archive     # the encoder holds every array encode reads
     codes = encode(dataio.read_matrix(v["features"]), enc, v["modality"])
     retrieval.write_codes(codes, v["out"])
     print(f"wrote {codes.n} codes of {codes.r} bits to {v['out']}")

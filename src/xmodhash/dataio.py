@@ -14,7 +14,9 @@ Model archives use the AMH1 container: magic "AMH1", an unsigned 32-bit
 section count, then each section as (unsigned 32-bit name length, UTF-8
 name, embedded AMX1 blob).  The final section is named "meta" and holds
 UTF-8 key=value lines instead of an AMX1 blob, joined and split at "\n"
-only.
+only.  This module owns the container alone and writes and reads any
+section names; ``encoder`` states which sections and metadata keys a model
+holds and checks them when it reads an archive back.
 
 One reader serves matrix files, archive sections and ABC1 code files
 (``retrieval``): ``_sized`` gives the bytes left in the open file
@@ -45,20 +47,6 @@ _HEADER_LEN = 24
 
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-
-#: Matrix sections a two-modality model archive must carry; none scales with n.
-REQUIRED_SECTIONS = (
-    "R", "M",
-    "P_1", "P_2", "Ph_1", "Ph_2",
-    "anchors_1", "anchors_2", "kcenter_1", "kcenter_2",
-)
-
-#: Metadata keys a model archive must carry.
-REQUIRED_METADATA = (
-    "r", "omega", "lambda_1", "lambda_2", "sigma_1", "sigma_2",
-    "k_1", "k_2", "seed", "iterations", "objective_history",
-)
-
 
 @dataclass
 class FeatureMatrix:
@@ -272,16 +260,14 @@ def read_labels(path) -> RawLabelMatrix:
 
 
 def save_model(archive: ModelArchive, path) -> None:
-    """Serialize a model archive as AMH1; the metadata section goes last."""
-    missing = [s for s in REQUIRED_SECTIONS if s not in archive.sections]
-    if missing:
-        raise ValidationError(f"archive missing mandatory sections: {', '.join(missing)}")
-    unknown = [s for s in archive.sections if s not in REQUIRED_SECTIONS]
-    if unknown:
-        raise ValidationError(f"unknown archive sections: {', '.join(unknown)}")
-    missing_meta = [k for k in REQUIRED_METADATA if k not in archive.metadata]
-    if missing_meta:
-        raise ValidationError(f"archive missing metadata keys: {', '.join(missing_meta)}")
+    """Serialize a model archive as AMH1; the metadata section goes last.
+
+    Any section names are written; which ones a model needs is up to its
+    reader (``encoder.from_archive``).  Only "meta" is refused, since it
+    names the metadata section.
+    """
+    if "meta" in archive.sections:
+        raise ValidationError("section name 'meta' is reserved for the metadata section")
     parts = [AMH_MAGIC, struct.pack("<I", len(archive.sections) + 1)]
     for name, values in archive.sections.items():
         encoded_name = name.encode("utf-8")
@@ -301,10 +287,12 @@ def save_model(archive: ModelArchive, path) -> None:
 
 
 def load_model(path) -> ModelArchive:
-    """Load an AMH1 model archive; unknown or missing sections are errors.
+    """Load an AMH1 model archive of any section names, in file order.
 
-    Sections are read in order from the open file, each matrix straight into
-    its array, so loading holds about one copy of the archive.
+    Only the container is checked here; ``encoder.from_archive`` checks the
+    model's layout.  Sections are read in order from the open file, each
+    matrix straight into its array, so loading holds about one copy of the
+    archive.
     """
     archive = ModelArchive()
     with Path(path).open("rb") as raw:
@@ -322,7 +310,7 @@ def load_model(path) -> ModelArchive:
             (name_len,) = struct.unpack("<I", head)
             if size - f.tell() < name_len:
                 raise FormatError(f"{path}: truncated section name")
-            # a name that is not UTF-8 decodes to an unknown name, rejected below
+            # a name that is not UTF-8 decodes with U+FFFD, an unknown model section
             name = f.read(name_len).decode("utf-8", "replace")
             if index == count - 1:
                 if name != "meta":
@@ -343,18 +331,10 @@ def load_model(path) -> ModelArchive:
                 raise FormatError(f"{path}: 'meta' must be the final section")
             if name in archive.sections:
                 raise FormatError(f"{path}: duplicate section name {name!r}")
-            if name not in REQUIRED_SECTIONS:
-                raise FormatError(f"{path}: unknown section name {name!r}")
             header = f.read(_HEADER_LEN)
             archive.sections[name] = _read_amx(f, header, size - f.tell())
         else:
             raise FormatError(f"{path}: archive has no metadata section")
-    missing = [s for s in REQUIRED_SECTIONS if s not in archive.sections]
-    if missing:
-        raise FormatError(f"{path}: archive missing mandatory sections: {', '.join(missing)}")
-    missing_meta = [k for k in REQUIRED_METADATA if k not in archive.metadata]
-    if missing_meta:
-        raise FormatError(f"{path}: archive missing metadata keys: {', '.join(missing_meta)}")
     return archive
 
 

@@ -3,6 +3,11 @@
 Codes are learned first by the trainer; the encoder is fit afterwards to
 map kernelized features onto those codes (``fit_pipeline`` runs both), and
 new instances are hashed by projecting and taking signs.
+
+This module alone names a model archive's sections and metadata keys
+(``REQUIRED_SECTIONS``, ``REQUIRED_METADATA``): ``to_archive`` writes them
+and ``from_archive`` rejects an archive with any other section or one
+missing.  ``dataio`` only frames them in the AMH1 container.
 """
 
 from dataclasses import dataclass, replace
@@ -75,8 +80,11 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
     """
     if not ridge > 0:
         raise ValidationError(f"ridge weight must be positive, got {ridge}")
+    if not len(xs) == len(k) == len(cfg.lambdas):
+        raise ValidationError(f"{len(xs)} modalities need as many anchor counts and lambda "
+                              f"weights, got {len(k)} and {len(cfg.lambdas)}")
     check_code_length(cfg.r, labels.n)
-    for t, (x, k_t) in enumerate(zip(xs, k, strict=True), start=1):
+    for t, (x, k_t) in enumerate(zip(xs, k), start=1):
         if x.n != labels.n:
             raise ValidationError(f"x{t} has {x.n} instances but labels have {labels.n}")
         if not 1 <= k_t <= x.n:
@@ -88,19 +96,36 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
     return HashEncoder(proj=proj, kernels=[km for km, _ in fits]), state, report
 
 
+#: Matrix sections of a two-modality model archive, in the order ``to_archive``
+#: writes them; none scales with n.
+REQUIRED_SECTIONS = (
+    "R", "M",
+    "P_1", "P_2", "Ph_1", "Ph_2",
+    "anchors_1", "anchors_2", "kcenter_1", "kcenter_2",
+)
+
+#: Metadata keys a model archive must carry; ``to_archive`` also writes
+#: ``lambda_h`` and ``converged``, which nothing reads back.
+REQUIRED_METADATA = (
+    "r", "omega", "lambda_1", "lambda_2", "sigma_1", "sigma_2",
+    "k_1", "k_2", "seed", "iterations", "objective_history",
+)
+
+
 def to_archive(enc: HashEncoder, state: ModelState, report: TrainReport,
                cfg: TrainConfig, ridge: float) -> ModelArchive:
     """The AMH1 sections and metadata of a fitted two-modality model; the r x n
     factors V and B are left out (``encode`` reads neither; B is sign(M L))."""
+    if len(enc.kernels) != 2:
+        raise ValidationError(f"a model archive holds 2 modalities, got {len(enc.kernels)}")
     km1, km2 = enc.kernels
+    values = (
+        state.rotation, state.label_proj,
+        *state.proj, *enc.proj,
+        km1.anchors, km2.anchors, km1.center.reshape(1, -1), km2.center.reshape(1, -1),
+    )
     return ModelArchive(
-        sections={
-            "R": state.rotation, "M": state.label_proj,
-            "P_1": state.proj[0], "P_2": state.proj[1],
-            "Ph_1": enc.proj[0], "Ph_2": enc.proj[1],
-            "anchors_1": km1.anchors, "anchors_2": km2.anchors,
-            "kcenter_1": km1.center.reshape(1, -1), "kcenter_2": km2.center.reshape(1, -1),
-        },
+        sections=dict(zip(REQUIRED_SECTIONS, values, strict=True)),
         metadata={
             "r": str(cfg.r), "omega": repr(cfg.omega),
             "lambda_1": repr(cfg.lambdas[0]), "lambda_2": repr(cfg.lambdas[1]),
@@ -114,7 +139,18 @@ def to_archive(enc: HashEncoder, state: ModelState, report: TrainReport,
 
 
 def from_archive(archive: ModelArchive) -> HashEncoder:
-    """The hash encoder stored by ``to_archive``."""
+    """The hash encoder stored by ``to_archive``; an archive with a section
+    outside ``REQUIRED_SECTIONS``, or missing a section or metadata key, is a
+    ``FormatError``."""
+    unknown = [s for s in archive.sections if s not in REQUIRED_SECTIONS]
+    if unknown:
+        raise FormatError(f"unknown section name {unknown[0]!r}")
+    missing = [s for s in REQUIRED_SECTIONS if s not in archive.sections]
+    if missing:
+        raise FormatError(f"archive missing mandatory sections: {', '.join(missing)}")
+    missing_meta = [k for k in REQUIRED_METADATA if k not in archive.metadata]
+    if missing_meta:
+        raise FormatError(f"archive missing metadata keys: {', '.join(missing_meta)}")
     kernels = []
     for t in (1, 2):
         key = f"sigma_{t}"
@@ -122,8 +158,11 @@ def from_archive(archive: ModelArchive) -> HashEncoder:
             sigma = float(archive.metadata[key])
         except ValueError as e:
             raise FormatError(f"metadata {key} is not a number: {e}") from e
-        kernels.append(KernelMap(anchors=archive.sections[f"anchors_{t}"], sigma=sigma,
-                                 center=archive.sections[f"kcenter_{t}"][0]))
+        anchors, center = archive.sections[f"anchors_{t}"], archive.sections[f"kcenter_{t}"]
+        if center.shape[0] != 1:    # KernelMap checks its length
+            raise FormatError(f"section kcenter_{t} is {center.shape[0]}x{center.shape[1]}, "
+                              f"expected 1x{anchors.shape[0]}")
+        kernels.append(KernelMap(anchors=anchors, sigma=sigma, center=center[0]))
     return HashEncoder(proj=[archive.sections[f"Ph_{t}"] for t in (1, 2)], kernels=kernels)
 
 

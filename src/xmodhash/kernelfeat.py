@@ -77,7 +77,7 @@ def select_anchors(x: FeatureMatrix, k: int, seed: int) -> np.ndarray:
         raise ValidationError(f"cannot sample {k} anchors from {n} training rows")
     rng = component_rng(seed, f"anchors-{x.modality_id}")
     idx = rng.choice(n, size=k, replace=False)
-    return x.values[idx].astype(np.float64).copy()
+    return x.values[idx].astype(np.float64, copy=False)
 
 
 def _distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -103,10 +103,11 @@ def estimate_width(x: FeatureMatrix, anchors: np.ndarray, seed: int = 0) -> floa
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.ndim != 2 or anchors.shape[0] < 1:
         raise ValidationError("anchors must be a non-empty k x d matrix")
-    points = x.values.astype(np.float64, copy=False)
+    points = x.values
     if x.n > _WIDTH_SAMPLE_CAP:
         rng = component_rng(seed, f"width-sample-{x.modality_id}")
         points = points[rng.choice(x.n, size=_WIDTH_SAMPLE_CAP, replace=False)]
+    points = points.astype(np.float64, copy=False)     # only the sampled rows
     sigma = float(_distances(points, anchors).mean())
     if sigma == 0.0:
         raise DegenerateDataError("all sampled points coincide with all anchors (width 0)")

@@ -233,6 +233,10 @@ def _inf_kcenter_1(path):
     _edit_section(path, "kcenter_1", lambda c: np.where(np.arange(c.size) == 3, np.inf, c))
 
 
+def _stack_kcenter_1(path):
+    _edit_section(path, "kcenter_1", lambda c: np.vstack([c, c]))
+
+
 def _inf_sigma_1(path):
     path.write_bytes(re.sub(rb"sigma_1=[^\n]*", b"sigma_1=inf", path.read_bytes()))
 
@@ -244,6 +248,7 @@ def _inf_sigma_1(path):
     (_nan_ph_1, "modality 1: projection contains NaN or Inf entries"),
     (_inf_sigma_1, "kernel width must be finite and positive, got inf"),
     (_inf_kcenter_1, "kernel center contains NaN or Inf entries"),
+    (_stack_kcenter_1, "section kcenter_1 is 2x16, expected 1x16"),
 ])
 def test_encode_corrupt_archive_is_exit_2(synth_dir, tmp_path, capsys, corrupt, message):
     model = tmp_path / "model.amh"
@@ -256,21 +261,18 @@ def test_encode_corrupt_archive_is_exit_2(synth_dir, tmp_path, capsys, corrupt, 
     assert message in err
 
 
-def test_encode_rejects_archive_with_training_sized_sections(synth_dir, tmp_path, capsys,
-                                                           monkeypatch):
+def test_encode_rejects_archive_with_training_sized_sections(synth_dir, tmp_path, capsys):
     # the older layout also stored the r x n latent matrix V and codes B
     model = tmp_path / "model.amh"
     assert run(capsys, *train_args(synth_dir, model))[0] == 0
     archive = dataio.load_model(model)
     archive.sections = {"V": np.zeros((8, 60)), **archive.sections, "B": np.ones((8, 60))}
-    with monkeypatch.context() as m:
-        m.setattr(dataio, "REQUIRED_SECTIONS", tuple(archive.sections))
-        dataio.save_model(archive, model)
+    dataio.save_model(archive, model)
     code, _, err = run(capsys, "encode", "--model", str(model), "--features",
                        str(synth_dir / "x1.amx"), "--modality", "1",
                        "--out", str(tmp_path / "c.abc"))
     assert code == 2
-    assert "unknown section name 'V'" in err
+    assert f"{model}: unknown section name 'V'" in err
     assert not (tmp_path / "c.abc").exists()
 
 

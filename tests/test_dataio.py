@@ -13,6 +13,7 @@ from xmodhash import dataio
 from xmodhash.dataio import (FeatureMatrix, ModelArchive, RawLabelMatrix,
                              generate_synthetic, load_model, read_labels,
                              read_matrix, save_model, write_matrix)
+from xmodhash.encoder import REQUIRED_SECTIONS, from_archive
 from xmodhash.errors import FormatError, ValidationError
 
 
@@ -234,7 +235,7 @@ def test_round_trip_property(tmp_path_factory, rows, cols, seed):
 
 def _tiny_archive():
     rng = np.random.default_rng(7)
-    sections = {name: rng.standard_normal((3, 4)) for name in dataio.REQUIRED_SECTIONS}
+    sections = {name: rng.standard_normal((3, 4)) for name in REQUIRED_SECTIONS}
     metadata = {
         "r": "16", "omega": "0.5", "lambda_1": "0.5", "lambda_2": "0.5",
         "sigma_1": repr(1.25), "sigma_2": repr(2.5), "k_1": "3", "k_2": "3",
@@ -278,8 +279,10 @@ def test_model_unknown_section_is_format_error(tmp_path):
     assert idx >= 0
     buf[idx + 4] = ord("Q")
     path.write_bytes(bytes(buf))
-    with pytest.raises(FormatError):
-        load_model(path)
+    # the container reads any name; the model layout is checked by from_archive
+    assert "Q" in load_model(path).sections
+    with pytest.raises(FormatError, match="unknown section name 'Q'"):
+        from_archive(load_model(path))
 
 
 def test_model_missing_section_is_format_error(tmp_path):
@@ -294,8 +297,8 @@ def test_model_missing_section_is_format_error(tmp_path):
     parts += [struct.pack("<I", 4), b"meta", meta]
     path = tmp_path / "m.amh"
     path.write_bytes(b"".join(parts))
-    with pytest.raises(FormatError, match="R"):
-        load_model(path)
+    with pytest.raises(FormatError, match="archive missing mandatory sections: R"):
+        from_archive(load_model(path))
 
 
 @pytest.mark.parametrize("old, new", [
@@ -308,15 +311,34 @@ def test_model_non_utf8_text_is_format_error(tmp_path, old, new):
     buf = path.read_bytes()
     assert buf.count(old) == 1
     path.write_bytes(buf.replace(old, new))
+    # bad metadata fails in load_model; a bad section name decodes to one
+    # outside the model layout, which from_archive rejects
     with pytest.raises(FormatError):
-        load_model(path)
+        from_archive(load_model(path))
 
 
-def test_model_save_requires_sections():
+def test_model_round_trip_keeps_any_section_names(tmp_path):
+    # the container is not tied to the model layout: any names, in order
+    rng = np.random.default_rng(9)
+    archive = ModelArchive(
+        sections={name: rng.standard_normal((2, 3)) for name in ("V", "R", "B", "\u00e9t\u00e9")},
+        metadata={"note": "free"})
+    path = tmp_path / "m.amh"
+    save_model(archive, path)
+    back = load_model(path)
+    assert list(back.sections) == list(archive.sections)
+    assert all(back.sections[n].tobytes() == a.tobytes() for n, a in archive.sections.items())
+    assert back.metadata == archive.metadata
+
+
+def test_model_save_refuses_a_section_named_meta(tmp_path):
+    # load_model takes a "meta" section for the metadata, so it could not read one back
     archive = _tiny_archive()
-    del archive.sections["R"]
-    with pytest.raises(ValidationError, match="R"):
-        save_model(archive, "/tmp/should-not-exist.amh")
+    archive.sections["meta"] = np.zeros((1, 1))
+    path = tmp_path / "m.amh"
+    with pytest.raises(ValidationError, match="section name 'meta' is reserved"):
+        save_model(archive, path)
+    assert not path.exists()
 
 
 def test_model_bad_magic(tmp_path):
@@ -384,7 +406,7 @@ def test_load_model_holds_one_copy_of_the_archive(tmp_path):
     rng = np.random.default_rng(8)
     archive = _tiny_archive()
     archive.sections = {name: rng.standard_normal((200, 160))
-                        for name in dataio.REQUIRED_SECTIONS}
+                        for name in REQUIRED_SECTIONS}
     path = tmp_path / "m.amh"
     save_model(archive, path)
     assert _peak_per_byte(lambda: load_model(path), path.stat().st_size) <= 1.25

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import fd_gradient, gradient_scale, unpack_codes
 from xmodhash import kernelfeat
-from xmodhash.dataio import (REQUIRED_METADATA, REQUIRED_SECTIONS, FeatureMatrix,
-                             RawLabelMatrix, generate_synthetic, load_model, save_model)
-from xmodhash.encoder import (HashEncoder, encode, fit_pipeline, fit_ridge_encoder,
-                              from_archive, to_archive)
+from xmodhash.dataio import (FeatureMatrix, RawLabelMatrix, generate_synthetic, load_model,
+                             save_model)
+from xmodhash.encoder import (REQUIRED_METADATA, REQUIRED_SECTIONS, HashEncoder, encode,
+                              fit_pipeline, fit_ridge_encoder, from_archive, to_archive)
 from xmodhash.errors import FormatError, NumericalError, ValidationError
 from xmodhash.kernelfeat import KernelMap
 from xmodhash.labelspace import normalize_labels
@@ -214,6 +214,27 @@ def test_to_archive_writes_the_required_layout(fitted):
     assert (archive.metadata["k_1"], archive.metadata["k_2"]) == ("30", "40")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda a: a.sections.update(V=np.zeros((16, 120))), "unknown section name 'V'"),
+    (lambda a: a.sections.pop("M"), "archive missing mandatory sections: M"),
+    (lambda a: a.metadata.pop("seed"), "archive missing metadata keys: seed"),
+])
+def test_from_archive_checks_the_layout(fitted, edit, message):
+    archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
+    edit(archive)
+    with pytest.raises(FormatError) as caught:
+        from_archive(archive)
+    assert str(caught.value) == message
+
+
+def test_to_archive_names_the_modality_count(fitted):
+    x1, x2 = fitted["xs"]
+    cfg = TrainConfig(r=8, max_iters=2, lambdas=(0.5, 0.5, 0.5))
+    enc, state, report = fit_pipeline([x1, x2, x1], fitted["labels"], cfg, (10, 10, 10))
+    with pytest.raises(ValidationError, match="a model archive holds 2 modalities, got 3"):
+        to_archive(enc, state, report, cfg, 1.0)
+
+
 @pytest.mark.parametrize("value", ["x.149", "", "abc"])
 def test_from_archive_bad_sigma_is_format_error(fitted, value):
     archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
@@ -228,6 +249,9 @@ def test_from_archive_bad_sigma_is_format_error(fitted, value):
     ({"k": (10, 61)}, 60, "modality 2 needs 1 to 60 anchors, got k=61"),
     ({}, 59, "x1 has 60 instances but labels have 59"),
     ({"cfg": TrainConfig(r=60)}, 60, r"code length r=60 needs at least r\+1=61 instances"),
+    ({"k": (10,)}, 60, "2 modalities need as many anchor counts and lambda weights, got 1 and 2"),
+    ({"cfg": TrainConfig(r=8, lambdas=(0.5,))}, 60,
+     "2 modalities need as many anchor counts and lambda weights, got 2 and 1"),
 ])
 def test_fit_pipeline_checks_arguments_before_kernelizing(monkeypatch, kwargs, n_labels,
                                                           message):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,23 @@ def test_width_sampling_is_seeded():
     a = estimate_width(x, anchors, seed=1)
     assert estimate_width(x, anchors, seed=1) == a
     assert estimate_width(x, anchors, seed=2) != a
+
+
+def test_width_of_float32_rows_casts_only_the_sample():
+    # sampling before the float64 cast gives the same sigma and never holds
+    # a float64 copy of every row
+    rng = np.random.default_rng(4)
+    x32 = FeatureMatrix(rng.standard_normal((40_000, 64)).astype(np.float32))
+    x64 = FeatureMatrix(x32.values.astype(np.float64))
+    anchors = select_anchors(x64, 50, seed=0)
+    tracemalloc.start()
+    try:
+        sigma = estimate_width(x32, anchors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sigma == estimate_width(x64, anchors)
+    assert peak < x64.values.nbytes / 4
 
 
 @pytest.mark.parametrize("d, k", [(128, 500), (64, 1000), (128, 300)])
