@@ -270,7 +270,10 @@ def save_model(archive: ModelArchive, path) -> None:
         raise ValidationError("section name 'meta' is reserved for the metadata section")
     parts = [AMH_MAGIC, struct.pack("<I", len(archive.sections) + 1)]
     for name, values in archive.sections.items():
-        encoded_name = name.encode("utf-8")
+        try:
+            encoded_name = name.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise ValidationError(f"section name {name!r} is not encodable as UTF-8") from e
         parts.append(struct.pack("<I", len(encoded_name)))
         parts.append(encoded_name)
         parts.extend(_encode_array(values))
@@ -279,10 +282,13 @@ def save_model(archive: ModelArchive, path) -> None:
         value = str(value)
         if "=" in key or "\n" in key or "\n" in value:
             raise ValidationError(f"metadata entry {key!r} not encodable as key=value line")
-        meta_lines.append(f"{key}={value}")
+        try:
+            meta_lines.append(f"{key}={value}".encode("utf-8"))
+        except UnicodeEncodeError as e:
+            raise ValidationError(f"metadata entry {key!r} is not encodable as UTF-8") from e
     parts.append(struct.pack("<I", len(b"meta")))
     parts.append(b"meta")
-    parts.append("\n".join(meta_lines).encode("utf-8"))
+    parts.append(b"\n".join(meta_lines))
     _write_file(path, "model archive", parts)
 
 

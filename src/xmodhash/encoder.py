@@ -99,8 +99,7 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
 #: Matrix sections of a two-modality model archive, in the order ``to_archive``
 #: writes them; none scales with n.
 REQUIRED_SECTIONS = (
-    "R", "M",
-    "P_1", "P_2", "Ph_1", "Ph_2",
+    "R", "M", "Ph_1", "Ph_2",
     "anchors_1", "anchors_2", "kcenter_1", "kcenter_2",
 )
 
@@ -114,14 +113,14 @@ REQUIRED_METADATA = (
 
 def to_archive(enc: HashEncoder, state: ModelState, report: TrainReport,
                cfg: TrainConfig, ridge: float) -> ModelArchive:
-    """The AMH1 sections and metadata of a fitted two-modality model; the r x n
-    factors V and B are left out (``encode`` reads neither; B is sign(M L))."""
+    """The AMH1 sections and metadata of a fitted two-modality model.  The r x n
+    factors V and B and the latent projections P_t are left out: ``encode``
+    reads none of them, B is sign(M L), and at lambda = 0 there is no P_t."""
     if len(enc.kernels) != 2:
         raise ValidationError(f"a model archive holds 2 modalities, got {len(enc.kernels)}")
     km1, km2 = enc.kernels
     values = (
-        state.rotation, state.label_proj,
-        *state.proj, *enc.proj,
+        state.rotation, state.label_proj, *enc.proj,
         km1.anchors, km2.anchors, km1.center.reshape(1, -1), km2.center.reshape(1, -1),
     )
     return ModelArchive(

@@ -12,8 +12,25 @@ P, M, R, V, B, so the objective
 
 never increases.  Every term is evaluated through c x c / r x r Gram
 contractions; nothing here allocates an n x n array, which keeps training
-linear in the number of instances.  ``train`` reaches every step only
-through the public functions below.
+linear in the number of instances.
+
+``train`` takes one of two paths, chosen by the lambda weights:
+
+- Any lambda_t > 0 runs the full collective factorization: every sweep
+  forms V (r x n) and the feature products phi_t V^T.
+- All lambda_t = 0 (the default) runs in label space.  The codes are
+  B = sign(M L), shared by every instance with the same label vector, and
+  V reaches the M and R steps only through V G^T (r x c).  So the sweeps
+  never form V: one QR of the centered, count-weighted distinct label
+  patterns, taken once, reduces the latent step to an r x rho SVD, and
+  ||(R V)^T M L||^2 = n ||M L||^2 because V V^T = n I.  V and B are built
+  once, after the last sweep.  From the same seed, the full factorization
+  at lambda = 0 reaches the same M, codes and objective history, to
+  rounding.  R can differ where the Procrustes target has rank below r:
+  any rotation of that null space is optimal, and at lambda = 0 no later
+  step reads it.
+
+The M, R and B steps are shared by both paths.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDataError, NumericalError, ValidationError
-from .labelspace import LabelSet
+from .labelspace import LabelSet, label_patterns
 from .rng import component_rng
 
 
@@ -30,7 +47,7 @@ from .rng import component_rng
 class TrainConfig:
     r: int
     omega: float = 0.5
-    lambdas: tuple[float, ...] = (0.5, 0.5)
+    lambdas: tuple[float, ...] = (0.0, 0.0)
     max_iters: int = 30
     rel_tol: float = 1e-5
     seed: int = 0
@@ -58,7 +75,7 @@ class ModelState:
     rotation: np.ndarray         # R, r x r orthogonal
     label_proj: np.ndarray       # M, r x c
     codes: np.ndarray            # B, r x n, entries exactly +-1
-    proj: list[np.ndarray] = field(default_factory=list)  # P_t, k_t x r
+    proj: list[np.ndarray] = field(default_factory=list)  # P_t, k_t x r; none at lambda = 0
 
     @property
     def r(self) -> int:
@@ -108,16 +125,21 @@ def check_code_length(r: int, n: int) -> None:
             f"(the balanced latent constraints are infeasible otherwise), got n={n}")
 
 
-def init_state(phix: Sequence[np.ndarray], labels: LabelSet,
-               cfg: TrainConfig) -> tuple[ModelState, list[np.ndarray]]:
-    """Seeded random feasible starting point with projections fit to it, plus
-    each modality's phi_t V^T, which the starting objective reuses."""
-    n, c, r = labels.n, labels.c, cfg.r
-    check_code_length(r, n)
+def _check_features(phix: Sequence[np.ndarray], n: int) -> None:
     for t, phi in enumerate(phix, start=1):
         if phi.shape[1] != n:
             raise ValidationError(
                 f"modality {t} has {phi.shape[1]} feature columns but {n} labels")
+
+
+def init_state(phix: Sequence[np.ndarray], labels: LabelSet,
+               cfg: TrainConfig) -> tuple[ModelState, list[np.ndarray]]:
+    """Seeded random feasible starting point with projections fit to it, plus
+    each modality's phi_t V^T, which the starting objective reuses.  Given no
+    modalities, as on the label-space path, it fits no projection."""
+    n, c, r = labels.n, labels.c, cfg.r
+    check_code_length(r, n)
+    _check_features(phix, n)
     rng = component_rng(cfg.seed, "init")
     rotation = _haar_orthogonal(rng, r)
     label_proj = rng.standard_normal((r, c))
@@ -135,21 +157,18 @@ def update_projection(phi_vt_t: np.ndarray, n: int) -> np.ndarray:
     return phi_vt_t / n
 
 
-def update_label_projection(v: np.ndarray, rot: np.ndarray, b: np.ndarray,
+def update_label_projection(v_gt: np.ndarray, rot: np.ndarray, b_lt: np.ndarray,
                             labels: LabelSet, cfg: TrainConfig) -> np.ndarray:
     """Closed-form minimizer of the affinity and quantization terms in M.
 
-    The normal equations contract through c x c products only; a small
-    ridge keeps the label Gram solvable when some class is empty.
+    V and B enter only through V G^T and B L^T (r x c each), and the normal
+    equations contract through c x c products only; a small ridge keeps the
+    label Gram solvable when some class is empty.
     """
-    l, g = labels.labels, labels.normalized
-    n = labels.n
-    r = v.shape[0]
-    u_gt = (rot @ v) @ g.T                         # r x c
-    rhs = r * (u_gt @ (g @ l.T)) + cfg.omega * (b @ l.T)
-    llt = l @ l.T
-    gram = (n + cfg.omega) * llt
-    gram[np.diag_indices_from(gram)] += 1e-6 * np.trace(llt) / labels.c
+    r = v_gt.shape[0]
+    rhs = r * ((rot @ v_gt) @ labels.lgt.T) + cfg.omega * b_lt
+    gram = (labels.n + cfg.omega) * labels.llt
+    gram[np.diag_indices_from(gram)] += 1e-6 * np.trace(labels.llt) / labels.c
     try:
         m = np.linalg.solve(gram, rhs.T).T
     except np.linalg.LinAlgError as e:
@@ -163,11 +182,11 @@ def update_label_projection(v: np.ndarray, rot: np.ndarray, b: np.ndarray,
     return m
 
 
-def update_rotation(m: np.ndarray, labels: LabelSet, v: np.ndarray) -> np.ndarray:
-    """Orthogonal Procrustes step: maximize trace(R^T C) over rotations."""
-    l, g = labels.labels, labels.normalized
-    r = v.shape[0]
-    c_mat = r * (m @ (l @ g.T)) @ (g @ v.T)        # r x r, no n x n factor
+def update_rotation(m: np.ndarray, labels: LabelSet, v_gt: np.ndarray) -> np.ndarray:
+    """Orthogonal Procrustes step: maximize trace(R^T C) over rotations; V
+    enters only through V G^T."""
+    r = v_gt.shape[0]
+    c_mat = r * (m @ labels.lgt) @ v_gt.T          # r x r, no n x n factor
     try:
         left, _, right_t = np.linalg.svd(c_mat)
     except np.linalg.LinAlgError as e:
@@ -192,6 +211,36 @@ def _complete_balanced_basis(rng: np.random.Generator, n: int, count: int,
     return q
 
 
+def _split_directions(left: np.ndarray, singvals: np.ndarray, wt: np.ndarray,
+                      n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kept left and right singular vectors of Y's SVD, and the deficient
+    left ones: those at or below numpy ``matrix_rank``'s default tolerance,
+    plus any of the r that have no singular value."""
+    r = left.shape[0]
+    top = float(singvals[0]) if singvals.size else 0.0
+    if top <= 0.0:
+        raise DegenerateDataError("latent update has no signal (all singular values zero)")
+    keep = singvals > max(r, n) * np.finfo(np.float64).eps * top
+    kept = np.zeros(r, dtype=bool)
+    kept[:keep.size] = keep
+    return left[:, kept], wt[:keep.size][keep], left[:, ~kept]
+
+
+def _latent_from_directions(u_kept: np.ndarray, w_kept: np.ndarray, u_deficient: np.ndarray,
+                            basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """sqrt(n) U_k (basis W_k)^T, plus each deficient left direction paired
+    with a seeded random balanced orthonormal n-vector, which leaves the
+    score unchanged."""
+    n = basis.shape[0]
+    v = (u_kept @ w_kept) @ basis.T
+    deficit = u_deficient.shape[1]
+    if deficit:
+        p_cols = basis @ w_kept.T                      # n x r', orthonormal, sums to 0
+        p_bar = _complete_balanced_basis(rng, n, deficit, p_cols)
+        v = v + u_deficient @ p_bar.T
+    return np.sqrt(n) * v
+
+
 def update_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
                   phix: Sequence[np.ndarray], p: Sequence[np.ndarray],
                   cfg: TrainConfig, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -214,12 +263,12 @@ def update_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
     maximizer whatever the spectrum, which keeps training monotone without
     comparing against the previous V.
     """
-    l, g = labels.labels, labels.normalized
+    g = labels.normalized
     r = rot.shape[0]
     n = labels.n
     if rng is None:
         rng = component_rng(cfg.seed, "latent-completion")
-    z = r * (rot.T @ ((m @ (l @ g.T)) @ g))
+    z = r * (rot.T @ ((m @ labels.lgt) @ g))
     for lam, p_t, phi_t in zip(cfg.lambdas, p, phix):
         z = z + lam * (p_t.T @ phi_t)
     try:
@@ -228,17 +277,7 @@ def update_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
         left, singvals, wt = np.linalg.svd(tri[1:, 1:].T)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"latent factorization failed: {e}") from e
-    top = float(singvals[0])
-    if top <= 0.0:
-        raise DegenerateDataError("latent update has no signal (all singular values zero)")
-    keep = singvals > max(r, n) * np.finfo(np.float64).eps * top
-    v = (left[:, keep] @ wt[keep]) @ basis.T
-    deficit = r - int(np.count_nonzero(keep))
-    if deficit:
-        p_cols = basis @ wt[keep].T                    # n x r', orthonormal, sums to 0
-        p_bar = _complete_balanced_basis(rng, n, deficit, p_cols)
-        v = v + left[:, ~keep] @ p_bar.T
-    return np.sqrt(n) * v
+    return _latent_from_directions(*_split_directions(left, singvals, wt, n), basis, rng)
 
 
 def update_codes(m: np.ndarray, labels: LabelSet) -> np.ndarray:
@@ -261,10 +300,9 @@ def objective_value(state: ModelState, labels: LabelSet, cfg: TrainConfig,
     ml = m @ l
     rv = rot @ v
     affinity = float(np.sum((ml @ ml.T) * (rv @ rv.T)))
-    c_mat = (m @ (l @ g.T)) @ (g @ v.T)
+    c_mat = (m @ labels.lgt) @ (g @ v.T)
     affinity -= 2.0 * r * float(np.sum(rot * c_mat))
-    gg = g @ g.T
-    affinity += r * r * float(np.sum(gg * gg))
+    affinity += r * r * float(np.sum(labels.ggt * labels.ggt))
     quantization = cfg.omega * float(np.sum((b - ml) ** 2))
     reconstruction = 0.0
     vvt = v @ v.T
@@ -275,22 +313,34 @@ def objective_value(state: ModelState, labels: LabelSet, cfg: TrainConfig,
     return affinity + quantization + reconstruction
 
 
-def train(phix: Sequence[np.ndarray], labels: LabelSet,
-          cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
-    """Run full sweeps of the five updates until the objective stalls.
+def _label_space_objective(state: ModelState, v_gt: np.ndarray, b_lt: np.ndarray,
+                           labels: LabelSet, cfg: TrainConfig) -> float:
+    """``objective_value`` at lambda = 0, from V G^T and B L^T alone: V V^T = n I
+    gives ||(R V)^T M L||^2 = n ||M L||^2, and +-1 codes give ||B||^2 = r n."""
+    m, rot = state.label_proj, state.rotation
+    n, r = labels.n, cfg.r
+    ml_sq = float(np.sum((m @ labels.llt) * m))    # ||M L||^2
+    affinity = (n * ml_sq
+                - 2.0 * r * float(np.sum(rot * ((m @ labels.lgt) @ v_gt.T)))
+                + r * r * float(np.sum(labels.ggt * labels.ggt)))
+    quantization = cfg.omega * (r * n - 2.0 * float(np.sum(m * b_lt)) + ml_sq)
+    return affinity + quantization
 
-    The history records the objective before training and after every
-    sweep; a sweep whose relative decrease falls below ``cfg.rel_tol``
-    stops the loop.  ``init_state`` fits the first sweep's P; every later
-    P step runs at the end of the sweep before, from the phi_t V^T the
-    objective just took, so no P is fit that no latent step reads.
-    Identical inputs and seed reproduce the final state bitwise on a given
-    platform.
+
+def _stalled(history: list[float], cfg: TrainConfig) -> bool:
+    prev, cur = history[-2], history[-1]
+    return prev - cur <= cfg.rel_tol * abs(prev)
+
+
+def _train_collective(phix: Sequence[np.ndarray], labels: LabelSet,
+                      cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
+    """The full factorization: every sweep forms V and each phi_t V^T.
+
+    ``init_state`` fits the first sweep's P; every later P step runs at the
+    end of the sweep before, from the phi_t V^T the objective just took, so
+    no P is fit that no latent step reads.
     """
-    phix = [np.asarray(phi, dtype=np.float64) for phi in phix]
-    if len(phix) != len(cfg.lambdas):
-        raise ValidationError(
-            f"{len(phix)} modalities but {len(cfg.lambdas)} lambda weights")
+    l, g = labels.labels, labels.normalized
     # phi_t V^T serves the objective after a sweep and the next sweep's P step
     state, phi_vt = init_state(phix, labels, cfg)
     completion_rng = component_rng(cfg.seed, "latent-completion")
@@ -299,9 +349,10 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
     converged = False
     for sweep in range(1, cfg.max_iters + 1):
         try:
+            v_gt = state.latent @ g.T
             state.label_proj = update_label_projection(
-                state.latent, state.rotation, state.codes, labels, cfg)
-            state.rotation = update_rotation(state.label_proj, labels, state.latent)
+                v_gt, state.rotation, state.codes @ l.T, labels, cfg)
+            state.rotation = update_rotation(state.label_proj, labels, v_gt)
             state.latent = update_latent(state.rotation, state.label_proj, labels,
                                          phix, state.proj, cfg, completion_rng)
             state.codes = update_codes(state.label_proj, labels)
@@ -309,13 +360,101 @@ def train(phix: Sequence[np.ndarray], labels: LabelSet,
             raise NumericalError(f"sweep {sweep}: {e}") from e
         phi_vt = [phi @ state.latent.T for phi in phix]
         history.append(objective_value(state, labels, cfg, phi_sq, phi_vt))
-        prev, cur = history[-2], history[-1]
-        if prev - cur <= cfg.rel_tol * abs(prev):
+        if _stalled(history, cfg):
             converged = True
             break
         if sweep < cfg.max_iters:
             state.proj = [update_projection(pv, state.n) for pv in phi_vt]
-    report = TrainReport(objective_history=history,
-                         iterations_run=len(history) - 1,
-                         converged=converged)
-    return state, report
+    return state, TrainReport(objective_history=history,
+                              iterations_run=len(history) - 1, converged=converged)
+
+
+def _label_space_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
+                        gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``update_latent``'s singular directions at lambda = 0, from the r x rho
+    matrix A Gamma^T (see ``_train_in_label_space``).  With one distinct
+    label pattern Gamma has no rows: Y = 0, every V is optimal, and all r
+    directions are completed."""
+    r = rot.shape[0]
+    if gamma.shape[0] == 0:
+        return np.empty((r, 0)), np.empty((0, 0)), np.eye(r)
+    a = r * (rot.T @ (m @ labels.lgt))   # Z = A G
+    try:
+        left, singvals, wt = np.linalg.svd(a @ gamma.T)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"latent factorization failed: {e}") from e
+    return _split_directions(left, singvals, wt, labels.n)
+
+
+def _train_in_label_space(labels: LabelSet,
+                          cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
+    """The sweeps at lambda = 0, none of which forms V, B or anything n-sized.
+
+    Let E be the n x u indicator of each instance's distinct label pattern
+    and K = diag(sqrt(counts)).  E K^-1 has orthonormal columns, and
+    [1_n / sqrt(n), G^T] = E K^-1 [sqrt(counts) / sqrt(n), K Ghat^T], so a
+    QR of the u-row right-hand matrix, taken once, gives the QR that the
+    full latent step takes of its n-row one: the basis Q' (n x rho, stored
+    as its u distinct rows) and the centered G^T = Q' Gamma.  The score is
+    Z = A G with A = r R^T M L G^T, so Y = (A Gamma^T) Q'^T and each latent
+    step is one r x rho SVD, which also gives V G^T = sqrt(n) U_k W_k^T Gamma.
+    Completion directions are orthogonal to the kept ones and to 1_n; once
+    the kept ones span the centered labels, as they do unless A Gamma^T
+    loses rank, they add nothing to V G^T.  B reaches the M step only
+    through B L^T, summed over the patterns.
+    """
+    n = labels.n
+    state, _ = init_state([], labels, cfg)
+    patterns, counts, inverse = label_patterns(labels)
+    root = np.sqrt(counts)[:, None]
+    try:
+        q, tri = np.linalg.qr(np.hstack([root / np.sqrt(n), root * patterns.normalized.T]))
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"label-pattern factorization failed: {e}") from e
+    rows, gamma = q[:, 1:] / root, tri[1:, 1:]
+    v_gt = state.latent @ labels.normalized.T
+    b_lt = state.codes @ labels.labels.T
+    history = [_label_space_objective(state, v_gt, b_lt, labels, cfg)]
+    converged = False
+    for sweep in range(1, cfg.max_iters + 1):
+        try:
+            state.label_proj = update_label_projection(v_gt, state.rotation, b_lt, labels, cfg)
+            state.rotation = update_rotation(state.label_proj, labels, v_gt)
+            directions = _label_space_latent(state.rotation, state.label_proj, labels, gamma)
+            v_gt = np.sqrt(n) * (directions[0] @ directions[1]) @ gamma
+            b_lt = (update_codes(state.label_proj, patterns) * counts) @ patterns.labels.T
+        except NumericalError as e:
+            raise NumericalError(f"sweep {sweep}: {e}") from e
+        history.append(_label_space_objective(state, v_gt, b_lt, labels, cfg))
+        if _stalled(history, cfg):
+            converged = True
+            break
+    try:
+        state.latent = _latent_from_directions(
+            *directions, rows[inverse], component_rng(cfg.seed, "latent-completion"))
+    except NumericalError as e:
+        raise NumericalError(f"building the latent matrix: {e}") from e
+    state.codes = update_codes(state.label_proj, labels)
+    return state, TrainReport(objective_history=history,
+                              iterations_run=len(history) - 1, converged=converged)
+
+
+def train(phix: Sequence[np.ndarray], labels: LabelSet,
+          cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
+    """Run full sweeps of the updates until the objective stalls.
+
+    All-zero lambda weights train in label space, and any lambda_t > 0 runs
+    the full collective factorization (see the module docstring); both
+    check the features against the labels.  The history records the
+    objective before training and after every sweep; a sweep whose relative
+    decrease falls below ``cfg.rel_tol`` stops the loop.  Identical inputs
+    and seed reproduce the final state bitwise on a given platform.
+    """
+    phix = [np.asarray(phi, dtype=np.float64) for phi in phix]
+    if len(phix) != len(cfg.lambdas):
+        raise ValidationError(
+            f"{len(phix)} modalities but {len(cfg.lambdas)} lambda weights")
+    if any(cfg.lambdas):
+        return _train_collective(phix, labels, cfg)
+    _check_features(phix, labels.n)
+    return _train_in_label_space(labels, cfg)

@@ -175,8 +175,8 @@ def test_criterion_3_substep_oracles():
     rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     cfg = TrainConfig(r=r, omega=0.5, lambdas=(0.5,))
-    m_hat = update_label_projection(v, rot, b, labels, cfg)
     l, g = labels.labels, labels.normalized
+    m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
 
     def f_m(m):
         big = (rot @ v).T @ (m @ l) - r * (g.T @ g)
@@ -188,7 +188,7 @@ def test_criterion_3_substep_oracles():
     # R-step: trace at the Procrustes solution beats 1000 random rotations
     m = rng.standard_normal((r, c))
     target = r * (m @ (l @ g.T)) @ (g @ v.T)
-    rot_hat = update_rotation(m, labels, v)
+    rot_hat = update_rotation(m, labels, v @ g.T)
     best_trace = np.sum(rot_hat * target)
     for _ in range(1000):
         q, rr = np.linalg.qr(rng.standard_normal((r, r)))

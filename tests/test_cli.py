@@ -276,6 +276,23 @@ def test_encode_rejects_archive_with_training_sized_sections(synth_dir, tmp_path
     assert not (tmp_path / "c.abc").exists()
 
 
+def test_encode_rejects_archive_with_latent_projections(synth_dir, tmp_path, capsys):
+    # the older layout also stored the latent projections P_1 and P_2 after M
+    model = tmp_path / "model.amh"
+    assert run(capsys, *train_args(synth_dir, model))[0] == 0
+    archive = dataio.load_model(model)
+    sections = list(archive.sections.items())
+    old = [("P_1", np.zeros((16, 8))), ("P_2", np.zeros((16, 8)))]
+    archive.sections = dict(sections[:2] + old + sections[2:])
+    dataio.save_model(archive, model)
+    code, _, err = run(capsys, "encode", "--model", str(model), "--features",
+                       str(synth_dir / "x1.amx"), "--modality", "1",
+                       "--out", str(tmp_path / "c.abc"))
+    assert code == 2
+    assert f"{model}: unknown section name 'P_1'" in err
+    assert not (tmp_path / "c.abc").exists()
+
+
 def test_eval_perfect_toy(tmp_path, capsys):
     plus = np.ones((2, 16))
     minus = -np.ones((2, 16))

@@ -341,6 +341,23 @@ def test_model_save_refuses_a_section_named_meta(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda a: a.sections.update({"\ud800": np.zeros((1, 1))}),
+     "section name '\\ud800' is not encodable as UTF-8"),
+    (lambda a: a.metadata.update(note="\ud800"),
+     "metadata entry 'note' is not encodable as UTF-8"),
+])
+def test_model_save_refuses_text_that_is_not_utf8(tmp_path, edit, message):
+    # a lone surrogate is a str but has no UTF-8 encoding
+    archive = _tiny_archive()
+    edit(archive)
+    path = tmp_path / "m.amh"
+    with pytest.raises(ValidationError) as caught:
+        save_model(archive, path)
+    assert str(caught.value) == message
+    assert not path.exists()
+
+
 def test_model_bad_magic(tmp_path):
     path = tmp_path / "m.amh"
     path.write_bytes(b"AMH2" + bytes(16))

@@ -218,6 +218,7 @@ def test_to_archive_writes_the_required_layout(fitted):
     (lambda a: a.sections.update(V=np.zeros((16, 120))), "unknown section name 'V'"),
     (lambda a: a.sections.pop("M"), "archive missing mandatory sections: M"),
     (lambda a: a.metadata.pop("seed"), "archive missing metadata keys: seed"),
+    (lambda a: a.sections.update(P_1=np.zeros((30, 16))), "unknown section name 'P_1'"),
 ])
 def test_from_archive_checks_the_layout(fitted, edit, message):
     archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)

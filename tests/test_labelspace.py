@@ -9,7 +9,7 @@ from conftest import semantic_affinity_block
 from xmodhash import trainer
 from xmodhash.dataio import RawLabelMatrix
 from xmodhash.errors import ValidationError
-from xmodhash.labelspace import normalize_labels
+from xmodhash.labelspace import label_patterns, normalize_labels
 
 
 def labelset(values):
@@ -32,6 +32,31 @@ def test_all_columns_unit_norm():
     l[rng.integers(0, 6, 40), np.arange(40)] = 1.0
     ls = labelset(l)
     assert np.abs(np.linalg.norm(ls.normalized, axis=0) - 1.0).max() < 1e-12
+
+
+def test_grams_are_the_label_products():
+    ls = labelset([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 0, 1]])
+    l, g = ls.labels, ls.normalized
+    assert np.array_equal(ls.llt, l @ l.T)
+    assert np.array_equal(ls.lgt, l @ g.T)
+    assert np.array_equal(ls.ggt, g @ g.T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_label_patterns_rebuild_the_labels(seed):
+    # c up to 20 spans more than one packed byte per instance
+    rng = np.random.default_rng(seed)
+    c, n = rng.integers(1, 21), rng.integers(1, 60)
+    l = (rng.random((c, n)) < rng.random()).astype(float)
+    l[rng.integers(0, c, n), np.arange(n)] = 1.0
+    ls = labelset(l)
+    patterns, counts, inverse = label_patterns(ls)
+    u = patterns.n
+    assert np.array_equal(patterns.labels[:, inverse], ls.labels)
+    assert np.array_equal(patterns.normalized[:, inverse], ls.normalized)
+    assert np.array_equal(counts, np.bincount(inverse, minlength=u))
+    assert len({col.tobytes() for col in patterns.labels.T}) == u
 
 
 def test_identical_columns_have_affinity_one():

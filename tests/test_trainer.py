@@ -91,8 +91,8 @@ def test_label_projection_gradient_vanishes():
     rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     cfg = cfg_for(r, omega=0.7)
-    m_hat = update_label_projection(v, rot, b, labels, cfg)
     l, g = labels.labels, labels.normalized
+    m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
 
     def f(m):
         big = (rot @ v).T @ (m @ l) - r * (g.T @ g)
@@ -111,8 +111,8 @@ def test_label_projection_single_class_matches_line_search():
     rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     cfg = cfg_for(r, omega=0.4)
-    m_hat = update_label_projection(v, rot, b, labels, cfg)
     l, g = labels.labels, labels.normalized
+    m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
 
     def f(m):
         big = (rot @ v).T @ (m @ l) - r * (g.T @ g)
@@ -144,7 +144,8 @@ def test_label_projection_shape():
     v = random_feasible_latent(rng, 16, 40)
     rot = np.eye(16)
     b = np.where(rng.random((16, 40)) < 0.5, -1.0, 1.0)
-    assert update_label_projection(v, rot, b, labels, cfg_for(16)).shape == (16, 5)
+    assert update_label_projection(v @ labels.normalized.T, rot, b @ labels.labels.T,
+                                   labels, cfg_for(16)).shape == (16, 5)
 
 
 # -------------------------------------------------------------- update_rotation
@@ -161,7 +162,8 @@ def test_rotation_identity_target():
     rng = np.random.default_rng(8)
     labels, v, lead = _rotation_inputs(rng, 4, 6, 30)
     m = np.linalg.pinv(lead)                   # makes the Procrustes target I_r
-    assert np.allclose(update_rotation(m, labels, v), np.eye(4), atol=1e-8)
+    assert np.allclose(update_rotation(m, labels, v @ labels.normalized.T), np.eye(4),
+                       atol=1e-8)
 
 
 def test_rotation_orthogonal_target():
@@ -169,7 +171,7 @@ def test_rotation_orthogonal_target():
     labels, v, lead = _rotation_inputs(rng, 4, 6, 30)
     q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     m = q @ np.linalg.pinv(lead)
-    assert np.allclose(update_rotation(m, labels, v), q, atol=1e-8)
+    assert np.allclose(update_rotation(m, labels, v @ labels.normalized.T), q, atol=1e-8)
 
 
 def test_rotation_beats_random_rotations():
@@ -180,7 +182,7 @@ def test_rotation_beats_random_rotations():
     m = rng.standard_normal((r, c))
     l, g = labels.labels, labels.normalized
     target = r * (m @ (l @ g.T)) @ (g @ v.T)
-    best = update_rotation(m, labels, v)
+    best = update_rotation(m, labels, v @ g.T)
     best_trace = np.sum(best * target)
     for _ in range(1000):
         q, rr = np.linalg.qr(rng.standard_normal((r, r)))
@@ -192,7 +194,7 @@ def test_rotation_is_orthogonal():
     rng = np.random.default_rng(11)
     labels = random_labelset(rng, 3, 25)
     v = random_feasible_latent(rng, 5, 25)
-    rot = update_rotation(rng.standard_normal((5, 3)), labels, v)
+    rot = update_rotation(rng.standard_normal((5, 3)), labels, v @ labels.normalized.T)
     assert np.abs(rot.T @ rot - np.eye(5)).max() < 1e-8
 
 
@@ -380,7 +382,7 @@ def test_train_keeps_every_latent_direction_at_full_rank(small_synth, monkeypatc
         raise AssertionError("latent step completed a full-rank score matrix")
 
     monkeypatch.setattr(trainer, "_complete_balanced_basis", no_completion)
-    cfg = TrainConfig(r=16, seed=0)
+    cfg = TrainConfig(r=16, lambdas=(0.5, 0.5), seed=0)
     state, _ = train([small_synth["phi1"].T, small_synth["phi2"].T],
                      small_synth["labels"], cfg)
     res = constraint_residuals(state)
@@ -400,7 +402,7 @@ def test_train_runs_one_p_step_per_latent(small_synth, monkeypatch, max_iters, r
         return update_projection(phi_vt_t, n)
 
     monkeypatch.setattr(trainer, "update_projection", counted)
-    cfg = TrainConfig(r=8, max_iters=max_iters, rel_tol=rel_tol, seed=1)
+    cfg = TrainConfig(r=8, lambdas=(0.5, 0.5), max_iters=max_iters, rel_tol=rel_tol, seed=1)
     _, report = train([small_synth["phi1"].T, small_synth["phi2"].T],
                       small_synth["labels"], cfg)
     assert len(calls) == 2 * report.iterations_run
@@ -408,7 +410,7 @@ def test_train_runs_one_p_step_per_latent(small_synth, monkeypatch, max_iters, r
 
 def test_train_history_ends_at_objective_value(small_synth):
     phix = [small_synth["phi1"].T, small_synth["phi2"].T]
-    cfg = TrainConfig(r=12, max_iters=4, rel_tol=1e-30, seed=3)
+    cfg = TrainConfig(r=12, lambdas=(0.5, 0.5), max_iters=4, rel_tol=1e-30, seed=3)
     state, report = train(phix, small_synth["labels"], cfg)
     assert report.objective_history[-1] == objective_from_features(
         state, small_synth["labels"], phix, cfg)
@@ -416,7 +418,7 @@ def test_train_history_ends_at_objective_value(small_synth):
 
 def test_train_history_starts_at_objective_value(small_synth):
     phix = [small_synth["phi1"].T, small_synth["phi2"].T]
-    cfg = TrainConfig(r=12, max_iters=2, rel_tol=1e-30, seed=3)
+    cfg = TrainConfig(r=12, lambdas=(0.5, 0.5), max_iters=2, rel_tol=1e-30, seed=3)
     _, report = train(phix, small_synth["labels"], cfg)
     start, _ = init_state(phix, small_synth["labels"], cfg)
     assert report.objective_history[0] == objective_from_features(
@@ -467,10 +469,93 @@ def test_train_converges_with_loose_tolerance(small_synth):
     assert report.iterations_run < 30
 
 
+def _repeated_patterns(rng, c, n, u):
+    """Labels drawn from u fixed multi-label patterns, so each repeats ~n/u times."""
+    patterns = rng.random((c, u)) < 0.4
+    patterns[rng.integers(0, c, u), np.arange(u)] = True
+    from xmodhash.dataio import RawLabelMatrix
+    from xmodhash.labelspace import normalize_labels
+    return normalize_labels(RawLabelMatrix(patterns[:, rng.integers(0, u, n)].astype(float)))
+
+
+@pytest.mark.parametrize("case, r", [
+    ("single-label", 12), ("multi-label", 8), ("c above r", 4), ("repeated patterns", 10),
+])
+def test_label_space_path_matches_full_trainer(case, r):
+    # the default lambda = 0 trains in label space; the full factorization at
+    # lambda = 0 is its oracle: same seeded start, same optimum of every step
+    rng = np.random.default_rng(31)
+    n = 240
+    labels = {
+        "single-label": lambda: random_labelset(rng, 4, n),
+        "multi-label": lambda: random_labelset(rng, 5, n, multi=True),
+        "c above r": lambda: random_labelset(rng, 12, n, multi=True),
+        "repeated patterns": lambda: _repeated_patterns(rng, 5, n, 9),
+    }[case]()
+    phix = [rng.standard_normal((6, n)), rng.standard_normal((5, n))]
+    cfg = TrainConfig(r=r, max_iters=6, rel_tol=1e-30, seed=4)
+    assert cfg.lambdas == (0.0, 0.0)
+    full, full_report = trainer._train_collective(phix, labels, cfg)
+    ours, report = train(phix, labels, cfg)
+
+    def assert_close(expected, got):
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    g = labels.normalized
+    assert_close(full.label_proj, ours.label_proj)
+    assert_close(full.latent @ g.T, ours.latent @ g.T)
+    # R is unique only when the Procrustes target has full rank r; the steps
+    # read it only through R V G^T and R^T M, which are unique either way
+    assert_close(full.rotation @ full.latent @ g.T, ours.rotation @ ours.latent @ g.T)
+    if case == "c above r":
+        assert_close(full.rotation, ours.rotation)
+    assert np.array_equal(full.codes, ours.codes)
+    assert np.allclose(report.objective_history, full_report.objective_history,
+                       rtol=1e-12, atol=0.0)
+    assert (report.iterations_run, report.converged) == (6, False)
+    res = constraint_residuals(ours)
+    assert res["rotation"] < 1e-8
+    assert res["latent_gram"] < 1e-8 * n
+    assert res["latent_balance"] < 1e-6 * np.sqrt(n)
+    assert res["codes_binary"] == 0.0
+
+
+def test_label_space_path_trains_on_one_label_pattern():
+    # one shared label vector leaves the latent step no signal: every V is
+    # optimal, and both paths complete all r directions at random
+    from xmodhash.dataio import RawLabelMatrix
+    from xmodhash.labelspace import normalize_labels
+    rng = np.random.default_rng(32)
+    l = np.zeros((3, 50))
+    l[0] = 1.0
+    labels = normalize_labels(RawLabelMatrix(l))
+    phix = [rng.standard_normal((4, 50)), rng.standard_normal((3, 50))]
+    cfg = TrainConfig(r=4, max_iters=3, rel_tol=1e-30, seed=0)
+    full, full_report = trainer._train_collective(phix, labels, cfg)
+    ours, report = train(phix, labels, cfg)
+    assert np.allclose(report.objective_history, full_report.objective_history,
+                       rtol=1e-12, atol=0.0)
+    assert np.array_equal(ours.codes, full.codes)
+    res = constraint_residuals(ours)
+    assert res["latent_gram"] < 1e-8 * 50
+    assert res["latent_balance"] < 1e-6 * np.sqrt(50)
+
+
+def test_default_path_never_takes_the_full_latent_step(small_synth, monkeypatch):
+    def no_latent_step(*args, **kwargs):
+        raise AssertionError("the label-space path called update_latent")
+
+    monkeypatch.setattr(trainer, "update_latent", no_latent_step)
+    state, report = train([small_synth["phi1"].T, small_synth["phi2"].T],
+                          small_synth["labels"], TrainConfig(r=16, seed=0))
+    assert report.iterations_run >= 1
+    assert state.latent.shape == (16, small_synth["labels"].n)
+
+
 def test_default_config_values():
     cfg = TrainConfig(r=32)
     assert cfg.omega == 0.5
-    assert cfg.lambdas == (0.5, 0.5)
+    assert cfg.lambdas == (0.0, 0.0)
     assert cfg.max_iters == 30
     assert cfg.rel_tol == 1e-5
 
