@@ -12,8 +12,7 @@ from .kernelfeat import KernelMap, estimate_width, fit_kernel, kernelize, select
 from .labelspace import LabelSet, normalize_labels
 from .retrieval import (CodeSet, RelevanceJudge, evaluate, pack_codes, rank_by_hamming,
                         read_codes, write_codes)
-from .trainer import (ModelState, TrainConfig, TrainReport, init_state,
-                      objective_value, train, update_codes, update_label_projection,
-                      update_latent, update_projection, update_rotation)
+from .trainer import (ModelState, TrainConfig, TrainReport, init_state, objective_value,
+                      train, update_codes, update_label_projection, update_rotation)
 
 __version__ = "0.1.0"

@@ -72,28 +72,33 @@ def fit_ridge_encoder(phix: np.ndarray, codes: np.ndarray, ridge: float) -> np.n
 def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig,
                  k: Sequence[int],
                  ridge: float = 1.0) -> tuple[HashEncoder, ModelState, TrainReport]:
-    """Fit a model on training rows: kernel maps, then codes, then hash encoders.
+    """Fit a model on training rows: codes, then one kernel map and hash
+    encoder per modality.
 
     ``xs[t - 1]`` is modality t, fit with ``k[t - 1]`` anchors from modality
     t's random streams of ``cfg.seed`` whatever its ``modality_id``.  Every
-    argument is checked before the first kernelize call.
+    argument is checked before training starts.  Training reads the labels
+    only, so each modality's n x k training features are built after it and
+    dropped once its ridge fit is done: one such matrix is alive at a time.
     """
     if not ridge > 0:
         raise ValidationError(f"ridge weight must be positive, got {ridge}")
-    if not len(xs) == len(k) == len(cfg.lambdas):
-        raise ValidationError(f"{len(xs)} modalities need as many anchor counts and lambda "
-                              f"weights, got {len(k)} and {len(cfg.lambdas)}")
+    if len(xs) != len(k):
+        raise ValidationError(f"{len(xs)} modalities need as many anchor counts, got {len(k)}")
     check_code_length(cfg.r, labels.n)
     for t, (x, k_t) in enumerate(zip(xs, k), start=1):
         if x.n != labels.n:
             raise ValidationError(f"x{t} has {x.n} instances but labels have {labels.n}")
         if not 1 <= k_t <= x.n:
             raise ValidationError(f"modality {t} needs 1 to {x.n} anchors, got k={k_t}")
-    fits = [fit_kernel(replace(x, modality_id=t), k_t, cfg.seed)
-            for t, (x, k_t) in enumerate(zip(xs, k), start=1)]
-    state, report = train([phi.T for _, phi in fits], labels, cfg)
-    proj = [fit_ridge_encoder(phi, state.codes.T, ridge) for _, phi in fits]
-    return HashEncoder(proj=proj, kernels=[km for km, _ in fits]), state, report
+    state, report = train(labels, cfg)
+    kernels, proj = [], []
+    for t, (x, k_t) in enumerate(zip(xs, k), start=1):
+        km, phi = fit_kernel(replace(x, modality_id=t), k_t, cfg.seed)
+        kernels.append(km)
+        proj.append(fit_ridge_encoder(phi, state.codes.T, ridge))
+        del phi     # before the next modality's features are built
+    return HashEncoder(proj=proj, kernels=kernels), state, report
 
 
 #: Matrix sections of a two-modality model archive, in the order ``to_archive``
@@ -106,7 +111,7 @@ REQUIRED_SECTIONS = (
 #: Metadata keys a model archive must carry; ``to_archive`` also writes
 #: ``lambda_h`` and ``converged``, which nothing reads back.
 REQUIRED_METADATA = (
-    "r", "omega", "lambda_1", "lambda_2", "sigma_1", "sigma_2",
+    "r", "omega", "sigma_1", "sigma_2",
     "k_1", "k_2", "seed", "iterations", "objective_history",
 )
 
@@ -114,8 +119,7 @@ REQUIRED_METADATA = (
 def to_archive(enc: HashEncoder, state: ModelState, report: TrainReport,
                cfg: TrainConfig, ridge: float) -> ModelArchive:
     """The AMH1 sections and metadata of a fitted two-modality model.  The r x n
-    factors V and B and the latent projections P_t are left out: ``encode``
-    reads none of them, B is sign(M L), and at lambda = 0 there is no P_t."""
+    factors V and B are left out: ``encode`` reads neither, and B is sign(M L)."""
     if len(enc.kernels) != 2:
         raise ValidationError(f"a model archive holds 2 modalities, got {len(enc.kernels)}")
     km1, km2 = enc.kernels
@@ -127,7 +131,6 @@ def to_archive(enc: HashEncoder, state: ModelState, report: TrainReport,
         sections=dict(zip(REQUIRED_SECTIONS, values, strict=True)),
         metadata={
             "r": str(cfg.r), "omega": repr(cfg.omega),
-            "lambda_1": repr(cfg.lambdas[0]), "lambda_2": repr(cfg.lambdas[1]),
             "lambda_h": repr(ridge),
             "sigma_1": repr(km1.sigma), "sigma_2": repr(km2.sigma),
             "k_1": str(km1.k), "k_2": str(km2.k),

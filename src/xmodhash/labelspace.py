@@ -1,8 +1,8 @@
 """Label matrix normalization, the label Grams, and distinct label patterns.
 
 The trainer only ever touches small Gram contractions of the normalized
-label matrix; it never builds explicit pairwise affinity entries.  At
-lambda = 0 it trains on the distinct label columns and their counts.
+label matrix; it never builds explicit pairwise affinity entries.  Its
+sweeps run on the distinct label columns and their counts.
 """
 
 from dataclasses import dataclass, field

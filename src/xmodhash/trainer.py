@@ -1,40 +1,33 @@
-"""Alternating optimization of binary codes over two kernelized modalities.
+"""Alternating optimization of binary codes from the training labels.
 
 The model couples a shared latent matrix V (r x n, decorrelated and
-balanced: V V^T = n I, V 1 = 0), a square rotation R, a label projection M,
-discrete codes B, and per-modality projections P.  One training sweep
-updates each factor to the exact minimizer of its subproblem, in the order
-P, M, R, V, B, so the objective
+balanced: V V^T = n I, V 1 = 0), a square rotation R, a label projection M
+and discrete codes B.  One training sweep updates M, R, V and B in turn,
+each to the exact minimizer of its subproblem, so the objective
 
-    ||(R V)^T (M L) - r G^T G||_F^2
-      + omega ||B - M L||_F^2
-      + sum_t lambda_t ||phi(X_t) - P_t V||_F^2
+    ||(R V)^T (M L) - r G^T G||_F^2 + omega ||B - M L||_F^2
 
-never increases.  Every term is evaluated through c x c / r x r Gram
-contractions; nothing here allocates an n x n array, which keeps training
-linear in the number of instances.
+never increases.
 
-``train`` takes one of two paths, chosen by the lambda weights:
+Training reads the labels only.  The codes are B = sign(M L), shared by
+every instance with the same label vector, and V reaches the M and R steps
+only through V G^T (r x c).  So the sweeps never form V or B: one QR of the
+centered, count-weighted distinct label patterns, taken once, reduces the
+latent step to an r x rho SVD, and ||(R V)^T M L||^2 = n ||M L||^2 because
+V V^T = n I.  Every term is a c x c or r x r contraction; only the seeded
+start and the V and B built once, after the last sweep, are r x n, and
+nothing is n x n, which keeps training linear in the number of instances.
 
-- Any lambda_t > 0 runs the full collective factorization: every sweep
-  forms V (r x n) and the feature products phi_t V^T.
-- All lambda_t = 0 (the default) runs in label space.  The codes are
-  B = sign(M L), shared by every instance with the same label vector, and
-  V reaches the M and R steps only through V G^T (r x c).  So the sweeps
-  never form V: one QR of the centered, count-weighted distinct label
-  patterns, taken once, reduces the latent step to an r x rho SVD, and
-  ||(R V)^T M L||^2 = n ||M L||^2 because V V^T = n I.  V and B are built
-  once, after the last sweep.  From the same seed, the full factorization
-  at lambda = 0 reaches the same M, codes and objective history, to
-  rounding.  R can differ where the Procrustes target has rank below r:
-  any rotation of that null space is optimal, and at lambda = 0 no later
-  step reads it.
-
-The M, R and B steps are shared by both paths.
+This is the paper's collective factorization with the feature
+reconstruction weights fixed at 0.  The tests keep the full factorization,
+which forms V and each phi_t V^T every sweep, as the reference this trainer
+must match: from the same seed it reaches the same M, codes and objective
+history, to rounding.  R can differ where the Procrustes target has rank
+below r: any rotation of that null space is optimal, and no later step
+reads it.
 """
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +40,6 @@ from .rng import component_rng
 class TrainConfig:
     r: int
     omega: float = 0.5
-    lambdas: tuple[float, ...] = (0.0, 0.0)
     max_iters: int = 30
     rel_tol: float = 1e-5
     seed: int = 0
@@ -57,10 +49,6 @@ class TrainConfig:
             raise ValidationError(f"code length must be >= 1, got {self.r}")
         if not 0 <= self.omega < np.inf:    # NaN fails every comparison
             raise ValidationError(f"omega must be >= 0 and finite, got {self.omega}")
-        for lam in self.lambdas:
-            if not 0 <= lam < np.inf:
-                raise ValidationError(
-                    f"lambdas must be >= 0 and finite, got {lam} in {self.lambdas}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.rel_tol > 0:
@@ -75,7 +63,6 @@ class ModelState:
     rotation: np.ndarray         # R, r x r orthogonal
     label_proj: np.ndarray       # M, r x c
     codes: np.ndarray            # B, r x n, entries exactly +-1
-    proj: list[np.ndarray] = field(default_factory=list)  # P_t, k_t x r; none at lambda = 0
 
     @property
     def r(self) -> int:
@@ -125,36 +112,16 @@ def check_code_length(r: int, n: int) -> None:
             f"(the balanced latent constraints are infeasible otherwise), got n={n}")
 
 
-def _check_features(phix: Sequence[np.ndarray], n: int) -> None:
-    for t, phi in enumerate(phix, start=1):
-        if phi.shape[1] != n:
-            raise ValidationError(
-                f"modality {t} has {phi.shape[1]} feature columns but {n} labels")
-
-
-def init_state(phix: Sequence[np.ndarray], labels: LabelSet,
-               cfg: TrainConfig) -> tuple[ModelState, list[np.ndarray]]:
-    """Seeded random feasible starting point with projections fit to it, plus
-    each modality's phi_t V^T, which the starting objective reuses.  Given no
-    modalities, as on the label-space path, it fits no projection."""
+def init_state(labels: LabelSet, cfg: TrainConfig) -> ModelState:
+    """Seeded random feasible starting point."""
     n, c, r = labels.n, labels.c, cfg.r
     check_code_length(r, n)
-    _check_features(phix, n)
     rng = component_rng(cfg.seed, "init")
     rotation = _haar_orthogonal(rng, r)
     label_proj = rng.standard_normal((r, c))
     codes = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     latent = np.sqrt(n) * _balanced_orthonormal_rows(rng.standard_normal((r, n)))
-    phi_vt = [phi @ latent.T for phi in phix]
-    proj = [update_projection(pv, n) for pv in phi_vt]
-    return ModelState(latent=latent, rotation=rotation, label_proj=label_proj,
-                      codes=codes, proj=proj), phi_vt
-
-
-def update_projection(phi_vt_t: np.ndarray, n: int) -> np.ndarray:
-    """Least-squares projection onto the latent rows, from phi_t V^T;
-    V V^T = n I collapses the normal equations to a single scaled product."""
-    return phi_vt_t / n
+    return ModelState(latent=latent, rotation=rotation, label_proj=label_proj, codes=codes)
 
 
 def update_label_projection(v_gt: np.ndarray, rot: np.ndarray, b_lt: np.ndarray,
@@ -241,82 +208,18 @@ def _latent_from_directions(u_kept: np.ndarray, w_kept: np.ndarray, u_deficient:
     return np.sqrt(n) * v
 
 
-def update_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
-                  phix: Sequence[np.ndarray], p: Sequence[np.ndarray],
-                  cfg: TrainConfig, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Maximize the linear score <V, Z> over balanced decorrelated V.
-
-    Z collects the rotated label signal and the modality reconstructions;
-    Y is Z with its rows centered.  One QR factorization of [1_n / sqrt(n), Z^T]
-    gives, in the trailing r columns of Q, an orthonormal n x r basis
-    Q' orthogonal to 1_n to rounding, and in the trailing r x r block T of the
-    triangular factor the coordinates Y^T = Q' T.  An r x r SVD T^T = U S W^T
-    then gives the thin SVD Y = U S (Q' W)^T without an SVD over the n side,
-    and the maximizer is sqrt(n) U (Q' W)^T.  Pinning 1_n / sqrt(n) as the
-    first column keeps every direction balanced however small its singular
-    value; a plain QR of Y^T does not.
-
-    Singular directions with sigma <= max(r, n) * eps * sigma_0 (numpy
-    ``matrix_rank``'s default tolerance) are rounding noise: they count as
-    rank deficient and are completed with seeded random balanced orthonormal
-    vectors, which leave the score unchanged.  The result is the exact
-    maximizer whatever the spectrum, which keeps training monotone without
-    comparing against the previous V.
-    """
-    g = labels.normalized
-    r = rot.shape[0]
-    n = labels.n
-    if rng is None:
-        rng = component_rng(cfg.seed, "latent-completion")
-    z = r * (rot.T @ ((m @ labels.lgt) @ g))
-    for lam, p_t, phi_t in zip(cfg.lambdas, p, phix):
-        z = z + lam * (p_t.T @ phi_t)
-    try:
-        q, tri = np.linalg.qr(np.hstack([np.full((n, 1), 1.0 / np.sqrt(n)), z.T]))
-        basis = q[:, 1:]                               # Q', n x r
-        left, singvals, wt = np.linalg.svd(tri[1:, 1:].T)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"latent factorization failed: {e}") from e
-    return _latent_from_directions(*_split_directions(left, singvals, wt, n), basis, rng)
-
-
 def update_codes(m: np.ndarray, labels: LabelSet) -> np.ndarray:
     """Elementwise optimal quantization of the label embedding; sign(0) = +1."""
     return np.where(m @ labels.labels >= 0, 1.0, -1.0)
 
 
-def objective_value(state: ModelState, labels: LabelSet, cfg: TrainConfig,
-                    phi_sq: Sequence[float], phi_vt: Sequence[np.ndarray]) -> float:
-    """Evaluate the training objective without forming any n x n matrix.
-
-    The features enter through each modality's ||phi_t||^2 and phi_t V^T.
-    The affinity term expands into r x r and c x c Gram contractions:
-    ||A^T C||^2 = trace((A A^T)(C C^T)) applied to A = R V and C = M L,
-    plus the cross trace against the label Gram.
-    """
-    l, g = labels.labels, labels.normalized
-    v, rot, m, b = state.latent, state.rotation, state.label_proj, state.codes
-    r = state.r
-    ml = m @ l
-    rv = rot @ v
-    affinity = float(np.sum((ml @ ml.T) * (rv @ rv.T)))
-    c_mat = (m @ labels.lgt) @ (g @ v.T)
-    affinity -= 2.0 * r * float(np.sum(rot * c_mat))
-    affinity += r * r * float(np.sum(labels.ggt * labels.ggt))
-    quantization = cfg.omega * float(np.sum((b - ml) ** 2))
-    reconstruction = 0.0
-    vvt = v @ v.T
-    for lam, p_t, sq, pv in zip(cfg.lambdas, state.proj, phi_sq, phi_vt):
-        cross = float(np.sum(pv * p_t))
-        proj_sq = float(np.sum((p_t.T @ p_t) * vvt))
-        reconstruction += lam * (sq - 2.0 * cross + proj_sq)
-    return affinity + quantization + reconstruction
-
-
-def _label_space_objective(state: ModelState, v_gt: np.ndarray, b_lt: np.ndarray,
-                           labels: LabelSet, cfg: TrainConfig) -> float:
-    """``objective_value`` at lambda = 0, from V G^T and B L^T alone: V V^T = n I
-    gives ||(R V)^T M L||^2 = n ||M L||^2, and +-1 codes give ||B||^2 = r n."""
+def objective_value(state: ModelState, v_gt: np.ndarray, b_lt: np.ndarray,
+                    labels: LabelSet, cfg: TrainConfig) -> float:
+    """The training objective from M and R of ``state`` and from V G^T and
+    B L^T, without forming any n-sized matrix: V V^T = n I gives
+    ||(R V)^T M L||^2 = n ||M L||^2, +-1 codes give ||B||^2 = r n, and the
+    cross terms are r x c contractions.  ``state.latent`` and ``state.codes``
+    are not read."""
     m, rot = state.label_proj, state.rotation
     n, r = labels.n, cfg.r
     ml_sq = float(np.sum((m @ labels.llt) * m))    # ||M L||^2
@@ -332,53 +235,44 @@ def _stalled(history: list[float], cfg: TrainConfig) -> bool:
     return prev - cur <= cfg.rel_tol * abs(prev)
 
 
-def _train_collective(phix: Sequence[np.ndarray], labels: LabelSet,
-                      cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
-    """The full factorization: every sweep forms V and each phi_t V^T.
+def _pattern_basis(patterns: LabelSet, counts: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The latent step's basis from the distinct label patterns, taken once.
 
-    ``init_state`` fits the first sweep's P; every later P step runs at the
-    end of the sweep before, from the phi_t V^T the objective just took, so
-    no P is fit that no latent step reads.
+    Let E be the n x u indicator of each instance's distinct label pattern
+    and K = diag(sqrt(counts)).  E K^-1 has orthonormal columns, and
+    [1_n / sqrt(n), G^T] = E K^-1 [sqrt(counts) / sqrt(n), K Ghat^T], so a
+    QR of the u-row right-hand matrix gives the QR of the n-row left-hand
+    one.  Returns the u distinct rows of the n x rho basis Q', which is
+    orthogonal to 1_n, and the coordinates Gamma of the centered G^T = Q' Gamma.
+    Pinning 1_n / sqrt(n) as the first column keeps every direction balanced
+    however small its singular value.
     """
-    l, g = labels.labels, labels.normalized
-    # phi_t V^T serves the objective after a sweep and the next sweep's P step
-    state, phi_vt = init_state(phix, labels, cfg)
-    completion_rng = component_rng(cfg.seed, "latent-completion")
-    phi_sq = [float(np.einsum("ij,ij->", phi, phi)) for phi in phix]
-    history = [objective_value(state, labels, cfg, phi_sq, phi_vt)]
-    converged = False
-    for sweep in range(1, cfg.max_iters + 1):
-        try:
-            v_gt = state.latent @ g.T
-            state.label_proj = update_label_projection(
-                v_gt, state.rotation, state.codes @ l.T, labels, cfg)
-            state.rotation = update_rotation(state.label_proj, labels, v_gt)
-            state.latent = update_latent(state.rotation, state.label_proj, labels,
-                                         phix, state.proj, cfg, completion_rng)
-            state.codes = update_codes(state.label_proj, labels)
-        except NumericalError as e:
-            raise NumericalError(f"sweep {sweep}: {e}") from e
-        phi_vt = [phi @ state.latent.T for phi in phix]
-        history.append(objective_value(state, labels, cfg, phi_sq, phi_vt))
-        if _stalled(history, cfg):
-            converged = True
-            break
-        if sweep < cfg.max_iters:
-            state.proj = [update_projection(pv, state.n) for pv in phi_vt]
-    return state, TrainReport(objective_history=history,
-                              iterations_run=len(history) - 1, converged=converged)
+    root = np.sqrt(counts)[:, None]
+    try:
+        q, tri = np.linalg.qr(np.hstack([root / np.sqrt(n), root * patterns.normalized.T]))
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"label-pattern factorization failed: {e}") from e
+    return q[:, 1:] / root, tri[1:, 1:]
 
 
-def _label_space_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
-                        gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``update_latent``'s singular directions at lambda = 0, from the r x rho
-    matrix A Gamma^T (see ``_train_in_label_space``).  With one distinct
-    label pattern Gamma has no rows: Y = 0, every V is optimal, and all r
-    directions are completed."""
+def _latent_directions(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
+                       gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The latent step: maximize the linear score <V, Z> over balanced
+    decorrelated V, for Z = A G with A = r R^T M L G^T.
+
+    Y, Z with its rows centered, is (A Gamma^T) Q'^T (see ``_pattern_basis``),
+    so the r x rho SVD A Gamma^T = U S W^T gives the maximizer
+    sqrt(n) U (Q' W)^T, and V G^T = sqrt(n) U W^T Gamma.  Returns the kept
+    and the deficient singular directions (``_split_directions``); the
+    deficient ones are completed when V is built.  With one distinct label
+    pattern Gamma has no rows: Y = 0, every V is optimal, and all r
+    directions are completed.
+    """
     r = rot.shape[0]
     if gamma.shape[0] == 0:
         return np.empty((r, 0)), np.empty((0, 0)), np.eye(r)
-    a = r * (rot.T @ (m @ labels.lgt))   # Z = A G
+    a = r * (rot.T @ (m @ labels.lgt))
     try:
         left, singvals, wt = np.linalg.svd(a @ gamma.T)
     except np.linalg.LinAlgError as e:
@@ -386,46 +280,37 @@ def _label_space_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
     return _split_directions(left, singvals, wt, labels.n)
 
 
-def _train_in_label_space(labels: LabelSet,
-                          cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
-    """The sweeps at lambda = 0, none of which forms V, B or anything n-sized.
+def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
+    """Run full sweeps of the updates until the objective stalls.
 
-    Let E be the n x u indicator of each instance's distinct label pattern
-    and K = diag(sqrt(counts)).  E K^-1 has orthonormal columns, and
-    [1_n / sqrt(n), G^T] = E K^-1 [sqrt(counts) / sqrt(n), K Ghat^T], so a
-    QR of the u-row right-hand matrix, taken once, gives the QR that the
-    full latent step takes of its n-row one: the basis Q' (n x rho, stored
-    as its u distinct rows) and the centered G^T = Q' Gamma.  The score is
-    Z = A G with A = r R^T M L G^T, so Y = (A Gamma^T) Q'^T and each latent
-    step is one r x rho SVD, which also gives V G^T = sqrt(n) U_k W_k^T Gamma.
-    Completion directions are orthogonal to the kept ones and to 1_n; once
-    the kept ones span the centered labels, as they do unless A Gamma^T
-    loses rank, they add nothing to V G^T.  B reaches the M step only
-    through B L^T, summed over the patterns.
+    The sweeps track V G^T and B L^T, summed over the distinct label
+    patterns (see the module docstring).  Completion directions are
+    orthogonal to the kept ones and to 1_n; once the kept ones span the
+    centered labels, as they do unless A Gamma^T loses rank, they add
+    nothing to V G^T.  V and B are built once, after the last sweep.  The
+    history records the objective before training and after every sweep; a
+    sweep whose relative decrease falls below ``cfg.rel_tol`` stops the
+    loop.  Identical inputs and seed reproduce the final state bitwise on a
+    given platform.
     """
     n = labels.n
-    state, _ = init_state([], labels, cfg)
+    state = init_state(labels, cfg)
     patterns, counts, inverse = label_patterns(labels)
-    root = np.sqrt(counts)[:, None]
-    try:
-        q, tri = np.linalg.qr(np.hstack([root / np.sqrt(n), root * patterns.normalized.T]))
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"label-pattern factorization failed: {e}") from e
-    rows, gamma = q[:, 1:] / root, tri[1:, 1:]
+    rows, gamma = _pattern_basis(patterns, counts, n)
     v_gt = state.latent @ labels.normalized.T
     b_lt = state.codes @ labels.labels.T
-    history = [_label_space_objective(state, v_gt, b_lt, labels, cfg)]
+    history = [objective_value(state, v_gt, b_lt, labels, cfg)]
     converged = False
     for sweep in range(1, cfg.max_iters + 1):
         try:
             state.label_proj = update_label_projection(v_gt, state.rotation, b_lt, labels, cfg)
             state.rotation = update_rotation(state.label_proj, labels, v_gt)
-            directions = _label_space_latent(state.rotation, state.label_proj, labels, gamma)
+            directions = _latent_directions(state.rotation, state.label_proj, labels, gamma)
             v_gt = np.sqrt(n) * (directions[0] @ directions[1]) @ gamma
             b_lt = (update_codes(state.label_proj, patterns) * counts) @ patterns.labels.T
         except NumericalError as e:
             raise NumericalError(f"sweep {sweep}: {e}") from e
-        history.append(_label_space_objective(state, v_gt, b_lt, labels, cfg))
+        history.append(objective_value(state, v_gt, b_lt, labels, cfg))
         if _stalled(history, cfg):
             converged = True
             break
@@ -437,24 +322,3 @@ def _train_in_label_space(labels: LabelSet,
     state.codes = update_codes(state.label_proj, labels)
     return state, TrainReport(objective_history=history,
                               iterations_run=len(history) - 1, converged=converged)
-
-
-def train(phix: Sequence[np.ndarray], labels: LabelSet,
-          cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
-    """Run full sweeps of the updates until the objective stalls.
-
-    All-zero lambda weights train in label space, and any lambda_t > 0 runs
-    the full collective factorization (see the module docstring); both
-    check the features against the labels.  The history records the
-    objective before training and after every sweep; a sweep whose relative
-    decrease falls below ``cfg.rel_tol`` stops the loop.  Identical inputs
-    and seed reproduce the final state bitwise on a given platform.
-    """
-    phix = [np.asarray(phi, dtype=np.float64) for phi in phix]
-    if len(phix) != len(cfg.lambdas):
-        raise ValidationError(
-            f"{len(phix)} modalities but {len(cfg.lambdas)} lambda weights")
-    if any(cfg.lambdas):
-        return _train_collective(phix, labels, cfg)
-    _check_features(phix, labels.n)
-    return _train_in_label_space(labels, cfg)

@@ -12,7 +12,6 @@ from xmodhash.errors import ValidationError
 from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import LabelSet, normalize_labels
 from xmodhash.retrieval import CodeSet, pack_codes
-from xmodhash.trainer import objective_value
 
 
 def cli_env():
@@ -74,25 +73,19 @@ def random_labelset(rng, c, n, multi=False) -> LabelSet:
     return normalize_labels(dataio.RawLabelMatrix(l))
 
 
-def naive_objective(state, labels, phix, cfg):
-    """Dense objective evaluation that does materialize the n x n affinity."""
+def naive_objective(state, labels, cfg, phix=(), lambdas=()):
+    """Dense objective evaluation that does materialize the n x n affinity;
+    given features and weights, it adds lambda_t ||phi_t - P_t V||^2 with
+    P_t from ``state.proj``."""
     l, g = labels.labels, labels.normalized
     r = state.r
     ml = state.label_proj @ l
     big = (state.rotation @ state.latent).T @ ml - r * (g.T @ g)
     total = float(np.sum(big ** 2))
     total += cfg.omega * float(np.sum((state.codes - ml) ** 2))
-    for lam, p_t, phi_t in zip(cfg.lambdas, state.proj, phix):
-        total += lam * float(np.sum((phi_t - p_t @ state.latent) ** 2))
+    for t, (lam, phi_t) in enumerate(zip(lambdas, phix)):
+        total += lam * float(np.sum((phi_t - state.proj[t] @ state.latent) ** 2))
     return total
-
-
-def objective_from_features(state, labels, phix, cfg):
-    """``objective_value`` from the kernel features (k_t x n each): ||phi_t||^2
-    and phi_t V^T computed the way ``train`` computes them."""
-    return objective_value(state, labels, cfg,
-                           [float(np.einsum("ij,ij->", phi, phi)) for phi in phix],
-                           [phi @ state.latent.T for phi in phix])
 
 
 def unpack_codes(codes: CodeSet) -> np.ndarray:

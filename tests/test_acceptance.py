@@ -16,19 +16,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (cli_env, fd_gradient, gradient_scale, naive_objective,
-                      objective_from_features, oracle_map, random_feasible_latent,
-                      random_labelset, ranked_codes, relevance)
-from xmodhash import dataio, kernelfeat
+from collective_trainer import (CollectiveState, objective_from_features, update_latent,
+                                update_projection)
+from conftest import (cli_env, fd_gradient, gradient_scale, naive_objective, oracle_map,
+                      random_feasible_latent, random_labelset, ranked_codes, relevance)
+from xmodhash import dataio, kernelfeat, trainer
 from xmodhash.dataio import FeatureMatrix, RawLabelMatrix
 from xmodhash.encoder import encode, fit_pipeline
 from xmodhash.kernelfeat import fit_kernel
-from xmodhash.labelspace import normalize_labels
+from xmodhash.labelspace import label_patterns, normalize_labels
 from xmodhash.retrieval import RelevanceJudge, evaluate, pack_codes, rank_by_hamming
 from xmodhash.rng import component_rng
-from xmodhash.trainer import (ModelState, TrainConfig, constraint_residuals, train,
-                              update_codes, update_label_projection, update_latent,
-                              update_projection, update_rotation)
+from xmodhash.trainer import (TrainConfig, constraint_residuals, objective_value, train,
+                              update_codes, update_label_projection, update_rotation)
 
 # ridge-to-label oracle baseline on the criterion-6 dataset, frozen before
 # the hashing pipeline was built (see _ridge_label_oracle for the recipe)
@@ -120,13 +120,11 @@ def pipeline():
 
 def test_criterion_1_constraint_suite():
     start = time.perf_counter()
-    x1, x2, raw = dataio.generate_synthetic(500, 5, 32, 16, 0.3, seed=0)
+    _, _, raw = dataio.generate_synthetic(500, 5, 32, 16, 0.3, seed=0)
     labels = normalize_labels(raw)
-    _, phi1 = fit_kernel(x1, 200, 0)
-    _, phi2 = fit_kernel(x2, 200, 0)
     worst = {}
     for r in (16, 32):
-        state, _ = train([phi1.T, phi2.T], labels, TrainConfig(r=r, seed=0))
+        state, _ = train(labels, TrainConfig(r=r, seed=0))
         res = constraint_residuals(state)
         worst[r] = res
         assert res["rotation"] < 1e-8
@@ -143,12 +141,10 @@ def test_criterion_1_constraint_suite():
 def test_criterion_2_monotone_descent():
     worst_increase = -np.inf
     for seed in range(5):
-        x1, x2, raw = dataio.generate_synthetic(500, 5, 32, 16, 0.3, seed=seed)
+        _, _, raw = dataio.generate_synthetic(500, 5, 32, 16, 0.3, seed=seed)
         labels = normalize_labels(raw)
-        _, phi1 = fit_kernel(x1, 128, seed)
-        _, phi2 = fit_kernel(x2, 128, seed)
         cfg = TrainConfig(r=16, max_iters=30, rel_tol=1e-30, seed=seed)
-        _, report = train([phi1.T, phi2.T], labels, cfg)
+        _, report = train(labels, cfg)
         h = report.objective_history
         assert report.iterations_run == 30
         for prev, cur in zip(h, h[1:]):
@@ -161,7 +157,7 @@ def test_criterion_3_substep_oracles():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
 
-    # P-step and M-step: vanishing finite-difference gradients
+    # P-step (reference trainer) and M-step: vanishing finite-difference gradients
     v = random_feasible_latent(rng, 3, 12)
     phix = rng.standard_normal((6, 12))
     p_hat = update_projection(phix @ v.T, 12)
@@ -174,7 +170,7 @@ def test_criterion_3_substep_oracles():
     v = random_feasible_latent(rng, r, n)
     rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
-    cfg = TrainConfig(r=r, omega=0.5, lambdas=(0.5,))
+    cfg = TrainConfig(r=r, omega=0.5)
     l, g = labels.labels, labels.normalized
     m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
 
@@ -194,13 +190,30 @@ def test_criterion_3_substep_oracles():
         q, rr = np.linalg.qr(rng.standard_normal((r, r)))
         assert np.sum((q * np.sign(np.diag(rr))) * target) <= best_trace + 1e-9 * abs(best_trace)
 
-    # V-step: inner product beats 1000 random feasible points
+    # V-step: inner product beats 1000 random feasible points, for the
+    # reference trainer's step (lambda = 1, P = I, so Z is any r x n matrix)
     r_v, n_v = 5, 40
     z = rng.standard_normal((r_v, n_v))
     labels_v = random_labelset(rng, 2, n_v)
-    cfg_v = TrainConfig(r=r_v, lambdas=(1.0,))
+    cfg_v = TrainConfig(r=r_v)
     v_hat = update_latent(np.eye(r_v), np.zeros((r_v, 2)), labels_v, [z],
-                          [np.eye(r_v)], cfg_v, rng=np.random.default_rng(1))
+                          [np.eye(r_v)], cfg_v, (1.0,), rng=np.random.default_rng(1))
+    best_score = np.sum(v_hat * z)
+    for _ in range(1000):
+        assert np.sum(random_feasible_latent(rng, r_v, n_v) * z) \
+            <= best_score + 1e-9 * abs(best_score)
+
+    # and for train's own step on its score Z = A G, with c >= r multi-label labels
+    c_v = 7
+    labels_v = random_labelset(rng, c_v, n_v, multi=True)
+    rot_v = np.linalg.qr(rng.standard_normal((r_v, r_v)))[0]
+    m_v = rng.standard_normal((r_v, c_v))
+    patterns, counts, inverse = label_patterns(labels_v)
+    rows, gamma = trainer._pattern_basis(patterns, counts, n_v)
+    v_hat = trainer._latent_from_directions(
+        *trainer._latent_directions(rot_v, m_v, labels_v, gamma), rows[inverse],
+        np.random.default_rng(1))
+    z = r_v * rot_v.T @ (m_v @ labels_v.lgt) @ labels_v.normalized
     best_score = np.sum(v_hat * z)
     for _ in range(1000):
         assert np.sum(random_feasible_latent(rng, r_v, n_v) * z) \
@@ -222,23 +235,32 @@ def test_criterion_3_substep_oracles():
 
 def test_criterion_4_dense_oracle_equivalence():
     rng = np.random.default_rng(4)
+    # the reference trainer's objective with reconstruction terms, and
+    # train's own objective (lambda = 0), on the same states
     worst = 0.0
     for trial in range(20):
         n, c, r, k = int(rng.integers(10, 51)), 3, 4, 6
         labels = random_labelset(rng, c, n, multi=bool(trial % 2))
-        state = ModelState(latent=random_feasible_latent(rng, r, n),
-                           rotation=np.linalg.qr(rng.standard_normal((r, r)))[0],
-                           label_proj=rng.standard_normal((r, c)),
-                           codes=np.where(rng.random((r, n)) < 0.5, -1.0, 1.0),
-                           proj=[rng.standard_normal((k, r))])
+        state = CollectiveState(latent=random_feasible_latent(rng, r, n),
+                                rotation=np.linalg.qr(rng.standard_normal((r, r)))[0],
+                                label_proj=rng.standard_normal((r, c)),
+                                codes=np.where(rng.random((r, n)) < 0.5, -1.0, 1.0),
+                                proj=[rng.standard_normal((k, r))])
         phix = [rng.standard_normal((k, n))]
-        cfg = TrainConfig(r=r, omega=rng.random(), lambdas=(rng.random(),))
-        fast = objective_from_features(state, labels, phix, cfg)
-        dense = naive_objective(state, labels, phix, cfg)
+        cfg = TrainConfig(r=r, omega=rng.random())
+        lambdas = (rng.random(),)
+        fast = objective_from_features(state, labels, phix, cfg, lambdas)
+        dense = naive_objective(state, labels, cfg, phix, lambdas)
         rel = abs(fast - dense) / abs(dense)
         worst = max(worst, rel)
         assert rel < 1e-9
-    _report(4, worst < 1e-9, f"worst relative gap {worst:.2e} over 20 states")
+        ours = objective_value(state, state.latent @ labels.normalized.T,
+                               state.codes @ labels.labels.T, labels, cfg)
+        dense = naive_objective(state, labels, cfg)
+        rel = abs(ours - dense) / abs(dense)
+        worst = max(worst, rel)
+        assert rel < 1e-9
+    _report(4, worst < 1e-9, f"worst relative gap {worst:.2e} over 20 states, both objectives")
 
 
 def test_criterion_5_metric_oracle():
@@ -315,15 +337,12 @@ def test_criterion_8_scaling_and_memory():
     # memory discipline: peak allocation during train stays within the linear
     # budget (an n x n array alone would need 3.2 GB at this size)
     n, c, k, r = 20000, 10, 500, 32
-    x1, x2, raw = dataio.generate_synthetic(n, c, 32, 16, 0.3, seed=0)
+    _, _, raw = dataio.generate_synthetic(n, c, 32, 16, 0.3, seed=0)
     labels = normalize_labels(raw)
-    _, phi1 = fit_kernel(x1, k, 0)
-    _, phi2 = fit_kernel(x2, k, 0)
-    phi1, phi2 = np.ascontiguousarray(phi1.T), np.ascontiguousarray(phi2.T)
     cfg = TrainConfig(r=r, max_iters=3, rel_tol=1e-300, seed=0)
     budget = 16 * n * (k + c + r)
     tracemalloc.start()
-    train([phi1, phi2], labels, cfg)
+    train(labels, cfg)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     elapsed = time.perf_counter() - start

@@ -98,8 +98,6 @@ def test_train_archive_equals_library_fit(synth_dir, tmp_path, capsys):
     ("--omega", "-1", "omega must be >= 0"),
     ("--omega", "nan", "omega must be >= 0 and finite, got nan"),
     ("--omega", "inf", "omega must be >= 0 and finite, got inf"),
-    ("--lambda2", "-1", "lambdas must be >= 0"),
-    ("--lambda1", "nan", "lambdas must be >= 0 and finite, got nan"),
     ("--bits", "0", "code length must be >= 1"),
     ("--max-iters", "0", "max_iters must be >= 1"),
     ("--tol", "0", "rel_tol must be positive"),
@@ -117,6 +115,25 @@ def test_train_bad_arguments_fail_before_kernel_work(synth_dir, tmp_path, capsys
     code, out, err = run(capsys, *train_args(synth_dir, model, **{flag: value}))
     assert code == 2 and out == ""
     assert message in err
+    assert not model.exists()
+
+
+def test_train_rejects_a_reconstruction_weight_flag(synth_dir, tmp_path, capsys):
+    model = tmp_path / "m.amh"
+    with pytest.raises(SystemExit) as caught:
+        main(train_args(synth_dir, model, **{"--lambda1": "0.5"}))
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --lambda1 0.5" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_train_rejects_a_reconstruction_weight_config_key(synth_dir, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("lambda1=0.5\n")
+    model = tmp_path / "m.amh"
+    code, out, err = run(capsys, *train_args(synth_dir, model), "--config", str(config))
+    assert code == 2 and out == ""
+    assert "run.cfg:1: unknown key 'lambda1'" in err
     assert not model.exists()
 
 
@@ -347,7 +364,7 @@ def test_eval_bad_arguments_fail_before_ranking(tmp_path, capsys, monkeypatch, e
 
 def test_bench_tiny_sizes(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "40,80", "--bits", "8",
-                       "--c", "3", "--k1", "16", "--k2", "16", "--sweeps", "2")
+                       "--c", "3", "--sweeps", "2")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,bits,seconds"
@@ -371,12 +388,12 @@ def test_bench_needs_two_distinct_sizes(capsys, monkeypatch, sizes):
     ("0", "code length must be >= 1"),
 ], ids=["8,64", "0"])
 def test_bench_checks_every_bits_value_first(capsys, monkeypatch, bits, message):
-    def no_kernel(*args, **kwargs):
-        raise AssertionError("bench kernelized before checking --bits")
+    def no_data(*args, **kwargs):
+        raise AssertionError("bench generated data before checking --bits")
 
-    monkeypatch.setattr(kernelfeat, "fit_kernel", no_kernel)
+    monkeypatch.setattr(dataio, "generate_synthetic", no_data)
     code, out, err = run(capsys, "bench", "--sizes", "40,80", "--bits", bits,
-                         "--c", "3", "--k1", "16", "--k2", "16", "--sweeps", "2")
+                         "--c", "3", "--sweeps", "2")
     assert code == 2 and out == ""
     assert message in err
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, gradient_scale, unpack_codes
-from xmodhash import kernelfeat
+from xmodhash import encoder, kernelfeat
 from xmodhash.dataio import (FeatureMatrix, RawLabelMatrix, generate_synthetic, load_model,
                              save_model)
 from xmodhash.encoder import (REQUIRED_METADATA, REQUIRED_SECTIONS, HashEncoder, encode,
@@ -148,6 +148,21 @@ def test_encode_memory_stays_below_one_kernel_matrix():
     assert peak < 0.5 * n * k * 8
 
 
+def test_fit_pipeline_holds_one_kernel_matrix_at_a_time():
+    # training reads the labels only, so each modality's n x k training
+    # features are built after it and dropped after their ridge fit
+    n, k = 20000, 200
+    x1, x2, raw = generate_synthetic(n, 4, 8, 6, 0.3, seed=0)
+    labels = normalize_labels(raw)
+    tracemalloc.start()
+    try:
+        fit_pipeline([x1, x2], labels, TrainConfig(r=8, max_iters=2, seed=0), (k, k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * k * 8
+
+
 def test_training_bits_reproduced_on_clean_data():
     # threshold calibrated on seed 0: observed agreement is 1.0 on noise-free
     # synthetic data, so the 95% floor leaves plenty of margin
@@ -204,6 +219,18 @@ def test_archive_round_trip_encodes_identically(fitted, tmp_path):
         assert encode(x, loaded, modality).words.tobytes() == ours.tobytes()
 
 
+def test_archive_with_reconstruction_weights_encodes_identically(fitted, tmp_path):
+    # archives written while training took the weights lambda_1 and lambda_2
+    # still carry them; nothing reads them, so they load and encode as before
+    archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
+    archive.metadata.update(lambda_1="0.0", lambda_2="0.0")
+    save_model(archive, tmp_path / "old.amh")
+    loaded = from_archive(load_model(tmp_path / "old.amh"))
+    for modality, x in enumerate(fitted["xs"], start=1):
+        ours = encode(x, fitted["enc"], modality).words
+        assert encode(x, loaded, modality).words.tobytes() == ours.tobytes()
+
+
 def test_to_archive_writes_the_required_layout(fitted):
     archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
     assert tuple(archive.sections) == REQUIRED_SECTIONS
@@ -230,7 +257,7 @@ def test_from_archive_checks_the_layout(fitted, edit, message):
 
 def test_to_archive_names_the_modality_count(fitted):
     x1, x2 = fitted["xs"]
-    cfg = TrainConfig(r=8, max_iters=2, lambdas=(0.5, 0.5, 0.5))
+    cfg = TrainConfig(r=8, max_iters=2)
     enc, state, report = fit_pipeline([x1, x2, x1], fitted["labels"], cfg, (10, 10, 10))
     with pytest.raises(ValidationError, match="a model archive holds 2 modalities, got 3"):
         to_archive(enc, state, report, cfg, 1.0)
@@ -250,16 +277,19 @@ def test_from_archive_bad_sigma_is_format_error(fitted, value):
     ({"k": (10, 61)}, 60, "modality 2 needs 1 to 60 anchors, got k=61"),
     ({}, 59, "x1 has 60 instances but labels have 59"),
     ({"cfg": TrainConfig(r=60)}, 60, r"code length r=60 needs at least r\+1=61 instances"),
-    ({"k": (10,)}, 60, "2 modalities need as many anchor counts and lambda weights, got 1 and 2"),
-    ({"cfg": TrainConfig(r=8, lambdas=(0.5,))}, 60,
-     "2 modalities need as many anchor counts and lambda weights, got 2 and 1"),
+    ({"k": (10,)}, 60, "2 modalities need as many anchor counts, got 1"),
+    ({"k": (10, 10, 10)}, 60, "2 modalities need as many anchor counts, got 3"),
 ])
 def test_fit_pipeline_checks_arguments_before_kernelizing(monkeypatch, kwargs, n_labels,
                                                           message):
     def no_kernel(*args, **kw):
         raise AssertionError("kernelized before the arguments were checked")
 
+    def no_training(*args, **kw):
+        raise AssertionError("trained before the arguments were checked")
+
     monkeypatch.setattr(kernelfeat, "kernelize", no_kernel)
+    monkeypatch.setattr(encoder, "train", no_training)
     x1, x2, raw = generate_synthetic(60, 3, 6, 5, 0.3, seed=1)
     labels = normalize_labels(RawLabelMatrix(raw.values[:, :n_labels]))
     with pytest.raises(ValidationError, match=message):

@@ -24,7 +24,7 @@ def test_readme_training_defaults_match_the_cli():
     named = re.findall(r"`(--[\w/-]+) ([^`]+)`", paragraph)
     defaults = {opt.flag: opt.default for opt in cli._SPECS["train"]}
     flags = [flag for group, _ in named for flag in group.split("/")]
-    assert {"--omega", "--lambda1", "--lambda2", "--max-iters", "--tol"} <= set(flags)
+    assert {"--omega", "--max-iters", "--tol"} <= set(flags)
     for group, value in named:
         for flag in group.split("/"):
             assert float(value) == float(defaults[flag]), f"README says {flag} {value}"

@@ -1,22 +1,20 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (fd_gradient, gradient_scale, naive_objective, objective_from_features,
-                      random_feasible_latent, random_labelset)
+import collective_trainer
+from collective_trainer import (CollectiveState, init_collective, objective_from_features,
+                                train_collective, update_latent, update_projection)
+from conftest import (fd_gradient, gradient_scale, naive_objective, random_feasible_latent,
+                      random_labelset)
 from xmodhash import trainer
 from xmodhash.errors import DegenerateDataError, ValidationError
-from xmodhash.trainer import (ModelState, TrainConfig, constraint_residuals, init_state,
-                              train, update_codes, update_label_projection, update_latent,
-                              update_projection, update_rotation)
-
-
-def cfg_for(r, n_modalities=1, **kw):
-    kw.setdefault("lambdas", tuple(0.5 for _ in range(n_modalities)))
-    return TrainConfig(r=r, **kw)
+from xmodhash.trainer import (TrainConfig, constraint_residuals, init_state, objective_value,
+                              train, update_codes, update_label_projection, update_rotation)
 
 
 # ---------------------------------------------------------------- init_state
@@ -24,21 +22,18 @@ def cfg_for(r, n_modalities=1, **kw):
 def test_init_is_deterministic():
     rng = np.random.default_rng(0)
     labels = random_labelset(rng, 3, 20)
-    phix = [rng.standard_normal((5, 20))]
-    a, a_phi_vt = init_state(phix, labels, cfg_for(4, seed=7))
-    b, b_phi_vt = init_state(phix, labels, cfg_for(4, seed=7))
+    a = init_state(labels, TrainConfig(r=4, seed=7))
+    b = init_state(labels, TrainConfig(r=4, seed=7))
     assert a.latent.tobytes() == b.latent.tobytes()
     assert a.rotation.tobytes() == b.rotation.tobytes()
     assert a.label_proj.tobytes() == b.label_proj.tobytes()
     assert a.codes.tobytes() == b.codes.tobytes()
-    assert a.proj[0].tobytes() == b.proj[0].tobytes()
-    assert a_phi_vt[0].tobytes() == b_phi_vt[0].tobytes()
 
 
 def test_init_satisfies_invariants():
     rng = np.random.default_rng(1)
     labels = random_labelset(rng, 4, 50)
-    state, _ = init_state([rng.standard_normal((6, 50))], labels, cfg_for(8, seed=1))
+    state = init_state(labels, TrainConfig(r=8, seed=1))
     res = constraint_residuals(state)
     assert res["rotation"] < 1e-8
     assert res["latent_gram"] < 1e-8 * 50
@@ -50,10 +45,10 @@ def test_init_rejects_infeasible_code_length():
     rng = np.random.default_rng(2)
     labels = random_labelset(rng, 2, 6)
     with pytest.raises(ValidationError):
-        init_state([rng.standard_normal((3, 6))], labels, cfg_for(6, seed=0))
+        init_state(labels, TrainConfig(r=6, seed=0))
 
 
-# ---------------------------------------------------------- update_projection
+# -------------------------------------- update_projection (reference trainer)
 
 def test_projection_recovers_exact_factor():
     rng = np.random.default_rng(3)
@@ -90,7 +85,7 @@ def test_label_projection_gradient_vanishes():
     v = random_feasible_latent(rng, r, n)
     rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
-    cfg = cfg_for(r, omega=0.7)
+    cfg = TrainConfig(r=r, omega=0.7)
     l, g = labels.labels, labels.normalized
     m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
 
@@ -110,7 +105,7 @@ def test_label_projection_single_class_matches_line_search():
     v = random_feasible_latent(rng, r, n)
     rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
-    cfg = cfg_for(r, omega=0.4)
+    cfg = TrainConfig(r=r, omega=0.4)
     l, g = labels.labels, labels.normalized
     m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
 
@@ -145,7 +140,7 @@ def test_label_projection_shape():
     rot = np.eye(16)
     b = np.where(rng.random((16, 40)) < 0.5, -1.0, 1.0)
     assert update_label_projection(v @ labels.normalized.T, rot, b @ labels.labels.T,
-                                   labels, cfg_for(16)).shape == (16, 5)
+                                   labels, TrainConfig(r=16)).shape == (16, 5)
 
 
 # -------------------------------------------------------------- update_rotation
@@ -198,15 +193,15 @@ def test_rotation_is_orthogonal():
     assert np.abs(rot.T @ rot - np.eye(5)).max() < 1e-8
 
 
-# ---------------------------------------------------------------- update_latent
+# ------------------------------------------ update_latent (reference trainer)
 
 def _latent_with_score(rng, r, n, z):
     """Call update_latent with inputs engineered so the score matrix equals z."""
     labels = random_labelset(rng, 2, n)
-    cfg = TrainConfig(r=r, lambdas=(1.0,), seed=0)
+    cfg = TrainConfig(r=r, seed=0)
     m = np.zeros((r, 2))
     rot = np.eye(r)
-    v = update_latent(rot, m, labels, [z], [np.eye(r)], cfg,
+    v = update_latent(rot, m, labels, [z], [np.eye(r)], cfg, (1.0,),
                       rng=np.random.default_rng(99))
     return v
 
@@ -318,15 +313,19 @@ def _exact_fit_state():
     m = np.array([[1.0, -1.0], [1.0, 1.0]])
     u = np.array([[1.0, 1, -1, -1], [1.0, 1, 1, 1]])
     p = np.random.default_rng(18).standard_normal((5, 2))
-    state = ModelState(latent=u, rotation=np.eye(2), label_proj=m,
-                       codes=m @ l, proj=[p])
+    state = CollectiveState(latent=u, rotation=np.eye(2), label_proj=m,
+                            codes=m @ l, proj=[p])
     return state, labels, [p @ u]
 
 
 def test_objective_zero_at_exact_fit():
     state, labels, phix = _exact_fit_state()
-    cfg = TrainConfig(r=2, omega=0.3, lambdas=(0.8,))
-    assert objective_from_features(state, labels, phix, cfg) == pytest.approx(0.0, abs=1e-8)
+    cfg = TrainConfig(r=2, omega=0.3)
+    assert objective_from_features(state, labels, phix, cfg, (0.8,)) == pytest.approx(
+        0.0, abs=1e-8)
+    assert objective_value(state, state.latent @ labels.normalized.T,
+                           state.codes @ labels.labels.T, labels, cfg) == pytest.approx(
+        0.0, abs=1e-8)
 
 
 def test_objective_nonnegative_and_matches_dense():
@@ -337,40 +336,46 @@ def test_objective_nonnegative_and_matches_dense():
         v = random_feasible_latent(rng, r, n)
         rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
         phix = [rng.standard_normal((k, n))]
-        state = ModelState(latent=v, rotation=rot,
-                           label_proj=rng.standard_normal((r, c)),
-                           codes=np.where(rng.random((r, n)) < 0.5, -1.0, 1.0),
-                           proj=[rng.standard_normal((k, r))])
-        cfg = TrainConfig(r=r, omega=rng.random(), lambdas=(rng.random(),))
-        fast = objective_from_features(state, labels, phix, cfg)
-        dense = naive_objective(state, labels, phix, cfg)
+        state = CollectiveState(latent=v, rotation=rot,
+                                label_proj=rng.standard_normal((r, c)),
+                                codes=np.where(rng.random((r, n)) < 0.5, -1.0, 1.0),
+                                proj=[rng.standard_normal((k, r))])
+        cfg = TrainConfig(r=r, omega=rng.random())
+        lambdas = (rng.random(),)
+        fast = objective_from_features(state, labels, phix, cfg, lambdas)
+        dense = naive_objective(state, labels, cfg, phix, lambdas)
         assert fast >= 0.0
         assert fast == pytest.approx(dense, rel=1e-9)
+        ours = objective_value(state, v @ labels.normalized.T, state.codes @ labels.labels.T,
+                               labels, cfg)
+        assert ours >= 0.0
+        assert ours == pytest.approx(naive_objective(state, labels, cfg), rel=1e-9)
 
 
 def test_objective_small_case_matches_dense():
     rng = np.random.default_rng(20)
     n, c, r = 6, 2, 2
     labels = random_labelset(rng, c, n)
-    state = ModelState(latent=random_feasible_latent(rng, r, n),
-                       rotation=np.linalg.qr(rng.standard_normal((r, r)))[0],
-                       label_proj=rng.standard_normal((r, c)),
-                       codes=np.where(rng.random((r, n)) < 0.5, -1.0, 1.0),
-                       proj=[rng.standard_normal((3, r))])
+    state = CollectiveState(latent=random_feasible_latent(rng, r, n),
+                            rotation=np.linalg.qr(rng.standard_normal((r, r)))[0],
+                            label_proj=rng.standard_normal((r, c)),
+                            codes=np.where(rng.random((r, n)) < 0.5, -1.0, 1.0),
+                            proj=[rng.standard_normal((3, r))])
     phix = [rng.standard_normal((3, n))]
-    cfg = TrainConfig(r=r, omega=0.5, lambdas=(0.5,))
-    assert objective_from_features(state, labels, phix, cfg) == pytest.approx(
-        naive_objective(state, labels, phix, cfg), rel=1e-9)
+    cfg = TrainConfig(r=r, omega=0.5)
+    assert objective_from_features(state, labels, phix, cfg, (0.5,)) == pytest.approx(
+        naive_objective(state, labels, cfg, phix, (0.5,)), rel=1e-9)
 
 
 # ------------------------------------------------------------------------ train
 
 def test_train_monotone_descent(small_synth):
-    # lambdas of 0 leave Y with rank c < r, so the latent step completes
-    for lambdas in ((0.5, 0.5), (0.0, 0.0)):
-        cfg = TrainConfig(r=16, lambdas=lambdas, max_iters=15, rel_tol=1e-30, seed=0)
-        _, report = train([small_synth["phi1"].T, small_synth["phi2"].T],
-                          small_synth["labels"], cfg)
+    # the labels alone leave Y with rank c < r, so the latent step completes;
+    # the reference trainer at lambda > 0 has full rank
+    cfg = TrainConfig(r=16, max_iters=15, rel_tol=1e-30, seed=0)
+    phix = [small_synth["phi1"].T, small_synth["phi2"].T]
+    for _, report in (train(small_synth["labels"], cfg),
+                      train_collective(phix, small_synth["labels"], cfg, (0.5, 0.5))):
         h = report.objective_history
         assert len(h) == report.iterations_run + 1
         for prev, cur in zip(h, h[1:]):
@@ -382,9 +387,9 @@ def test_train_keeps_every_latent_direction_at_full_rank(small_synth, monkeypatc
         raise AssertionError("latent step completed a full-rank score matrix")
 
     monkeypatch.setattr(trainer, "_complete_balanced_basis", no_completion)
-    cfg = TrainConfig(r=16, lambdas=(0.5, 0.5), seed=0)
-    state, _ = train([small_synth["phi1"].T, small_synth["phi2"].T],
-                     small_synth["labels"], cfg)
+    cfg = TrainConfig(r=16, seed=0)
+    state, _ = train_collective([small_synth["phi1"].T, small_synth["phi2"].T],
+                                small_synth["labels"], cfg, (0.5, 0.5))
     res = constraint_residuals(state)
     assert res["latent_gram"] < 1e-8 * state.n
     assert res["latent_balance"] < 1e-6 * np.sqrt(state.n)
@@ -392,43 +397,55 @@ def test_train_keeps_every_latent_direction_at_full_rank(small_synth, monkeypatc
 
 @pytest.mark.parametrize("max_iters, rel_tol", [(8, 1e-30), (30, 1e-3)])
 def test_train_runs_one_p_step_per_latent(small_synth, monkeypatch, max_iters, rel_tol):
-    # init_state fits P to the starting V and each later P step follows a
-    # sweep that another sweep follows, so P is fit once to every V a
-    # latent step reads
+    # the reference trainer's start fits P to the starting V and each later
+    # P step follows a sweep that another sweep follows, so P is fit once to
+    # every V a latent step reads
     calls = []
 
     def counted(phi_vt_t, n):
         calls.append(n)
         return update_projection(phi_vt_t, n)
 
-    monkeypatch.setattr(trainer, "update_projection", counted)
-    cfg = TrainConfig(r=8, lambdas=(0.5, 0.5), max_iters=max_iters, rel_tol=rel_tol, seed=1)
-    _, report = train([small_synth["phi1"].T, small_synth["phi2"].T],
-                      small_synth["labels"], cfg)
+    monkeypatch.setattr(collective_trainer, "update_projection", counted)
+    cfg = TrainConfig(r=8, max_iters=max_iters, rel_tol=rel_tol, seed=1)
+    _, report = train_collective([small_synth["phi1"].T, small_synth["phi2"].T],
+                                 small_synth["labels"], cfg, (0.5, 0.5))
     assert len(calls) == 2 * report.iterations_run
 
 
+def _objective_of(state, labels, cfg):
+    return objective_value(state, state.latent @ labels.normalized.T,
+                           state.codes @ labels.labels.T, labels, cfg)
+
+
 def test_train_history_ends_at_objective_value(small_synth):
+    labels = small_synth["labels"]
     phix = [small_synth["phi1"].T, small_synth["phi2"].T]
-    cfg = TrainConfig(r=12, lambdas=(0.5, 0.5), max_iters=4, rel_tol=1e-30, seed=3)
-    state, report = train(phix, small_synth["labels"], cfg)
+    cfg = TrainConfig(r=12, max_iters=4, rel_tol=1e-30, seed=3)
+    state, report = train_collective(phix, labels, cfg, (0.5, 0.5))
     assert report.objective_history[-1] == objective_from_features(
-        state, small_synth["labels"], phix, cfg)
+        state, labels, phix, cfg, (0.5, 0.5))
+    # the sweeps track V G^T, and the V built after them matches it to rounding
+    state, report = train(labels, cfg)
+    assert report.objective_history[-1] == pytest.approx(
+        _objective_of(state, labels, cfg), rel=1e-12)
 
 
 def test_train_history_starts_at_objective_value(small_synth):
+    labels = small_synth["labels"]
     phix = [small_synth["phi1"].T, small_synth["phi2"].T]
-    cfg = TrainConfig(r=12, lambdas=(0.5, 0.5), max_iters=2, rel_tol=1e-30, seed=3)
-    _, report = train(phix, small_synth["labels"], cfg)
-    start, _ = init_state(phix, small_synth["labels"], cfg)
+    cfg = TrainConfig(r=12, max_iters=2, rel_tol=1e-30, seed=3)
+    _, report = train_collective(phix, labels, cfg, (0.5, 0.5))
+    start, _ = init_collective(phix, labels, cfg)
     assert report.objective_history[0] == objective_from_features(
-        start, small_synth["labels"], phix, cfg)
+        start, labels, phix, cfg, (0.5, 0.5))
+    _, report = train(labels, cfg)
+    assert report.objective_history[0] == _objective_of(init_state(labels, cfg), labels, cfg)
 
 
 def test_train_final_state_feasible(small_synth):
     cfg = TrainConfig(r=12, max_iters=10, rel_tol=1e-30, seed=2)
-    state, _ = train([small_synth["phi1"].T, small_synth["phi2"].T],
-                     small_synth["labels"], cfg)
+    state, _ = train(small_synth["labels"], cfg)
     res = constraint_residuals(state)
     assert res["rotation"] < 1e-8
     assert res["latent_gram"] < 1e-8 * state.n
@@ -438,9 +455,8 @@ def test_train_final_state_feasible(small_synth):
 
 def test_train_deterministic(small_synth):
     cfg = TrainConfig(r=8, max_iters=6, rel_tol=1e-30, seed=5)
-    phix = [small_synth["phi1"].T, small_synth["phi2"].T]
-    a_state, a_report = train(phix, small_synth["labels"], cfg)
-    b_state, b_report = train(phix, small_synth["labels"], cfg)
+    a_state, a_report = train(small_synth["labels"], cfg)
+    b_state, b_report = train(small_synth["labels"], cfg)
     assert a_state.latent.tobytes() == b_state.latent.tobytes()
     assert a_state.codes.tobytes() == b_state.codes.tobytes()
     assert a_state.rotation.tobytes() == b_state.rotation.tobytes()
@@ -450,9 +466,8 @@ def test_train_deterministic(small_synth):
 def test_train_handles_multi_label_data():
     rng = np.random.default_rng(21)
     labels = random_labelset(rng, 4, 120, multi=True)
-    phix = [rng.standard_normal((20, 120)), rng.standard_normal((15, 120))]
     cfg = TrainConfig(r=8, max_iters=5, rel_tol=1e-30, seed=3)
-    state, report = train(phix, labels, cfg)
+    state, report = train(labels, cfg)
     h = report.objective_history
     for prev, cur in zip(h, h[1:]):
         assert cur <= prev + 1e-9 * abs(prev)
@@ -463,8 +478,7 @@ def test_train_handles_multi_label_data():
 
 def test_train_converges_with_loose_tolerance(small_synth):
     cfg = TrainConfig(r=8, max_iters=30, rel_tol=1e-3, seed=1)
-    _, report = train([small_synth["phi1"].T, small_synth["phi2"].T],
-                      small_synth["labels"], cfg)
+    _, report = train(small_synth["labels"], cfg)
     assert report.converged
     assert report.iterations_run < 30
 
@@ -482,7 +496,7 @@ def _repeated_patterns(rng, c, n, u):
     ("single-label", 12), ("multi-label", 8), ("c above r", 4), ("repeated patterns", 10),
 ])
 def test_label_space_path_matches_full_trainer(case, r):
-    # the default lambda = 0 trains in label space; the full factorization at
+    # train never forms V during its sweeps; the full factorization at
     # lambda = 0 is its oracle: same seeded start, same optimum of every step
     rng = np.random.default_rng(31)
     n = 240
@@ -494,9 +508,8 @@ def test_label_space_path_matches_full_trainer(case, r):
     }[case]()
     phix = [rng.standard_normal((6, n)), rng.standard_normal((5, n))]
     cfg = TrainConfig(r=r, max_iters=6, rel_tol=1e-30, seed=4)
-    assert cfg.lambdas == (0.0, 0.0)
-    full, full_report = trainer._train_collective(phix, labels, cfg)
-    ours, report = train(phix, labels, cfg)
+    full, full_report = train_collective(phix, labels, cfg, (0.0, 0.0))
+    ours, report = train(labels, cfg)
 
     def assert_close(expected, got):
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -531,8 +544,8 @@ def test_label_space_path_trains_on_one_label_pattern():
     labels = normalize_labels(RawLabelMatrix(l))
     phix = [rng.standard_normal((4, 50)), rng.standard_normal((3, 50))]
     cfg = TrainConfig(r=4, max_iters=3, rel_tol=1e-30, seed=0)
-    full, full_report = trainer._train_collective(phix, labels, cfg)
-    ours, report = train(phix, labels, cfg)
+    full, full_report = train_collective(phix, labels, cfg, (0.0, 0.0))
+    ours, report = train(labels, cfg)
     assert np.allclose(report.objective_history, full_report.objective_history,
                        rtol=1e-12, atol=0.0)
     assert np.array_equal(ours.codes, full.codes)
@@ -541,21 +554,11 @@ def test_label_space_path_trains_on_one_label_pattern():
     assert res["latent_balance"] < 1e-6 * np.sqrt(50)
 
 
-def test_default_path_never_takes_the_full_latent_step(small_synth, monkeypatch):
-    def no_latent_step(*args, **kwargs):
-        raise AssertionError("the label-space path called update_latent")
-
-    monkeypatch.setattr(trainer, "update_latent", no_latent_step)
-    state, report = train([small_synth["phi1"].T, small_synth["phi2"].T],
-                          small_synth["labels"], TrainConfig(r=16, seed=0))
-    assert report.iterations_run >= 1
-    assert state.latent.shape == (16, small_synth["labels"].n)
-
-
 def test_default_config_values():
     cfg = TrainConfig(r=32)
+    assert [f.name for f in fields(TrainConfig)] == ["r", "omega", "max_iters", "rel_tol",
+                                                      "seed"]
     assert cfg.omega == 0.5
-    assert cfg.lambdas == (0.0, 0.0)
     assert cfg.max_iters == 30
     assert cfg.rel_tol == 1e-5
 
@@ -570,5 +573,3 @@ def test_config_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match=f"omega must be >= 0 and finite, got {bad}"):
             TrainConfig(r=4, omega=bad)
-        with pytest.raises(ValidationError, match=f"lambdas must be >= 0 and finite, got {bad}"):
-            TrainConfig(r=4, lambdas=(0.5, bad))
