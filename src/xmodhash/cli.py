@@ -249,12 +249,13 @@ def cmd_bench(v: dict) -> int:
         raise ValidationError(f"--sizes needs two or more distinct sizes to fit a slope, "
                               f"got {v['sizes']!r}")
     # fixed sweep count so per-size times are directly comparable; every
-    # code length is checked before the first line of output
+    # code length and size is checked before the first line of output
     cfgs = [trainer.TrainConfig(r=bits, max_iters=v["sweeps"], rel_tol=1e-300,
                                 seed=v["seed"])
             for bits in _parse_int_list(v["bits"], "--bits")]
     for cfg in cfgs:
         trainer.check_code_length(cfg.r, min(sizes))
+    dataio.check_synthetic_size(min(sizes), v["c"])
     print("n,bits,seconds")
     for cfg in cfgs:
         seconds = []

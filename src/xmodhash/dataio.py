@@ -362,15 +362,20 @@ def _separated_centroids(rng: np.random.Generator, c: int, d: int) -> np.ndarray
     raise ValidationError(f"cannot place {c} separated class centroids in {d} dimensions")
 
 
+def check_synthetic_size(n: int, c: int) -> None:
+    """Reject the synthetic dataset sizes ``generate_synthetic`` cannot draw."""
+    if c < 2:
+        raise ValidationError(f"need at least 2 classes, got c={c}")
+    if n < c:
+        raise ValidationError(f"need n >= c, got n={n} < c={c}")
+
+
 def generate_synthetic(n: int, c: int, d1: int, d2: int, noise: float,
                        seed: int) -> tuple[FeatureMatrix, FeatureMatrix, RawLabelMatrix]:
     """Seeded two-modality dataset: one uniform class per instance, Gaussian
     class centroids (well separated), plus isotropic noise of scale ``noise``.
     """
-    if c < 2:
-        raise ValidationError(f"need at least 2 classes, got c={c}")
-    if n < c:
-        raise ValidationError(f"need n >= c, got n={n} < c={c}")
+    check_synthetic_size(n, c)
     if d1 < 1 or d2 < 1:
         raise ValidationError(f"feature dimensions must be >= 1, got d1={d1}, d2={d2}")
     if noise < 0:

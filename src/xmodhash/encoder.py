@@ -119,7 +119,8 @@ REQUIRED_METADATA = (
 def to_archive(enc: HashEncoder, state: ModelState, report: TrainReport,
                cfg: TrainConfig, ridge: float) -> ModelArchive:
     """The AMH1 sections and metadata of a fitted two-modality model.  The r x n
-    factors V and B are left out: ``encode`` reads neither, and B is sign(M L)."""
+    codes B are left out: ``encode`` does not read them, and B is sign(M L).
+    The latent V is not part of the state; training never builds it."""
     if len(enc.kernels) != 2:
         raise ValidationError(f"a model archive holds 2 modalities, got {len(enc.kernels)}")
     km1, km2 = enc.kernels

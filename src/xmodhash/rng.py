@@ -1,9 +1,9 @@
 """Deterministic derivation of per-component RNG streams from one user seed.
 
-Every random choice in the toolkit (anchor sampling, model init, latent
-completion, synthetic data) pulls its own generator from ``component_rng``
-so that a single seed flag reproduces a whole run while components stay
-statistically independent of each other.
+Every random choice in the toolkit (anchor sampling, model init, synthetic
+data) pulls its own generator from ``component_rng`` so that a single seed
+flag reproduces a whole run while components stay statistically
+independent of each other.
 """
 
 import zlib

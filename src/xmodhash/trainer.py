@@ -15,8 +15,9 @@ only through V G^T (r x c).  So the sweeps never form V or B: one QR of the
 centered, count-weighted distinct label patterns, taken once, reduces the
 latent step to an r x rho SVD, and ||(R V)^T M L||^2 = n ||M L||^2 because
 V V^T = n I.  Every term is a c x c or r x r contraction; only the seeded
-start and the V and B built once, after the last sweep, are r x n, and
-nothing is n x n, which keeps training linear in the number of instances.
+start and the B built once, after the last sweep, are r x n, and nothing is
+n x n, which keeps training linear in the number of instances.  The final V
+is never built: nothing after training reads it.
 
 This is the paper's collective factorization with the feature
 reconstruction weights fixed at 0.  The tests keep the full factorization,
@@ -24,7 +25,8 @@ which forms V and each phi_t V^T every sweep, as the reference this trainer
 must match: from the same seed it reaches the same M, codes and objective
 history, to rounding.  R can differ where the Procrustes target has rank
 below r: any rotation of that null space is optimal, and no later step
-reads it.
+reads it.  The tests also rebuild the final V from the trained R and M to
+check it against the constraints.
 """
 
 from dataclasses import dataclass
@@ -57,20 +59,20 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
-    """All trainable factors; see the module docstring for the constraints."""
+    """The trained factors that the hash-function step reads; the latent V
+    is not among them (see the module docstring)."""
 
-    latent: np.ndarray           # V, r x n
     rotation: np.ndarray         # R, r x r orthogonal
     label_proj: np.ndarray       # M, r x c
     codes: np.ndarray            # B, r x n, entries exactly +-1
 
     @property
     def r(self) -> int:
-        return self.latent.shape[0]
+        return self.codes.shape[0]
 
     @property
     def n(self) -> int:
-        return self.latent.shape[1]
+        return self.codes.shape[1]
 
 
 @dataclass
@@ -78,18 +80,6 @@ class TrainReport:
     objective_history: list[float]
     iterations_run: int
     converged: bool
-
-
-def constraint_residuals(state: ModelState) -> dict[str, float]:
-    """Max-norm residuals of the feasibility constraints, for checks and tests."""
-    v, rot = state.latent, state.rotation
-    n, r = state.n, state.r
-    return {
-        "rotation": float(np.abs(rot.T @ rot - np.eye(r)).max()),
-        "latent_gram": float(np.abs(v @ v.T - n * np.eye(r)).max()),
-        "latent_balance": float(np.linalg.norm(v @ np.ones(n))),
-        "codes_binary": float(np.abs(np.abs(state.codes) - 1.0).max()),
-    }
 
 
 def _haar_orthogonal(rng: np.random.Generator, r: int) -> np.ndarray:
@@ -112,8 +102,9 @@ def check_code_length(r: int, n: int) -> None:
             f"(the balanced latent constraints are infeasible otherwise), got n={n}")
 
 
-def init_state(labels: LabelSet, cfg: TrainConfig) -> ModelState:
-    """Seeded random feasible starting point."""
+def init_state(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, np.ndarray]:
+    """Seeded random feasible starting point, and the starting latent V
+    (r x n, balanced and decorrelated), drawn last from the same stream."""
     n, c, r = labels.n, labels.c, cfg.r
     check_code_length(r, n)
     rng = component_rng(cfg.seed, "init")
@@ -121,7 +112,7 @@ def init_state(labels: LabelSet, cfg: TrainConfig) -> ModelState:
     label_proj = rng.standard_normal((r, c))
     codes = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     latent = np.sqrt(n) * _balanced_orthonormal_rows(rng.standard_normal((r, n)))
-    return ModelState(latent=latent, rotation=rotation, label_proj=label_proj, codes=codes)
+    return ModelState(rotation=rotation, label_proj=label_proj, codes=codes), latent
 
 
 def update_label_projection(v_gt: np.ndarray, rot: np.ndarray, b_lt: np.ndarray,
@@ -161,23 +152,6 @@ def update_rotation(m: np.ndarray, labels: LabelSet, v_gt: np.ndarray) -> np.nda
     return left @ right_t
 
 
-def _complete_balanced_basis(rng: np.random.Generator, n: int, count: int,
-                             existing: np.ndarray) -> np.ndarray:
-    """Orthonormal n-vectors orthogonal to ``existing`` columns and to 1_n.
-
-    One seeded Gaussian n x count block is projected off the fixed directions
-    twice (once more for stability) and orthonormalized by a single QR.
-    """
-    fixed = np.hstack([existing, np.full((n, 1), 1.0 / np.sqrt(n))])
-    block = rng.standard_normal((n, count))
-    for _pass in range(2):
-        block -= fixed @ (fixed.T @ block)
-    q, rr = np.linalg.qr(block)
-    if np.abs(np.diag(rr)).min() <= 1e-8 * np.sqrt(n):
-        raise NumericalError("could not complete an orthonormal balanced basis")
-    return q
-
-
 def _split_directions(left: np.ndarray, singvals: np.ndarray, wt: np.ndarray,
                       n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kept left and right singular vectors of Y's SVD, and the deficient
@@ -193,21 +167,6 @@ def _split_directions(left: np.ndarray, singvals: np.ndarray, wt: np.ndarray,
     return left[:, kept], wt[:keep.size][keep], left[:, ~kept]
 
 
-def _latent_from_directions(u_kept: np.ndarray, w_kept: np.ndarray, u_deficient: np.ndarray,
-                            basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """sqrt(n) U_k (basis W_k)^T, plus each deficient left direction paired
-    with a seeded random balanced orthonormal n-vector, which leaves the
-    score unchanged."""
-    n = basis.shape[0]
-    v = (u_kept @ w_kept) @ basis.T
-    deficit = u_deficient.shape[1]
-    if deficit:
-        p_cols = basis @ w_kept.T                      # n x r', orthonormal, sums to 0
-        p_bar = _complete_balanced_basis(rng, n, deficit, p_cols)
-        v = v + u_deficient @ p_bar.T
-    return np.sqrt(n) * v
-
-
 def update_codes(m: np.ndarray, labels: LabelSet) -> np.ndarray:
     """Elementwise optimal quantization of the label embedding; sign(0) = +1."""
     return np.where(m @ labels.labels >= 0, 1.0, -1.0)
@@ -218,8 +177,7 @@ def objective_value(state: ModelState, v_gt: np.ndarray, b_lt: np.ndarray,
     """The training objective from M and R of ``state`` and from V G^T and
     B L^T, without forming any n-sized matrix: V V^T = n I gives
     ||(R V)^T M L||^2 = n ||M L||^2, +-1 codes give ||B||^2 = r n, and the
-    cross terms are r x c contractions.  ``state.latent`` and ``state.codes``
-    are not read."""
+    cross terms are r x c contractions.  ``state.codes`` is not read."""
     m, rot = state.label_proj, state.rotation
     n, r = labels.n, cfg.r
     ml_sq = float(np.sum((m @ labels.llt) * m))    # ||M L||^2
@@ -264,10 +222,11 @@ def _latent_directions(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
     Y, Z with its rows centered, is (A Gamma^T) Q'^T (see ``_pattern_basis``),
     so the r x rho SVD A Gamma^T = U S W^T gives the maximizer
     sqrt(n) U (Q' W)^T, and V G^T = sqrt(n) U W^T Gamma.  Returns the kept
-    and the deficient singular directions (``_split_directions``); the
-    deficient ones are completed when V is built.  With one distinct label
+    and the deficient singular directions (``_split_directions``); V would
+    pair each deficient one with a random balanced direction orthogonal to
+    the kept ones, which adds nothing to V G^T.  With one distinct label
     pattern Gamma has no rows: Y = 0, every V is optimal, and all r
-    directions are completed.
+    directions are deficient.
     """
     r = rot.shape[0]
     if gamma.shape[0] == 0:
@@ -287,17 +246,18 @@ def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
     patterns (see the module docstring).  Completion directions are
     orthogonal to the kept ones and to 1_n; once the kept ones span the
     centered labels, as they do unless A Gamma^T loses rank, they add
-    nothing to V G^T.  V and B are built once, after the last sweep.  The
+    nothing to V G^T.  B is built once, after the last sweep.  The
     history records the objective before training and after every sweep; a
     sweep whose relative decrease falls below ``cfg.rel_tol`` stops the
     loop.  Identical inputs and seed reproduce the final state bitwise on a
     given platform.
     """
     n = labels.n
-    state = init_state(labels, cfg)
-    patterns, counts, inverse = label_patterns(labels)
-    rows, gamma = _pattern_basis(patterns, counts, n)
-    v_gt = state.latent @ labels.normalized.T
+    state, latent = init_state(labels, cfg)
+    v_gt = latent @ labels.normalized.T
+    del latent
+    patterns, counts, _ = label_patterns(labels)
+    gamma = _pattern_basis(patterns, counts, n)[1]
     b_lt = state.codes @ labels.labels.T
     history = [objective_value(state, v_gt, b_lt, labels, cfg)]
     converged = False
@@ -314,11 +274,6 @@ def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
         if _stalled(history, cfg):
             converged = True
             break
-    try:
-        state.latent = _latent_from_directions(
-            *directions, rows[inverse], component_rng(cfg.seed, "latent-completion"))
-    except NumericalError as e:
-        raise NumericalError(f"building the latent matrix: {e}") from e
     state.codes = update_codes(state.label_proj, labels)
     return state, TrainReport(objective_history=history,
                               iterations_run=len(history) - 1, converged=converged)

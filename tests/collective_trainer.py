@@ -8,8 +8,9 @@ with a projection P_t (k_t x r) per modality, and every sweep forms the
 r x n latent matrix V and each phi_t V^T.  One sweep updates P, M, R, V and
 B in turn, each to the exact minimizer of its subproblem; the M, R and B
 steps are the trainer's own.  At lambda = 0 the features drop out, and
-``train``, which never forms V during its sweeps, must reach the same M,
-codes and objective history from the same seed.
+``train``, which never forms V, must reach the same M, codes and objective
+history from the same seed.  ``latent_of`` rebuilds the V that ``train``
+leaves out, from its final R and M, for the feasibility checks.
 """
 
 from dataclasses import dataclass, field
@@ -18,23 +19,82 @@ from typing import Sequence
 import numpy as np
 
 from xmodhash.errors import NumericalError
-from xmodhash.labelspace import LabelSet
+from xmodhash.labelspace import LabelSet, label_patterns
 from xmodhash.rng import component_rng
-from xmodhash.trainer import (ModelState, TrainConfig, TrainReport, _latent_from_directions,
-                              _split_directions, _stalled, init_state, update_codes,
-                              update_label_projection, update_rotation)
+from xmodhash.trainer import (ModelState, TrainConfig, TrainReport, _latent_directions,
+                              _pattern_basis, _split_directions, _stalled, init_state,
+                              update_codes, update_label_projection, update_rotation)
 
 
 @dataclass
 class CollectiveState(ModelState):
+    latent: np.ndarray                                     # V, r x n
     proj: list[np.ndarray] = field(default_factory=list)  # P_t, k_t x r
+
+
+def constraint_residuals(state: ModelState, v: np.ndarray) -> dict[str, float]:
+    """Max-norm residuals of the feasibility constraints of ``state`` and its
+    latent V (a ``CollectiveState``'s own, or ``latent_of`` a ``train`` result)."""
+    rot = state.rotation
+    n, r = state.n, state.r
+    return {
+        "rotation": float(np.abs(rot.T @ rot - np.eye(r)).max()),
+        "latent_gram": float(np.abs(v @ v.T - n * np.eye(r)).max()),
+        "latent_balance": float(np.linalg.norm(v @ np.ones(n))),
+        "codes_binary": float(np.abs(np.abs(state.codes) - 1.0).max()),
+    }
+
+
+def _complete_balanced_basis(rng: np.random.Generator, n: int, count: int,
+                             existing: np.ndarray) -> np.ndarray:
+    """Orthonormal n-vectors orthogonal to ``existing`` columns and to 1_n.
+
+    One seeded Gaussian n x count block is projected off the fixed directions
+    twice (once more for stability) and orthonormalized by a single QR.
+    """
+    fixed = np.hstack([existing, np.full((n, 1), 1.0 / np.sqrt(n))])
+    block = rng.standard_normal((n, count))
+    for _pass in range(2):
+        block -= fixed @ (fixed.T @ block)
+    q, rr = np.linalg.qr(block)
+    if np.abs(np.diag(rr)).min() <= 1e-8 * np.sqrt(n):
+        raise NumericalError("could not complete an orthonormal balanced basis")
+    return q
+
+
+def _latent_from_directions(u_kept: np.ndarray, w_kept: np.ndarray, u_deficient: np.ndarray,
+                            basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """sqrt(n) U_k (basis W_k)^T, plus each deficient left direction paired
+    with a seeded random balanced orthonormal n-vector, which leaves the
+    score unchanged."""
+    n = basis.shape[0]
+    v = (u_kept @ w_kept) @ basis.T
+    deficit = u_deficient.shape[1]
+    if deficit:
+        p_cols = basis @ w_kept.T                      # n x r', orthonormal, sums to 0
+        p_bar = _complete_balanced_basis(rng, n, deficit, p_cols)
+        v = v + u_deficient @ p_bar.T
+    return np.sqrt(n) * v
+
+
+def latent_of(state: ModelState, labels: LabelSet, cfg: TrainConfig) -> np.ndarray:
+    """The r x n latent V of a ``train`` result: the maximizer of the latent
+    step at the final R and M, each deficient direction completed from the
+    seed's ``latent-completion`` stream.  ``train`` tracks only V G^T, which
+    this V reproduces."""
+    patterns, counts, inverse = label_patterns(labels)
+    rows, gamma = _pattern_basis(patterns, counts, labels.n)
+    return _latent_from_directions(
+        *_latent_directions(state.rotation, state.label_proj, labels, gamma), rows[inverse],
+        component_rng(cfg.seed, "latent-completion"))
 
 
 def init_collective(phix: Sequence[np.ndarray], labels: LabelSet,
                     cfg: TrainConfig) -> tuple[CollectiveState, list[np.ndarray]]:
     """The trainer's seeded start with projections fit to it, plus each
     modality's phi_t V^T, which the starting objective reuses."""
-    state = CollectiveState(**vars(init_state(labels, cfg)))
+    start, latent = init_state(labels, cfg)
+    state = CollectiveState(**vars(start), latent=latent)
     phi_vt = [phi @ state.latent.T for phi in phix]
     state.proj = [update_projection(pv, labels.n) for pv in phi_vt]
     return state, phi_vt

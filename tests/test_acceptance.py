@@ -16,19 +16,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collective_trainer import (CollectiveState, objective_from_features, update_latent,
-                                update_projection)
+from collective_trainer import (CollectiveState, constraint_residuals, latent_of,
+                                objective_from_features, update_latent, update_projection)
 from conftest import (cli_env, fd_gradient, gradient_scale, naive_objective, oracle_map,
                       random_feasible_latent, random_labelset, ranked_codes, relevance)
-from xmodhash import dataio, kernelfeat, trainer
+from xmodhash import dataio, kernelfeat
 from xmodhash.dataio import FeatureMatrix, RawLabelMatrix
 from xmodhash.encoder import encode, fit_pipeline
 from xmodhash.kernelfeat import fit_kernel
-from xmodhash.labelspace import label_patterns, normalize_labels
+from xmodhash.labelspace import normalize_labels
 from xmodhash.retrieval import RelevanceJudge, evaluate, pack_codes, rank_by_hamming
 from xmodhash.rng import component_rng
-from xmodhash.trainer import (TrainConfig, constraint_residuals, objective_value, train,
-                              update_codes, update_label_projection, update_rotation)
+from xmodhash.trainer import (ModelState, TrainConfig, objective_value, train, update_codes,
+                              update_label_projection, update_rotation)
 
 # ridge-to-label oracle baseline on the criterion-6 dataset, frozen before
 # the hashing pipeline was built (see _ridge_label_oracle for the recipe)
@@ -124,8 +124,9 @@ def test_criterion_1_constraint_suite():
     labels = normalize_labels(raw)
     worst = {}
     for r in (16, 32):
-        state, _ = train(labels, TrainConfig(r=r, seed=0))
-        res = constraint_residuals(state)
+        cfg = TrainConfig(r=r, seed=0)
+        state, _ = train(labels, cfg)
+        res = constraint_residuals(state, latent_of(state, labels, cfg))
         worst[r] = res
         assert res["rotation"] < 1e-8
         assert res["latent_gram"] < 1e-8 * 500
@@ -203,16 +204,14 @@ def test_criterion_3_substep_oracles():
         assert np.sum(random_feasible_latent(rng, r_v, n_v) * z) \
             <= best_score + 1e-9 * abs(best_score)
 
-    # and for train's own step on its score Z = A G, with c >= r multi-label labels
+    # and for train's own step (the V that latent_of rebuilds from R and M) on its
+    # score Z = A G, with c >= r multi-label labels
     c_v = 7
     labels_v = random_labelset(rng, c_v, n_v, multi=True)
     rot_v = np.linalg.qr(rng.standard_normal((r_v, r_v)))[0]
     m_v = rng.standard_normal((r_v, c_v))
-    patterns, counts, inverse = label_patterns(labels_v)
-    rows, gamma = trainer._pattern_basis(patterns, counts, n_v)
-    v_hat = trainer._latent_from_directions(
-        *trainer._latent_directions(rot_v, m_v, labels_v, gamma), rows[inverse],
-        np.random.default_rng(1))
+    v_hat = latent_of(ModelState(rotation=rot_v, label_proj=m_v,
+                                 codes=update_codes(m_v, labels_v)), labels_v, cfg_v)
     z = r_v * rot_v.T @ (m_v @ labels_v.lgt) @ labels_v.normalized
     best_score = np.sum(v_hat * z)
     for _ in range(1000):

@@ -398,6 +398,20 @@ def test_bench_checks_every_bits_value_first(capsys, monkeypatch, bits, message)
     assert message in err
 
 
+@pytest.mark.parametrize("sizes, c, message", [
+    ("5,8", "10", "need n >= c, got n=5 < c=10"),
+    ("40,80", "1", "need at least 2 classes, got c=1"),
+], ids=["n-below-c", "one-class"])
+def test_bench_checks_sizes_against_class_count_first(capsys, monkeypatch, sizes, c, message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("bench generated data before checking --sizes against --c")
+
+    monkeypatch.setattr(dataio, "generate_synthetic", no_data)
+    code, out, err = run(capsys, "bench", "--sizes", sizes, "--bits", "2", "--c", c)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_train_degenerate_data_is_exit_3(tmp_path, capsys):
     # identical rows make every point coincide with every anchor (width 0)
     flat = np.ones((20, 4))

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collective_trainer
-from collective_trainer import (CollectiveState, init_collective, objective_from_features,
-                                train_collective, update_latent, update_projection)
+from collective_trainer import (CollectiveState, constraint_residuals, init_collective,
+                                latent_of, objective_from_features, train_collective,
+                                update_latent, update_projection)
 from conftest import (fd_gradient, gradient_scale, naive_objective, random_feasible_latent,
                       random_labelset)
-from xmodhash import trainer
 from xmodhash.errors import DegenerateDataError, ValidationError
-from xmodhash.trainer import (TrainConfig, constraint_residuals, init_state, objective_value,
-                              train, update_codes, update_label_projection, update_rotation)
+from xmodhash.trainer import (TrainConfig, init_state, objective_value, train, update_codes,
+                              update_label_projection, update_rotation)
 
 
 # ---------------------------------------------------------------- init_state
@@ -22,9 +22,9 @@ from xmodhash.trainer import (TrainConfig, constraint_residuals, init_state, obj
 def test_init_is_deterministic():
     rng = np.random.default_rng(0)
     labels = random_labelset(rng, 3, 20)
-    a = init_state(labels, TrainConfig(r=4, seed=7))
-    b = init_state(labels, TrainConfig(r=4, seed=7))
-    assert a.latent.tobytes() == b.latent.tobytes()
+    a, a_latent = init_state(labels, TrainConfig(r=4, seed=7))
+    b, b_latent = init_state(labels, TrainConfig(r=4, seed=7))
+    assert a_latent.tobytes() == b_latent.tobytes()
     assert a.rotation.tobytes() == b.rotation.tobytes()
     assert a.label_proj.tobytes() == b.label_proj.tobytes()
     assert a.codes.tobytes() == b.codes.tobytes()
@@ -33,8 +33,7 @@ def test_init_is_deterministic():
 def test_init_satisfies_invariants():
     rng = np.random.default_rng(1)
     labels = random_labelset(rng, 4, 50)
-    state = init_state(labels, TrainConfig(r=8, seed=1))
-    res = constraint_residuals(state)
+    res = constraint_residuals(*init_state(labels, TrainConfig(r=8, seed=1)))
     assert res["rotation"] < 1e-8
     assert res["latent_gram"] < 1e-8 * 50
     assert res["latent_balance"] < 1e-6 * np.sqrt(50)
@@ -386,11 +385,11 @@ def test_train_keeps_every_latent_direction_at_full_rank(small_synth, monkeypatc
     def no_completion(*args, **kwargs):
         raise AssertionError("latent step completed a full-rank score matrix")
 
-    monkeypatch.setattr(trainer, "_complete_balanced_basis", no_completion)
+    monkeypatch.setattr(collective_trainer, "_complete_balanced_basis", no_completion)
     cfg = TrainConfig(r=16, seed=0)
     state, _ = train_collective([small_synth["phi1"].T, small_synth["phi2"].T],
                                 small_synth["labels"], cfg, (0.5, 0.5))
-    res = constraint_residuals(state)
+    res = constraint_residuals(state, state.latent)
     assert res["latent_gram"] < 1e-8 * state.n
     assert res["latent_balance"] < 1e-6 * np.sqrt(state.n)
 
@@ -413,8 +412,8 @@ def test_train_runs_one_p_step_per_latent(small_synth, monkeypatch, max_iters, r
     assert len(calls) == 2 * report.iterations_run
 
 
-def _objective_of(state, labels, cfg):
-    return objective_value(state, state.latent @ labels.normalized.T,
+def _objective_of(state, latent, labels, cfg):
+    return objective_value(state, latent @ labels.normalized.T,
                            state.codes @ labels.labels.T, labels, cfg)
 
 
@@ -425,10 +424,11 @@ def test_train_history_ends_at_objective_value(small_synth):
     state, report = train_collective(phix, labels, cfg, (0.5, 0.5))
     assert report.objective_history[-1] == objective_from_features(
         state, labels, phix, cfg, (0.5, 0.5))
-    # the sweeps track V G^T, and the V built after them matches it to rounding
+    # the sweeps track V G^T, and the V rebuilt from the final R and M
+    # matches it to rounding
     state, report = train(labels, cfg)
     assert report.objective_history[-1] == pytest.approx(
-        _objective_of(state, labels, cfg), rel=1e-12)
+        _objective_of(state, latent_of(state, labels, cfg), labels, cfg), rel=1e-12)
 
 
 def test_train_history_starts_at_objective_value(small_synth):
@@ -440,13 +440,14 @@ def test_train_history_starts_at_objective_value(small_synth):
     assert report.objective_history[0] == objective_from_features(
         start, labels, phix, cfg, (0.5, 0.5))
     _, report = train(labels, cfg)
-    assert report.objective_history[0] == _objective_of(init_state(labels, cfg), labels, cfg)
+    assert report.objective_history[0] == _objective_of(*init_state(labels, cfg), labels, cfg)
 
 
 def test_train_final_state_feasible(small_synth):
+    labels = small_synth["labels"]
     cfg = TrainConfig(r=12, max_iters=10, rel_tol=1e-30, seed=2)
-    state, _ = train(small_synth["labels"], cfg)
-    res = constraint_residuals(state)
+    state, _ = train(labels, cfg)
+    res = constraint_residuals(state, latent_of(state, labels, cfg))
     assert res["rotation"] < 1e-8
     assert res["latent_gram"] < 1e-8 * state.n
     assert res["latent_balance"] < 1e-6 * np.sqrt(state.n)
@@ -457,7 +458,7 @@ def test_train_deterministic(small_synth):
     cfg = TrainConfig(r=8, max_iters=6, rel_tol=1e-30, seed=5)
     a_state, a_report = train(small_synth["labels"], cfg)
     b_state, b_report = train(small_synth["labels"], cfg)
-    assert a_state.latent.tobytes() == b_state.latent.tobytes()
+    assert a_state.label_proj.tobytes() == b_state.label_proj.tobytes()
     assert a_state.codes.tobytes() == b_state.codes.tobytes()
     assert a_state.rotation.tobytes() == b_state.rotation.tobytes()
     assert a_report.objective_history == b_report.objective_history
@@ -471,7 +472,7 @@ def test_train_handles_multi_label_data():
     h = report.objective_history
     for prev, cur in zip(h, h[1:]):
         assert cur <= prev + 1e-9 * abs(prev)
-    res = constraint_residuals(state)
+    res = constraint_residuals(state, latent_of(state, labels, cfg))
     assert res["latent_gram"] < 1e-8 * 120
     assert res["codes_binary"] == 0.0
 
@@ -496,8 +497,8 @@ def _repeated_patterns(rng, c, n, u):
     ("single-label", 12), ("multi-label", 8), ("c above r", 4), ("repeated patterns", 10),
 ])
 def test_label_space_path_matches_full_trainer(case, r):
-    # train never forms V during its sweeps; the full factorization at
-    # lambda = 0 is its oracle: same seeded start, same optimum of every step
+    # train never forms V; the full factorization at lambda = 0 is its
+    # oracle: same seeded start, same optimum of every step
     rng = np.random.default_rng(31)
     n = 240
     labels = {
@@ -510,23 +511,24 @@ def test_label_space_path_matches_full_trainer(case, r):
     cfg = TrainConfig(r=r, max_iters=6, rel_tol=1e-30, seed=4)
     full, full_report = train_collective(phix, labels, cfg, (0.0, 0.0))
     ours, report = train(labels, cfg)
+    latent = latent_of(ours, labels, cfg)
 
     def assert_close(expected, got):
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     g = labels.normalized
     assert_close(full.label_proj, ours.label_proj)
-    assert_close(full.latent @ g.T, ours.latent @ g.T)
+    assert_close(full.latent @ g.T, latent @ g.T)
     # R is unique only when the Procrustes target has full rank r; the steps
     # read it only through R V G^T and R^T M, which are unique either way
-    assert_close(full.rotation @ full.latent @ g.T, ours.rotation @ ours.latent @ g.T)
+    assert_close(full.rotation @ full.latent @ g.T, ours.rotation @ latent @ g.T)
     if case == "c above r":
         assert_close(full.rotation, ours.rotation)
     assert np.array_equal(full.codes, ours.codes)
     assert np.allclose(report.objective_history, full_report.objective_history,
                        rtol=1e-12, atol=0.0)
     assert (report.iterations_run, report.converged) == (6, False)
-    res = constraint_residuals(ours)
+    res = constraint_residuals(ours, latent)
     assert res["rotation"] < 1e-8
     assert res["latent_gram"] < 1e-8 * n
     assert res["latent_balance"] < 1e-6 * np.sqrt(n)
@@ -549,7 +551,7 @@ def test_label_space_path_trains_on_one_label_pattern():
     assert np.allclose(report.objective_history, full_report.objective_history,
                        rtol=1e-12, atol=0.0)
     assert np.array_equal(ours.codes, full.codes)
-    res = constraint_residuals(ours)
+    res = constraint_residuals(ours, latent_of(ours, labels, cfg))
     assert res["latent_gram"] < 1e-8 * 50
     assert res["latent_balance"] < 1e-6 * np.sqrt(50)
 
