@@ -11,13 +11,14 @@ never increases.
 
 Training reads the labels only.  The codes are B = sign(M L), shared by
 every instance with the same label vector, and V reaches the M and R steps
-only through V G^T (r x c).  So the sweeps never form V or B: one QR of the
-centered, count-weighted distinct label patterns, taken once, reduces the
-latent step to an r x rho SVD, and ||(R V)^T M L||^2 = n ||M L||^2 because
-V V^T = n I.  Every term is a c x c or r x r contraction; only the seeded
-start and the B built once, after the last sweep, are r x n, and nothing is
-n x n, which keeps training linear in the number of instances.  The final V
-is never built: nothing after training reads it.
+only through V G^T (r x c).  So training never forms V, and B only once,
+after the last sweep: one QR of the centered, count-weighted distinct label
+patterns, taken once, reduces the latent step to an r x rho SVD, and
+||(R V)^T M L||^2 = n ||M L||^2 because V V^T = n I.  The start draws only
+R and M; the latent and code steps at that R and M give the starting V G^T
+and B L^T.  Every term is a c x c or r x r contraction; only the final B is
+r x n, and nothing is n x n, which keeps training linear in the number of
+instances.  The final V is never built: nothing after training reads it.
 
 This is the paper's collective factorization with the feature
 reconstruction weights fixed at 0.  The tests keep the full factorization,
@@ -87,13 +88,6 @@ def _haar_orthogonal(rng: np.random.Generator, r: int) -> np.ndarray:
     return q * np.sign(np.diag(rr))
 
 
-def _balanced_orthonormal_rows(a: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the centered row space of ``a`` (rows sum to 0)."""
-    a = a - a.mean(axis=1, keepdims=True)
-    q, rr = np.linalg.qr(a.T)
-    return (q * np.sign(np.diag(rr))).T
-
-
 def check_code_length(r: int, n: int) -> None:
     """Reject r >= n: the balanced latent constraints need r+1 instances."""
     if r > n - 1:
@@ -102,17 +96,13 @@ def check_code_length(r: int, n: int) -> None:
             f"(the balanced latent constraints are infeasible otherwise), got n={n}")
 
 
-def init_state(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, np.ndarray]:
-    """Seeded random feasible starting point, and the starting latent V
-    (r x n, balanced and decorrelated), drawn last from the same stream."""
-    n, c, r = labels.n, labels.c, cfg.r
-    check_code_length(r, n)
+def init_state(labels: LabelSet, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded start: a Haar rotation R_0 (r x r), then a Gaussian label
+    projection M_0 (r x c), drawn in that order from one stream.  ``train``
+    takes the starting V and B from the latent and code steps at them."""
+    check_code_length(cfg.r, labels.n)
     rng = component_rng(cfg.seed, "init")
-    rotation = _haar_orthogonal(rng, r)
-    label_proj = rng.standard_normal((r, c))
-    codes = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
-    latent = np.sqrt(n) * _balanced_orthonormal_rows(rng.standard_normal((r, n)))
-    return ModelState(rotation=rotation, label_proj=label_proj, codes=codes), latent
+    return _haar_orthogonal(rng, cfg.r), rng.standard_normal((cfg.r, labels.c))
 
 
 def update_label_projection(v_gt: np.ndarray, rot: np.ndarray, b_lt: np.ndarray,
@@ -172,13 +162,11 @@ def update_codes(m: np.ndarray, labels: LabelSet) -> np.ndarray:
     return np.where(m @ labels.labels >= 0, 1.0, -1.0)
 
 
-def objective_value(state: ModelState, v_gt: np.ndarray, b_lt: np.ndarray,
+def objective_value(rot: np.ndarray, m: np.ndarray, v_gt: np.ndarray, b_lt: np.ndarray,
                     labels: LabelSet, cfg: TrainConfig) -> float:
-    """The training objective from M and R of ``state`` and from V G^T and
-    B L^T, without forming any n-sized matrix: V V^T = n I gives
-    ||(R V)^T M L||^2 = n ||M L||^2, +-1 codes give ||B||^2 = r n, and the
-    cross terms are r x c contractions.  ``state.codes`` is not read."""
-    m, rot = state.label_proj, state.rotation
+    """The training objective from R, M, V G^T and B L^T, without forming any
+    n-sized matrix: V V^T = n I gives ||(R V)^T M L||^2 = n ||M L||^2, +-1
+    codes give ||B||^2 = r n, and the cross terms are r x c contractions."""
     n, r = labels.n, cfg.r
     ml_sq = float(np.sum((m @ labels.llt) * m))    # ||M L||^2
     affinity = (n * ml_sq
@@ -243,37 +231,38 @@ def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
     """Run full sweeps of the updates until the objective stalls.
 
     The sweeps track V G^T and B L^T, summed over the distinct label
-    patterns (see the module docstring).  Completion directions are
+    patterns (see the module docstring).  Sweep 0 is the start: R and M
+    come from ``init_state``, and only the latent and code steps run, so V
+    and B start at their joint minimizer for that R and M.  Every later
+    sweep updates M, R, V and B in turn.  Completion directions are
     orthogonal to the kept ones and to 1_n; once the kept ones span the
     centered labels, as they do unless A Gamma^T loses rank, they add
-    nothing to V G^T.  B is built once, after the last sweep.  The
-    history records the objective before training and after every sweep; a
-    sweep whose relative decrease falls below ``cfg.rel_tol`` stops the
-    loop.  Identical inputs and seed reproduce the final state bitwise on a
-    given platform.
+    nothing to V G^T.  B is built once, after the last sweep.  The history
+    records the objective after every sweep, the start included; a sweep
+    whose relative decrease falls below ``cfg.rel_tol`` stops the loop.
+    Identical inputs and seed reproduce the final state bitwise on a given
+    platform.
     """
     n = labels.n
-    state, latent = init_state(labels, cfg)
-    v_gt = latent @ labels.normalized.T
-    del latent
+    rot, m = init_state(labels, cfg)
     patterns, counts, _ = label_patterns(labels)
     gamma = _pattern_basis(patterns, counts, n)[1]
-    b_lt = state.codes @ labels.labels.T
-    history = [objective_value(state, v_gt, b_lt, labels, cfg)]
+    history = []
     converged = False
-    for sweep in range(1, cfg.max_iters + 1):
+    for sweep in range(cfg.max_iters + 1):
         try:
-            state.label_proj = update_label_projection(v_gt, state.rotation, b_lt, labels, cfg)
-            state.rotation = update_rotation(state.label_proj, labels, v_gt)
-            directions = _latent_directions(state.rotation, state.label_proj, labels, gamma)
+            if sweep:
+                m = update_label_projection(v_gt, rot, b_lt, labels, cfg)
+                rot = update_rotation(m, labels, v_gt)
+            directions = _latent_directions(rot, m, labels, gamma)
             v_gt = np.sqrt(n) * (directions[0] @ directions[1]) @ gamma
-            b_lt = (update_codes(state.label_proj, patterns) * counts) @ patterns.labels.T
+            b_lt = (update_codes(m, patterns) * counts) @ patterns.labels.T
         except NumericalError as e:
             raise NumericalError(f"sweep {sweep}: {e}") from e
-        history.append(objective_value(state, v_gt, b_lt, labels, cfg))
-        if _stalled(history, cfg):
+        history.append(objective_value(rot, m, v_gt, b_lt, labels, cfg))
+        if sweep and _stalled(history, cfg):
             converged = True
             break
-    state.codes = update_codes(state.label_proj, labels)
+    state = ModelState(rotation=rot, label_proj=m, codes=update_codes(m, labels))
     return state, TrainReport(objective_history=history,
                               iterations_run=len(history) - 1, converged=converged)

@@ -9,8 +9,9 @@ r x n latent matrix V and each phi_t V^T.  One sweep updates P, M, R, V and
 B in turn, each to the exact minimizer of its subproblem; the M, R and B
 steps are the trainer's own.  At lambda = 0 the features drop out, and
 ``train``, which never forms V, must reach the same M, codes and objective
-history from the same seed.  ``latent_of`` rebuilds the V that ``train``
-leaves out, from its final R and M, for the feasibility checks.
+history from the same seed.  ``latent_of`` builds the V that ``train``
+leaves out from R and M: at the seeded start, for both trainers, and at
+``train``'s final R and M, for the feasibility checks.
 """
 
 from dataclasses import dataclass, field
@@ -78,10 +79,10 @@ def _latent_from_directions(u_kept: np.ndarray, w_kept: np.ndarray, u_deficient:
 
 
 def latent_of(state: ModelState, labels: LabelSet, cfg: TrainConfig) -> np.ndarray:
-    """The r x n latent V of a ``train`` result: the maximizer of the latent
-    step at the final R and M, each deficient direction completed from the
-    seed's ``latent-completion`` stream.  ``train`` tracks only V G^T, which
-    this V reproduces."""
+    """The r x n latent V at the R and M of ``state`` (the seeded start or a
+    ``train`` result): the maximizer of the latent step there, each
+    deficient direction completed from the seed's ``latent-completion``
+    stream.  ``train`` tracks only V G^T, which this V reproduces."""
     patterns, counts, inverse = label_patterns(labels)
     rows, gamma = _pattern_basis(patterns, counts, labels.n)
     return _latent_from_directions(
@@ -91,10 +92,13 @@ def latent_of(state: ModelState, labels: LabelSet, cfg: TrainConfig) -> np.ndarr
 
 def init_collective(phix: Sequence[np.ndarray], labels: LabelSet,
                     cfg: TrainConfig) -> tuple[CollectiveState, list[np.ndarray]]:
-    """The trainer's seeded start with projections fit to it, plus each
-    modality's phi_t V^T, which the starting objective reuses."""
-    start, latent = init_state(labels, cfg)
-    state = CollectiveState(**vars(start), latent=latent)
+    """The trainer's start: its seeded R_0 and M_0, B_0 = sign(M_0 L), and the
+    V_0 that ``latent_of`` builds at them, so both trainers start from the
+    same point; plus projections fit to it, and each modality's phi_t V^T,
+    which the starting objective reuses."""
+    rot, m = init_state(labels, cfg)
+    start = ModelState(rotation=rot, label_proj=m, codes=update_codes(m, labels))
+    state = CollectiveState(**vars(start), latent=latent_of(start, labels, cfg))
     phi_vt = [phi @ state.latent.T for phi in phix]
     state.proj = [update_projection(pv, labels.n) for pv in phi_vt]
     return state, phi_vt

@@ -57,7 +57,7 @@ def gradient_scale(f, x, rng, probes=3):
 
 
 def random_feasible_latent(rng, r, n):
-    """Random V with V V^T = n I and V 1 = 0 (the init recipe)."""
+    """Random V with V V^T = n I and V 1 = 0."""
     a = rng.standard_normal((r, n))
     a -= a.mean(axis=1, keepdims=True)
     q, rr = np.linalg.qr(a.T)

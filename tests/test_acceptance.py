@@ -253,7 +253,8 @@ def test_criterion_4_dense_oracle_equivalence():
         rel = abs(fast - dense) / abs(dense)
         worst = max(worst, rel)
         assert rel < 1e-9
-        ours = objective_value(state, state.latent @ labels.normalized.T,
+        ours = objective_value(state.rotation, state.label_proj,
+                               state.latent @ labels.normalized.T,
                                state.codes @ labels.labels.T, labels, cfg)
         dense = naive_objective(state, labels, cfg)
         rel = abs(ours - dense) / abs(dense)
@@ -348,6 +349,20 @@ def test_criterion_8_scaling_and_memory():
     ok = slope <= 1.25 and peak < budget and elapsed < 300.0
     _report(8, ok, f"slope {slope:.3f}, peak {peak / 1e6:.0f}MB of "
                    f"{budget / 1e6:.0f}MB budget, {elapsed:.0f}s")
+
+
+def test_train_holds_no_code_sized_array_before_final_sign():
+    # the start draws only R_0 and M_0, and the sweeps run over the label
+    # patterns, so the one r x n array is the final B = sign(M L)
+    n, c, r = 20000, 10, 32
+    _, _, raw = dataio.generate_synthetic(n, c, 32, 16, 0.3, seed=0)
+    labels = normalize_labels(raw)
+    cfg = TrainConfig(r=r, max_iters=3, rel_tol=1e-300, seed=0)
+    tracemalloc.start()
+    train(labels, cfg)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 1.5 * 8 * r * n
 
 
 def test_criterion_9_cli_determinism(tmp_path):

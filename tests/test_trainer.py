@@ -13,27 +13,37 @@ from collective_trainer import (CollectiveState, constraint_residuals, init_coll
 from conftest import (fd_gradient, gradient_scale, naive_objective, random_feasible_latent,
                       random_labelset)
 from xmodhash.errors import DegenerateDataError, ValidationError
-from xmodhash.trainer import (TrainConfig, init_state, objective_value, train, update_codes,
-                              update_label_projection, update_rotation)
+from xmodhash.rng import component_rng
+from xmodhash.trainer import (ModelState, TrainConfig, init_state, objective_value, train,
+                              update_codes, update_label_projection, update_rotation)
 
 
 # ---------------------------------------------------------------- init_state
 
 def test_init_is_deterministic():
+    # R_0 and M_0 are the first r x r and r x c draws of the seed's init stream
     rng = np.random.default_rng(0)
     labels = random_labelset(rng, 3, 20)
-    a, a_latent = init_state(labels, TrainConfig(r=4, seed=7))
-    b, b_latent = init_state(labels, TrainConfig(r=4, seed=7))
-    assert a_latent.tobytes() == b_latent.tobytes()
-    assert a.rotation.tobytes() == b.rotation.tobytes()
-    assert a.label_proj.tobytes() == b.label_proj.tobytes()
-    assert a.codes.tobytes() == b.codes.tobytes()
+    rot, m = init_state(labels, TrainConfig(r=4, seed=7))
+    again = init_state(labels, TrainConfig(r=4, seed=7))
+    assert [a.tobytes() for a in again] == [rot.tobytes(), m.tobytes()]
+    stream = component_rng(7, "init")
+    q, rr = np.linalg.qr(stream.standard_normal((4, 4)))
+    assert rot.tobytes() == (q * np.sign(np.diag(rr))).tobytes()
+    assert m.tobytes() == stream.standard_normal((4, 3)).tobytes()
+
+
+def _start_of(labels, cfg):
+    """The seeded start's R_0 and M_0 with B_0 = sign(M_0 L), and its V_0."""
+    rot, m = init_state(labels, cfg)
+    start = ModelState(rotation=rot, label_proj=m, codes=update_codes(m, labels))
+    return start, latent_of(start, labels, cfg)
 
 
 def test_init_satisfies_invariants():
     rng = np.random.default_rng(1)
     labels = random_labelset(rng, 4, 50)
-    res = constraint_residuals(*init_state(labels, TrainConfig(r=8, seed=1)))
+    res = constraint_residuals(*_start_of(labels, TrainConfig(r=8, seed=1)))
     assert res["rotation"] < 1e-8
     assert res["latent_gram"] < 1e-8 * 50
     assert res["latent_balance"] < 1e-6 * np.sqrt(50)
@@ -304,6 +314,11 @@ def test_codes_match_exhaustive_search():
 
 # --------------------------------------------------------------- objective_value
 
+def _objective_of(state, latent, labels, cfg):
+    return objective_value(state.rotation, state.label_proj, latent @ labels.normalized.T,
+                           state.codes @ labels.labels.T, labels, cfg)
+
+
 def _exact_fit_state():
     l = np.array([[1.0, 1, 0, 0], [0, 0, 1, 1]])
     from xmodhash.dataio import RawLabelMatrix
@@ -322,9 +337,7 @@ def test_objective_zero_at_exact_fit():
     cfg = TrainConfig(r=2, omega=0.3)
     assert objective_from_features(state, labels, phix, cfg, (0.8,)) == pytest.approx(
         0.0, abs=1e-8)
-    assert objective_value(state, state.latent @ labels.normalized.T,
-                           state.codes @ labels.labels.T, labels, cfg) == pytest.approx(
-        0.0, abs=1e-8)
+    assert _objective_of(state, state.latent, labels, cfg) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_objective_nonnegative_and_matches_dense():
@@ -345,8 +358,7 @@ def test_objective_nonnegative_and_matches_dense():
         dense = naive_objective(state, labels, cfg, phix, lambdas)
         assert fast >= 0.0
         assert fast == pytest.approx(dense, rel=1e-9)
-        ours = objective_value(state, v @ labels.normalized.T, state.codes @ labels.labels.T,
-                               labels, cfg)
+        ours = _objective_of(state, v, labels, cfg)
         assert ours >= 0.0
         assert ours == pytest.approx(naive_objective(state, labels, cfg), rel=1e-9)
 
@@ -382,13 +394,28 @@ def test_train_monotone_descent(small_synth):
 
 
 def test_train_keeps_every_latent_direction_at_full_rank(small_synth, monkeypatch):
-    def no_completion(*args, **kwargs):
-        raise AssertionError("latent step completed a full-rank score matrix")
+    # the start's score matrix comes from the labels alone and has rank below
+    # r, so building V_0 completes once; every sweep's latent step, with the
+    # features in its score, must not
+    completions, at_start = [], []
+    complete, init = collective_trainer._complete_balanced_basis, init_collective
 
-    monkeypatch.setattr(collective_trainer, "_complete_balanced_basis", no_completion)
+    def counted_completion(*args, **kwargs):
+        completions.append(args)
+        return complete(*args, **kwargs)
+
+    def counted_init(*args, **kwargs):
+        start = init(*args, **kwargs)
+        at_start.append(len(completions))
+        return start
+
+    monkeypatch.setattr(collective_trainer, "_complete_balanced_basis", counted_completion)
+    monkeypatch.setattr(collective_trainer, "init_collective", counted_init)
     cfg = TrainConfig(r=16, seed=0)
     state, _ = train_collective([small_synth["phi1"].T, small_synth["phi2"].T],
                                 small_synth["labels"], cfg, (0.5, 0.5))
+    assert at_start == [1]
+    assert len(completions) == 1, "latent step completed a full-rank score matrix"
     res = constraint_residuals(state, state.latent)
     assert res["latent_gram"] < 1e-8 * state.n
     assert res["latent_balance"] < 1e-6 * np.sqrt(state.n)
@@ -410,11 +437,6 @@ def test_train_runs_one_p_step_per_latent(small_synth, monkeypatch, max_iters, r
     _, report = train_collective([small_synth["phi1"].T, small_synth["phi2"].T],
                                  small_synth["labels"], cfg, (0.5, 0.5))
     assert len(calls) == 2 * report.iterations_run
-
-
-def _objective_of(state, latent, labels, cfg):
-    return objective_value(state, latent @ labels.normalized.T,
-                           state.codes @ labels.labels.T, labels, cfg)
 
 
 def test_train_history_ends_at_objective_value(small_synth):
@@ -440,7 +462,33 @@ def test_train_history_starts_at_objective_value(small_synth):
     assert report.objective_history[0] == objective_from_features(
         start, labels, phix, cfg, (0.5, 0.5))
     _, report = train(labels, cfg)
-    assert report.objective_history[0] == _objective_of(*init_state(labels, cfg), labels, cfg)
+    assert report.objective_history[0] == pytest.approx(
+        _objective_of(*_start_of(labels, cfg), labels, cfg), rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["single-label", "multi-label", "one pattern"])
+def test_train_starts_at_the_latent_and_code_minimizer(case):
+    # the start's V and B are the joint minimizer at the seeded R_0 and M_0:
+    # no random feasible V and B there do better
+    rng = np.random.default_rng(33)
+    n, r = 60, 6
+    if case == "one pattern":
+        l = np.zeros((3, n))
+        l[1] = 1.0
+        from xmodhash.dataio import RawLabelMatrix
+        from xmodhash.labelspace import normalize_labels
+        labels = normalize_labels(RawLabelMatrix(l))
+    else:
+        labels = random_labelset(rng, 4, n, multi=case == "multi-label")
+    cfg = TrainConfig(r=r, max_iters=1, seed=8)
+    _, report = train(labels, cfg)
+    start = report.objective_history[0]
+    rot, m = init_state(labels, cfg)
+    for _ in range(50):
+        other = ModelState(rotation=rot, label_proj=m,
+                           codes=np.where(rng.random((r, n)) < 0.5, -1.0, 1.0))
+        worse = _objective_of(other, random_feasible_latent(rng, r, n), labels, cfg)
+        assert start <= worse + 1e-9 * abs(worse)
 
 
 def test_train_final_state_feasible(small_synth):
