@@ -10,8 +10,7 @@ from .errors import (DegenerateDataError, EvaluationError, FormatError,
                      NumericalError, ValidationError)
 from .kernelfeat import KernelMap, estimate_width, fit_kernel, kernelize, select_anchors
 from .labelspace import LabelSet, normalize_labels
-from .retrieval import (CodeSet, RelevanceJudge, evaluate, pack_codes, rank_by_hamming,
-                        read_codes, write_codes)
+from .retrieval import CodeSet, evaluate, rank_by_hamming, read_codes, write_codes
 from .trainer import (ModelState, TrainConfig, TrainReport, init_state, objective_value,
                       train, update_codes, update_label_projection, update_rotation)
 

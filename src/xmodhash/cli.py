@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dataio, labelspace, retrieval, trainer
 from .encoder import encode, fit_pipeline, from_archive, to_archive
-from .errors import FormatError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 
 
 @dataclass
@@ -207,8 +207,8 @@ def cmd_encode(v: dict) -> int:
     archive = dataio.load_model(v["model"])
     try:
         enc = from_archive(archive)
-    except FormatError as e:
-        raise FormatError(f"{v['model']}: {e}") from e
+    except ValidationError as e:
+        raise type(e)(f"{v['model']}: {e}") from e
     del archive     # the encoder holds every array encode reads
     codes = encode(dataio.read_matrix(v["features"]), enc, v["modality"])
     retrieval.write_codes(codes, v["out"])
@@ -221,17 +221,12 @@ def cmd_eval(v: dict) -> int:
     db = retrieval.read_codes(v["db_codes"])
     query_labels = dataio.read_labels(v["query_labels"])
     db_labels = dataio.read_labels(v["db_labels"])
-    if queries.n != query_labels.n:
-        raise ValidationError(
-            f"{queries.n} query codes but {query_labels.n} query labels")
-    if db.n != db_labels.n:
-        raise ValidationError(f"{db.n} database codes but {db_labels.n} database labels")
     if v["cutoff"] < 0:
         raise ValidationError(
             f"--cutoff must be >= 0 (0 means the full database), got {v['cutoff']}")
     points = _parse_int_list(v["topn"], "--topn") if v["topn"] else []
-    judge = retrieval.RelevanceJudge(query_labels.values, db_labels.values)
-    result, curve = retrieval.evaluate(queries, db, judge, cutoff=v["cutoff"] or None,
+    result, curve = retrieval.evaluate(queries, db, query_labels.values, db_labels.values,
+                                       cutoff=v["cutoff"] or None,
                                        include_empty=v["include_empty"], n_points=points)
     task, bits = v["task"], queries.r
     lines = ["metric,task,bits,value",

@@ -378,8 +378,8 @@ def generate_synthetic(n: int, c: int, d1: int, d2: int, noise: float,
     check_synthetic_size(n, c)
     if d1 < 1 or d2 < 1:
         raise ValidationError(f"feature dimensions must be >= 1, got d1={d1}, d2={d2}")
-    if noise < 0:
-        raise ValidationError(f"noise scale must be >= 0, got {noise}")
+    if not 0 <= noise < np.inf:
+        raise ValidationError(f"noise scale must be >= 0 and finite, got {noise}")
     classes = component_rng(seed, "synth-classes").integers(0, c, size=n)
     mats = []
     for t, d in ((1, d1), (2, d2)):

@@ -43,14 +43,18 @@ class HashEncoder:
             raise ValidationError(f"projections disagree on code length: {sorted(widths)}")
 
 
+def _check_ridge(ridge: float) -> None:
+    if not 0 < ridge < np.inf:
+        raise ValidationError(f"ridge weight must be positive and finite, got {ridge}")
+
+
 def fit_ridge_encoder(phix: np.ndarray, codes: np.ndarray, ridge: float) -> np.ndarray:
     """Solve (X^T X + ridge I) P = X^T B for the hash projection P.
 
     ``phix`` holds instances as rows (n x k) and ``codes`` the matching
     +-1 targets (n x r).  Strict convexity for ridge > 0 makes P unique.
     """
-    if not ridge > 0:
-        raise ValidationError(f"ridge weight must be positive, got {ridge}")
+    _check_ridge(ridge)
     phix = np.asarray(phix, dtype=np.float64)
     codes = np.asarray(codes, dtype=np.float64)
     if phix.ndim != 2 or codes.ndim != 2 or phix.shape[0] != codes.shape[0]:
@@ -81,8 +85,7 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
     only, so each modality's n x k training features are built after it and
     dropped once its ridge fit is done: one such matrix is alive at a time.
     """
-    if not ridge > 0:
-        raise ValidationError(f"ridge weight must be positive, got {ridge}")
+    _check_ridge(ridge)
     if len(xs) != len(k):
         raise ValidationError(f"{len(xs)} modalities need as many anchor counts, got {len(k)}")
     check_code_length(cfg.r, labels.n)

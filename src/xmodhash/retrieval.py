@@ -6,9 +6,9 @@ set bit meaning +1.  Ranking is a linear scan with XOR + popcount; ties are
 broken by ascending database index so every metric is bit-reproducible.
 
 Distances are kept in the narrowest unsigned type that holds r (uint8 up to
-r = 255), so each query's stable argsort is one counting pass.  Label sets
-are packed once into bit-mask words, and relevance is "masks AND to
-non-zero".  evaluate ranks queries in blocks of at most _BLOCK_CELLS
+r = 255), so each query's stable argsort is one counting pass.  evaluate
+packs each label set once per call into bit-mask words, and relevance is
+"masks AND to non-zero".  It ranks queries in blocks of at most _BLOCK_CELLS
 query-database cells and allocates its buffers once per call: beyond the
 per-query results it holds about two bytes per block cell plus a few
 database-length rows, whatever the query count.
@@ -22,7 +22,7 @@ the writer writes the header and then the words' own buffer.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -36,23 +36,26 @@ ABC_MAGIC = b"ABC1"
 
 @dataclass
 class CodeSet:
-    """Packed +-1 codes for n instances, r bits each."""
+    """Packed +-1 codes of r bits each, one row of words per instance."""
 
-    n: int
     r: int
     words: np.ndarray  # n x ceil(r/64), uint64
 
     def __post_init__(self):
         self.words = np.asarray(self.words, dtype=np.uint64)
-        if self.n < 0 or self.r < 1:
-            raise ValidationError(f"need n >= 0 and r >= 1, got n={self.n}, r={self.r}")
+        if self.r < 1:
+            raise ValidationError(f"need r >= 1, got r={self.r}")
         width = words_per_code(self.r)
-        if self.words.shape != (self.n, width):
+        if self.words.ndim != 2 or self.words.shape[1] != width:
             raise ValidationError(
-                f"packed words have shape {self.words.shape}, expected ({self.n}, {width})")
+                f"packed words have shape {self.words.shape}, expected (n, {width})")
         spare = width * 64 - self.r
-        if spare and self.n and np.any(self.words[:, -1] >> np.uint64(64 - spare)):
+        if spare and np.any(self.words[:, -1] >> np.uint64(64 - spare)):
             raise ValidationError("unused high bits of the last word must be zero")
+
+    @property
+    def n(self) -> int:
+        return self.words.shape[0]
 
 
 class MapResult(NamedTuple):
@@ -64,18 +67,6 @@ def words_per_code(r: int) -> int:
     return (r + 63) // 64
 
 
-def pack_codes(signs: np.ndarray) -> CodeSet:
-    """Pack an n x r matrix of exact +-1 values (+1 maps to a set bit)."""
-    signs = np.asarray(signs)
-    if signs.ndim != 2:
-        raise ValidationError(f"sign matrix must be 2-D, got ndim={signs.ndim}")
-    if signs.shape[1] < 1:
-        raise ValidationError("codes need at least one bit")
-    if not np.all(np.abs(signs) == 1):
-        raise ValidationError("sign matrix entries must be exactly -1 or +1")
-    return _pack_bits(signs > 0)
-
-
 def _pack_bits(bits: np.ndarray) -> CodeSet:
     """Pack an n x r boolean matrix (r >= 1; True is a set bit)."""
     n, r = bits.shape
@@ -83,7 +74,7 @@ def _pack_bits(bits: np.ndarray) -> CodeSet:
     padded = np.zeros((n, width * 64), dtype=np.uint8)
     padded[:, :r] = bits
     packed = np.packbits(padded, axis=1, bitorder="little")
-    return CodeSet(n=n, r=r, words=packed.view("<u8").reshape(n, width))
+    return CodeSet(r=r, words=packed.view("<u8").reshape(n, width))
 
 
 # Cells (queries x database items) ranked per block: bounds the block's
@@ -133,34 +124,6 @@ def _label_masks(labels: np.ndarray) -> np.ndarray:
     return packed.view(dtype.newbyteorder("<")).astype(dtype, copy=False)
 
 
-@dataclass
-class RelevanceJudge:
-    """Share-any-label relevance between query and database instances.
-
-    Each instance's label set is packed once into bit-mask words; a query and
-    a database item are relevant when their masks AND to non-zero, which for
-    0/1 labels is exactly (q^T d) > 0.
-    """
-
-    query_labels: np.ndarray  # c x n_query, 0/1
-    db_labels: np.ndarray     # c x n_db, 0/1
-    query_masks: np.ndarray = field(init=False, repr=False, compare=False)
-    db_masks: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.query_labels = np.asarray(self.query_labels, dtype=np.float64)
-        self.db_labels = np.asarray(self.db_labels, dtype=np.float64)
-        if self.query_labels.shape[0] != self.db_labels.shape[0]:
-            raise ValidationError(
-                f"label matrices disagree on class count: "
-                f"{self.query_labels.shape[0]} vs {self.db_labels.shape[0]}")
-        for name, labels in (("query", self.query_labels), ("database", self.db_labels)):
-            if not np.all((labels == 0) | (labels == 1)):
-                raise ValidationError(f"{name} label entries must be 0 or 1")
-        self.query_masks = _label_masks(self.query_labels)
-        self.db_masks = _label_masks(self.db_labels)
-
-
 def _ap_from_hits(hits: np.ndarray) -> float:
     """AP from the 0-based ranks of the relevant items, in rank order.
 
@@ -171,58 +134,67 @@ def _ap_from_hits(hits: np.ndarray) -> float:
     return float(np.cumsum(count / (hits + 1))[-1]) / hits.size
 
 
-def _check_cutoff(cutoff: int, n: int) -> None:
-    if cutoff < 1:
-        raise ValidationError(f"cutoff must be at least 1, got {cutoff}")
-    if cutoff > n:
-        raise ValidationError(f"cutoff {cutoff} exceeds ranking length {n}")
-
-
-def evaluate(queries: CodeSet, db: CodeSet, judge: RelevanceJudge,
-             cutoff: int | None = None, include_empty: bool = False,
+def evaluate(queries: CodeSet, db: CodeSet, query_labels: np.ndarray,
+             db_labels: np.ndarray, cutoff: int | None = None, include_empty: bool = False,
              n_points: Sequence[int] = ()) -> tuple[MapResult, list[tuple[int, float]]]:
     """mAP and the top-N precision curve from one ranking of each query.
 
-    Every argument is checked before any distance is computed.  Queries are
-    ranked in blocks of at most _BLOCK_CELLS query-database pairs, so memory
-    stays bounded whatever the query count.  Each query's relevance is taken
-    in database order from the label masks, then gathered through its
-    ranking.  Per-query values are summed in query order, as a query-by-query
-    loop would.
+    ``query_labels`` and ``db_labels`` are the c x n 0/1 label matrices of
+    the queries and the database items; a pair is relevant when it shares a
+    label, (q^T d) > 0.  Every argument is checked before any distance is
+    computed.  Queries are ranked in blocks of at most _BLOCK_CELLS
+    query-database pairs, so memory stays bounded whatever the query count.
+    Each query's relevance is taken in database order from the label masks,
+    then gathered through its ranking.  Per-query values are summed in query
+    order, as a query-by-query loop would.
     """
+    query_labels, db_labels = np.asarray(query_labels), np.asarray(db_labels)
+    for name, labels in (("query", query_labels), ("database", db_labels)):
+        if labels.ndim != 2:
+            raise ValidationError(f"{name} labels must be a c x n matrix, got ndim={labels.ndim}")
+        if not np.all((labels == 0) | (labels == 1)):
+            raise ValidationError(f"{name} label entries must be 0 or 1")
+    if query_labels.shape[0] != db_labels.shape[0]:
+        raise ValidationError(
+            f"label matrices disagree on class count: "
+            f"{query_labels.shape[0]} vs {db_labels.shape[0]}")
     if queries.r != db.r:
         raise ValidationError(f"code lengths differ: query r={queries.r}, db r={db.r}")
     if queries.n < 1:
         raise ValidationError("need at least one query")
     if db.n < 1:
         raise ValidationError("need at least one database code")
-    if judge.query_masks.shape[0] != queries.n or judge.db_masks.shape[0] != db.n:
+    if query_labels.shape[1] != queries.n or db_labels.shape[1] != db.n:
         raise ValidationError(
-            f"labels cover {judge.query_masks.shape[0]} queries and "
-            f"{judge.db_masks.shape[0]} database items, codes {queries.n} and {db.n}")
+            f"labels cover {query_labels.shape[1]} queries and "
+            f"{db_labels.shape[1]} database items, codes {queries.n} and {db.n}")
     if cutoff is None:
         cutoff = db.n
-    _check_cutoff(cutoff, db.n)
+    if cutoff < 1:
+        raise ValidationError(f"cutoff must be at least 1, got {cutoff}")
+    if cutoff > db.n:
+        raise ValidationError(f"cutoff {cutoff} exceeds ranking length {db.n}")
     for n_top in n_points:
         if n_top < 1 or n_top > db.n:
             raise ValidationError(f"top-N point {n_top} outside [1, {db.n}]")
+    query_masks, db_masks = _label_masks(query_labels), _label_masks(db_labels)
     aps = np.zeros(queries.n)
     empty = np.zeros(queries.n, dtype=bool)
     precision = np.zeros((queries.n, len(n_points)))
     height = min(queries.n, max(1, _BLOCK_CELLS // db.n))
     dist = np.empty((height, db.n), dtype=np.min_scalar_type(db.r))
     rel = np.empty((height, db.n), dtype=bool)
-    shared = np.empty(db.n, dtype=judge.db_masks.dtype)
+    shared = np.empty(db.n, dtype=db_masks.dtype)
     word = np.empty_like(shared)
     unranked = np.empty(db.n, dtype=bool)
     for start in range(0, queries.n, height):
         rows = min(height, queries.n - start)
         _distances(queries.words[start:start + rows], db, dist[:rows])
         for row, qi in enumerate(range(start, start + rows)):
-            query_mask = judge.query_masks[qi]
-            np.bitwise_and(judge.db_masks[:, 0], query_mask[0], out=shared)
+            query_mask = query_masks[qi]
+            np.bitwise_and(db_masks[:, 0], query_mask[0], out=shared)
             for w in range(1, query_mask.size):
-                shared |= np.bitwise_and(judge.db_masks[:, w], query_mask[w], out=word)
+                shared |= np.bitwise_and(db_masks[:, w], query_mask[w], out=word)
             np.not_equal(shared, 0, out=unranked)
             # argsort indices are in range; "clip" writes straight into the row
             np.take(unranked, np.argsort(dist[row], kind="stable"), out=rel[row], mode="clip")
@@ -272,6 +244,6 @@ def read_codes(path) -> CodeSet:
             raise FormatError(error(left))
         words = _read_array(f, (n, width), "<u8", need, left, error)
     try:
-        return CodeSet(n=n, r=r, words=words)
+        return CodeSet(r=r, words=words)
     except ValidationError as e:
         raise FormatError(f"{path}: {e}") from e

@@ -78,9 +78,12 @@ class ModelState:
 
 @dataclass
 class TrainReport:
-    objective_history: list[float]
-    iterations_run: int
+    objective_history: list[float]   # the start's objective, then one per sweep
     converged: bool
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.objective_history) - 1
 
 
 def _haar_orthogonal(rng: np.random.Generator, r: int) -> np.ndarray:
@@ -264,5 +267,4 @@ def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
             converged = True
             break
     state = ModelState(rotation=rot, label_proj=m, codes=update_codes(m, labels))
-    return state, TrainReport(objective_history=history,
-                              iterations_run=len(history) - 1, converged=converged)
+    return state, TrainReport(objective_history=history, converged=converged)

@@ -223,5 +223,4 @@ def train_collective(phix: Sequence[np.ndarray], labels: LabelSet, cfg: TrainCon
             break
         if sweep < cfg.max_iters:
             state.proj = [update_projection(pv, state.n) for pv in phi_vt]
-    return state, TrainReport(objective_history=history,
-                              iterations_run=len(history) - 1, converged=converged)
+    return state, TrainReport(objective_history=history, converged=converged)

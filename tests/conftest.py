@@ -11,7 +11,7 @@ from xmodhash import dataio
 from xmodhash.errors import ValidationError
 from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import LabelSet, normalize_labels
-from xmodhash.retrieval import CodeSet, pack_codes
+from xmodhash.retrieval import CodeSet, _pack_bits
 
 
 def cli_env():
@@ -88,6 +88,18 @@ def naive_objective(state, labels, cfg, phix=(), lambdas=()):
     return total
 
 
+def pack_codes(signs: np.ndarray) -> CodeSet:
+    """Pack an n x r matrix of exact +-1 values (+1 maps to a set bit)."""
+    signs = np.asarray(signs)
+    if signs.ndim != 2:
+        raise ValidationError(f"sign matrix must be 2-D, got ndim={signs.ndim}")
+    if signs.shape[1] < 1:
+        raise ValidationError("codes need at least one bit")
+    if not np.all(np.abs(signs) == 1):
+        raise ValidationError("sign matrix entries must be exactly -1 or +1")
+    return _pack_bits(signs > 0)
+
+
 def unpack_codes(codes: CodeSet) -> np.ndarray:
     """Inverse of pack_codes: n x r matrix of +-1 (int8)."""
     raw = codes.words.astype("<u8").view(np.uint8).reshape(codes.n, -1)
@@ -128,10 +140,10 @@ def ranked_codes(n):
     return pack_codes(np.ones((1, r))), pack_codes(db)
 
 
-def relevance(judge, query_index):
+def relevance(query_labels, db_labels, query_index):
     """Share-any-label relevance of every database item to one query, from the
-    judge's raw label matrices: (q^T d) > 0, independent of its bit masks."""
-    return (judge.query_labels[:, query_index].T @ judge.db_labels) > 0
+    raw c x n label matrices: (q^T d) > 0, independent of any bit masks."""
+    return (query_labels[:, query_index].T @ db_labels) > 0
 
 
 def oracle_rank(query_bits, db_bits):

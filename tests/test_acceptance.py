@@ -19,13 +19,14 @@ import pytest
 from collective_trainer import (CollectiveState, constraint_residuals, latent_of,
                                 objective_from_features, update_latent, update_projection)
 from conftest import (cli_env, fd_gradient, gradient_scale, naive_objective, oracle_map,
-                      random_feasible_latent, random_labelset, ranked_codes, relevance)
+                      pack_codes, random_feasible_latent, random_labelset, ranked_codes,
+                      relevance)
 from xmodhash import dataio, kernelfeat
 from xmodhash.dataio import FeatureMatrix, RawLabelMatrix
 from xmodhash.encoder import encode, fit_pipeline
 from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import normalize_labels
-from xmodhash.retrieval import RelevanceJudge, evaluate, pack_codes, rank_by_hamming
+from xmodhash.retrieval import evaluate, rank_by_hamming
 from xmodhash.rng import component_rng
 from xmodhash.trainer import (ModelState, TrainConfig, objective_value, train, update_codes,
                               update_label_projection, update_rotation)
@@ -84,7 +85,6 @@ def pipeline():
         "lab_q": raw.values[:, 1000:],
     }
     data["labels"] = normalize_labels(RawLabelMatrix(data["lab_tr"]))
-    data["judge"] = RelevanceJudge(data["lab_q"], data["lab_tr"])
     data["relevant"] = [(data["lab_q"][:, qi] @ data["lab_tr"]) > 0 for qi in range(200)]
     data["km1"], data["phi1"] = fit_kernel(data["x1_tr"], 500, 0)
     data["km2"], data["phi2"] = fit_kernel(data["x2_tr"], 1000, 0)
@@ -96,8 +96,8 @@ def pipeline():
         queries = {t: encode(data[f"x{t}_q"], enc, t) for t in (1, 2)}
         return {
             "state": state, "report": report,
-            "i2t": evaluate(queries[1], db[2], data["judge"])[0].value,
-            "t2i": evaluate(queries[2], db[1], data["judge"])[0].value,
+            "i2t": evaluate(queries[1], db[2], data["lab_q"], data["lab_tr"])[0].value,
+            "t2i": evaluate(queries[2], db[1], data["lab_q"], data["lab_tr"])[0].value,
         }
 
     results = {}
@@ -105,7 +105,7 @@ def pipeline():
     rng = component_rng(0, "random-baseline")
     db_rand = pack_codes(np.where(rng.random((1000, 32)) < 0.5, -1.0, 1.0))
     q_rand = pack_codes(np.where(rng.random((200, 32)) < 0.5, -1.0, 1.0))
-    random_map = evaluate(q_rand, db_rand, data["judge"])[0].value
+    random_map = evaluate(q_rand, db_rand, data["lab_q"], data["lab_tr"])[0].value
     oracle = _ridge_label_oracle(data)
     # generation, kernelization, the r=32 pipeline, and both baselines
     data["criterion6_seconds"] = time.perf_counter() - start
@@ -267,8 +267,7 @@ def test_criterion_5_metric_oracle():
     # hand-computed case: relevance [1, 0, 1, 0] down the ranking
     ql = np.array([[1.0], [0.0]])
     dl = np.array([[1.0, 0, 1, 0], [0.0, 1, 0, 1]])
-    judge = RelevanceJudge(ql, dl)
-    ap, _ = evaluate(*ranked_codes(4), judge, cutoff=4)
+    ap, _ = evaluate(*ranked_codes(4), ql, dl, cutoff=4)
     assert ap.value == pytest.approx(0.833333, abs=1e-6)
 
     rng = np.random.default_rng(5)
@@ -282,16 +281,15 @@ def test_criterion_5_metric_oracle():
         ql[rng.integers(0, c, 50), np.arange(50)] = 1
         dl = np.zeros((c, 300))
         dl[rng.integers(0, c, 300), np.arange(300)] = 1
-        judge = RelevanceJudge(ql, dl)
-        ours, _ = evaluate(queries, db, judge)
+        ours, _ = evaluate(queries, db, ql, dl)
         expected, excluded = oracle_map(queries, db, ql, dl)
         assert ours.value == expected and ours.excluded_queries == excluded
-        top = dict(evaluate(queries, db, judge, include_empty=True, n_points=[10, 50])[1])
+        top = dict(evaluate(queries, db, ql, dl, include_empty=True, n_points=[10, 50])[1])
         for n_top in (10, 50):
             total = 0.0
             for qi in range(50):
                 ranked = rank_by_hamming(queries.words[qi], db)
-                total += int(relevance(judge, qi)[ranked[:n_top]].sum()) / n_top
+                total += int(relevance(ql, dl, qi)[ranked[:n_top]].sum()) / n_top
             assert top[n_top] == total / 50
         exact += 1
     _report(5, exact == 10, f"{exact}/10 patterns matched brute force exactly")
@@ -409,9 +407,10 @@ def test_criterion_10_real_data_reproduction():
     lab_q = dataio.read_labels(root / "query_labels.amx")
 
     enc, _, _ = fit_pipeline([x1_tr, x2_tr], labels, TrainConfig(r=128, seed=0), (500, 1000))
-    judge = RelevanceJudge(lab_q.values, labels.labels)
-    i2t = evaluate(encode(x1_q, enc, 1), encode(x2_tr, enc, 2), judge)[0].value
-    t2i = evaluate(encode(x2_q, enc, 2), encode(x1_tr, enc, 1), judge)[0].value
+    i2t = evaluate(encode(x1_q, enc, 1), encode(x2_tr, enc, 2),
+                   lab_q.values, labels.labels)[0].value
+    t2i = evaluate(encode(x2_q, enc, 2), encode(x1_tr, enc, 1),
+                   lab_q.values, labels.labels)[0].value
     ok = abs(i2t - 0.7523) <= 0.03 and abs(t2i - 0.8339) <= 0.03
     _report(10, ok, f"128-bit mAP i2t {i2t:.4f} (target 0.7523), "
                     f"t2i {t2i:.4f} (target 0.8339)")

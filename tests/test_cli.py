@@ -4,11 +4,12 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import pack_codes
 from xmodhash import cli, dataio, kernelfeat, retrieval
 from xmodhash.cli import build_parser, main
 from xmodhash.encoder import fit_pipeline, to_archive
 from xmodhash.labelspace import normalize_labels
-from xmodhash.retrieval import pack_codes, write_codes
+from xmodhash.retrieval import write_codes
 from xmodhash.trainer import TrainConfig
 
 
@@ -62,6 +63,16 @@ def test_synth_validation_exit_code(tmp_path, capsys):
     assert "n >= c" in err
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_synth_rejects_a_bad_noise_scale(tmp_path, capsys, noise):
+    out = tmp_path / "data"
+    code, stdout, err = run(capsys, "synth", "--n", "20", "--c", "2", "--noise", noise,
+                            "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert f"noise scale must be >= 0 and finite, got {float(noise)}" in err
+    assert not out.exists()
+
+
 def test_train_end_to_end(synth_dir, tmp_path, capsys):
     model = tmp_path / "model.amh"
     code, out, _ = run(capsys, *train_args(synth_dir, model))
@@ -95,6 +106,7 @@ def test_train_archive_equals_library_fit(synth_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--lambda-h", "0", "ridge weight must be positive"),
+    ("--lambda-h", "inf", "ridge weight must be positive and finite, got inf"),
     ("--omega", "-1", "omega must be >= 0"),
     ("--omega", "nan", "omega must be >= 0 and finite, got nan"),
     ("--omega", "inf", "omega must be >= 0 and finite, got inf"),
@@ -275,6 +287,7 @@ def test_encode_corrupt_archive_is_exit_2(synth_dir, tmp_path, capsys, corrupt, 
                        str(synth_dir / "x1.amx"), "--modality", "1",
                        "--out", str(tmp_path / "c.abc"))
     assert code == 2
+    assert f"{model}: " in err
     assert message in err
 
 
@@ -336,6 +349,27 @@ def test_eval_mismatched_code_lengths(tmp_path, capsys):
     assert code == 2
     assert "8" in err and "16" in err
 
+
+@pytest.mark.parametrize("query_classes, db_classes, message", [
+    ([0, 1, 0], [0, 0, 1, 1], "labels cover 3 queries and 4 database items, codes 2 and 4"),
+    ([0, 1], [0, 0, 1], "labels cover 2 queries and 3 database items, codes 2 and 4"),
+], ids=["query", "database"])
+def test_eval_code_and_label_counts_must_agree(tmp_path, capsys, monkeypatch,
+                                               query_classes, db_classes, message):
+    def no_ranking(*args):
+        raise AssertionError("distances computed before the counts were checked")
+
+    monkeypatch.setattr(retrieval, "_distances", no_ranking)
+    write_codes(pack_codes(np.ones((4, 8))), tmp_path / "db.abc")
+    write_codes(pack_codes(np.ones((2, 8))), tmp_path / "q.abc")
+    write_class_labels(tmp_path / "dbl.amx", db_classes, c=2)
+    write_class_labels(tmp_path / "ql.amx", query_classes, c=2)
+    code, out, err = run(capsys, "eval", "--query-codes", str(tmp_path / "q.abc"),
+                         "--db-codes", str(tmp_path / "db.abc"),
+                         "--query-labels", str(tmp_path / "ql.amx"),
+                         "--db-labels", str(tmp_path / "dbl.amx"))
+    assert code == 2 and out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("extra, message", [

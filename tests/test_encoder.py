@@ -49,6 +49,14 @@ def test_ridge_rejects_nonpositive_weight():
         fit_ridge_encoder(np.eye(2), np.ones((2, 1)), ridge=0.0)
 
 
+@pytest.mark.parametrize("ridge", [np.inf, np.nan])
+def test_ridge_rejects_non_finite_weight(ridge):
+    # an infinite weight would solve to P = 0, so every code bit would read +1
+    with pytest.raises(ValidationError, match=f"ridge weight must be positive and finite, "
+                                              f"got {ridge}"):
+        fit_ridge_encoder(np.eye(2), np.ones((2, 1)), ridge=ridge)
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_ridge_flags_numerical_failure():
     huge = np.full((3, 2), 1e308)
@@ -279,6 +287,7 @@ def test_from_archive_bad_sigma_is_format_error(fitted, value):
     ({"cfg": TrainConfig(r=60)}, 60, r"code length r=60 needs at least r\+1=61 instances"),
     ({"k": (10,)}, 60, "2 modalities need as many anchor counts, got 1"),
     ({"k": (10, 10, 10)}, 60, "2 modalities need as many anchor counts, got 3"),
+    ({"ridge": np.inf}, 60, "ridge weight must be positive and finite, got inf"),
 ])
 def test_fit_pipeline_checks_arguments_before_kernelizing(monkeypatch, kwargs, n_labels,
                                                           message):

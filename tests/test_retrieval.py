@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (hamming, oracle_ap, oracle_map, oracle_rank, ranked_codes, relevance,
-                      unpack_codes)
+from conftest import (hamming, oracle_ap, oracle_map, oracle_rank, pack_codes, ranked_codes,
+                      relevance, unpack_codes)
 from xmodhash import retrieval
 from xmodhash.errors import EvaluationError, FormatError, ValidationError
-from xmodhash.retrieval import (CodeSet, RelevanceJudge, evaluate, pack_codes,
-                                rank_by_hamming, read_codes, write_codes)
+from xmodhash.retrieval import CodeSet, evaluate, rank_by_hamming, read_codes, write_codes
 
 
 def signs_from_bits(bit_rows):
@@ -45,7 +44,7 @@ def test_unused_high_bits_are_zero():
 def test_codeset_rejects_dirty_high_bits():
     words = np.full((1, 1), np.uint64(0xFFFFFFFFFFFFFFFF))
     with pytest.raises(ValidationError):
-        CodeSet(n=1, r=8, words=words)
+        CodeSet(r=8, words=words)
 
 
 # ------------------------------------------------------------------- hamming
@@ -118,7 +117,7 @@ def test_rank_is_permutation():
 
 
 def test_rank_empty_db():
-    db = CodeSet(n=0, r=16, words=np.zeros((0, 1), dtype=np.uint64))
+    db = CodeSet(r=16, words=np.zeros((0, 1), dtype=np.uint64))
     query = np.zeros(1, dtype=np.uint64)
     assert rank_by_hamming(query, db).size == 0
 
@@ -150,12 +149,13 @@ def test_rank_matches_naive_oracle_at_key_width_boundary(r, key_type):
 
 # ------------------------------------------------------------------- metrics
 
-def _judge_single_class(query_classes, db_classes, c):
+def _single_class_labels(query_classes, db_classes, c):
+    """Query and database label matrices, one class per instance."""
     ql = np.zeros((c, len(query_classes)))
     ql[query_classes, np.arange(len(query_classes))] = 1
     dl = np.zeros((c, len(db_classes)))
     dl[db_classes, np.arange(len(db_classes))] = 1
-    return RelevanceJudge(ql, dl)
+    return ql, dl
 
 
 @pytest.mark.parametrize("c", [1, 6, 8, 9, 16, 17, 32, 33, 64, 65, 130])
@@ -164,49 +164,55 @@ def test_label_masks_match_label_products(c):
     ql = (rng.random((c, 7)) < 2.0 / c).astype(float)
     dl = (rng.random((c, 40)) < 2.0 / c).astype(float)
     dl[c - 1, 0] = ql[c - 1, 0] = 1.0  # the highest class bit is in use
-    judge = RelevanceJudge(ql, dl)
+    query_masks, db_masks = retrieval._label_masks(ql), retrieval._label_masks(dl)
     words = max(1, -(-c // 64))
-    assert judge.db_masks.shape == (40, words) and judge.query_masks.shape == (7, words)
-    assert judge.db_masks.dtype == np.min_scalar_type((1 << min(c, 64)) - 1)
+    assert db_masks.shape == (40, words) and query_masks.shape == (7, words)
+    assert db_masks.dtype == np.min_scalar_type((1 << min(c, 64)) - 1)
     for qi in range(7):
-        shared = (judge.db_masks & judge.query_masks[qi]).any(axis=1)
-        assert np.array_equal(shared, relevance(judge, qi))
+        shared = (db_masks & query_masks[qi]).any(axis=1)
+        assert np.array_equal(shared, relevance(ql, dl, qi))
 
 
 @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
 def test_judge_rejects_non_binary_labels(bad):
     dl = np.array([[1.0, 0.0], [0.0, 1.0]])
     ql = np.array([[1.0], [0.0]])
-    with pytest.raises(ValidationError, match="label entries must be 0 or 1"):
-        RelevanceJudge(np.where(ql == 1, bad, ql), dl)
-    with pytest.raises(ValidationError, match="label entries must be 0 or 1"):
-        RelevanceJudge(ql, np.where(dl == 1, bad, dl))
+    queries, db = pack_codes(np.ones((1, 8))), pack_codes(np.ones((2, 8)))
+    with pytest.raises(ValidationError, match="query label entries must be 0 or 1"):
+        evaluate(queries, db, np.where(ql == 1, bad, ql), dl)
+    with pytest.raises(ValidationError, match="database label entries must be 0 or 1"):
+        evaluate(queries, db, ql, np.where(dl == 1, bad, dl))
+
+
+def test_evaluate_rejects_label_vectors():
+    with pytest.raises(ValidationError, match="query labels must be a c x n matrix, got ndim=1"):
+        evaluate(*ranked_codes(2), np.ones(1), np.ones((1, 2)))
 
 
 def test_evaluate_rejects_labels_for_other_code_counts():
-    judge = _judge_single_class([0], [0, 0, 0], c=1)
+    labels = _single_class_labels([0], [0, 0, 0], c=1)
     with pytest.raises(ValidationError, match="labels cover 1 queries and 3 database"):
-        evaluate(*ranked_codes(4), judge)
+        evaluate(*ranked_codes(4), *labels)
 
 
 def test_ap_all_relevant():
-    judge = _judge_single_class([0], [0, 0, 0, 0], c=2)
-    result, _ = evaluate(*ranked_codes(4), judge, cutoff=4)
+    labels = _single_class_labels([0], [0, 0, 0, 0], c=2)
+    result, _ = evaluate(*ranked_codes(4), *labels, cutoff=4)
     assert result.value == 1.0 and result.excluded_queries == 0
 
 
 def test_ap_hand_case():
     # relevance down the ranking is [1, 0, 1, 0] -> (1/2)(1/1 + 2/3)
-    judge = _judge_single_class([0], [0, 1, 0, 1], c=2)
-    result, _ = evaluate(*ranked_codes(4), judge, cutoff=4)
+    labels = _single_class_labels([0], [0, 1, 0, 1], c=2)
+    result, _ = evaluate(*ranked_codes(4), *labels, cutoff=4)
     assert result.value == pytest.approx(0.833333, abs=1e-6)
 
 
 def test_ap_empty_ground_truth_flagged():
-    judge = _judge_single_class([0], [1, 1], c=2)
+    labels = _single_class_labels([0], [1, 1], c=2)
     with pytest.raises(EvaluationError, match="empty ground truth"):
-        evaluate(*ranked_codes(2), judge, cutoff=2)
-    result, _ = evaluate(*ranked_codes(2), judge, cutoff=2, include_empty=True)
+        evaluate(*ranked_codes(2), *labels, cutoff=2)
+    result, _ = evaluate(*ranked_codes(2), *labels, cutoff=2, include_empty=True)
     assert result.value == 0.0 and result.excluded_queries == 0
 
 
@@ -219,17 +225,17 @@ def test_ap_is_one_iff_relevant_items_lead(seed):
     if not db_classes.any():
         db_classes[0] = 1
     # database item p sits at rank p, so db_classes is the relevance in rank order
-    judge = _judge_single_class([1], list(db_classes), c=2)
-    result, _ = evaluate(*ranked_codes(n), judge, cutoff=n)
+    labels = _single_class_labels([1], list(db_classes), c=2)
+    result, _ = evaluate(*ranked_codes(n), *labels, cutoff=n)
     rel = db_classes == 1
     leading_block = bool(np.all(np.flatnonzero(rel) == np.arange(rel.sum())))
     assert (result.value == 1.0) == leading_block
 
 
 def test_ap_cutoff_validated():
-    judge = _judge_single_class([0], [0], c=1)
+    labels = _single_class_labels([0], [0], c=1)
     with pytest.raises(ValidationError, match="cutoff 2 exceeds ranking length 1"):
-        evaluate(*ranked_codes(1), judge, cutoff=2)
+        evaluate(*ranked_codes(1), *labels, cutoff=2)
 
 
 def test_map_perfect_single_query():
@@ -237,8 +243,8 @@ def test_map_perfect_single_query():
     signs = random_signs(rng, 6, 16)
     db = pack_codes(signs)
     queries = pack_codes(signs[:1])
-    judge = _judge_single_class([0], [0] * 6, c=2)
-    result, _ = evaluate(queries, db, judge)
+    labels = _single_class_labels([0], [0] * 6, c=2)
+    result, _ = evaluate(queries, db, *labels)
     assert result.value == 1.0 and result.excluded_queries == 0
 
 
@@ -250,9 +256,9 @@ def test_map_matches_brute_force_oracle():
     queries = pack_codes(query_signs)
     query_classes = rng.integers(0, 4, 50)
     db_classes = rng.integers(0, 4, 300)
-    judge = _judge_single_class(query_classes, db_classes, c=4)
-    result, _ = evaluate(queries, db, judge)
-    expected, excluded = oracle_map(queries, db, judge.query_labels, judge.db_labels)
+    labels = _single_class_labels(query_classes, db_classes, c=4)
+    result, _ = evaluate(queries, db, *labels)
+    expected, excluded = oracle_map(queries, db, *labels)
     assert result.value == expected
     assert result.excluded_queries == excluded
 
@@ -260,23 +266,23 @@ def test_map_matches_brute_force_oracle():
 def test_map_mismatched_code_length():
     a = pack_codes(np.ones((2, 8)))
     b = pack_codes(np.ones((2, 16)))
-    judge = _judge_single_class([0, 0], [0, 0], c=1)
+    labels = _single_class_labels([0, 0], [0, 0], c=1)
     with pytest.raises(ValidationError, match="code lengths differ"):
-        evaluate(a, b, judge)
+        evaluate(a, b, *labels)
 
 
 def test_map_all_empty_is_error():
     signs = np.ones((2, 8))
-    judge = _judge_single_class([0, 0], [1, 1], c=2)
+    labels = _single_class_labels([0, 0], [1, 1], c=2)
     with pytest.raises(EvaluationError):
-        evaluate(pack_codes(signs), pack_codes(signs), judge)
+        evaluate(pack_codes(signs), pack_codes(signs), *labels)
 
 
 def test_map_include_empty_flag():
     signs = np.ones((2, 8))
-    judge = _judge_single_class([0, 1], [0, 0], c=2)
-    strict, _ = evaluate(pack_codes(signs), pack_codes(signs), judge)
-    padded, _ = evaluate(pack_codes(signs), pack_codes(signs), judge, include_empty=True)
+    labels = _single_class_labels([0, 1], [0, 0], c=2)
+    strict, _ = evaluate(pack_codes(signs), pack_codes(signs), *labels)
+    padded, _ = evaluate(pack_codes(signs), pack_codes(signs), *labels, include_empty=True)
     assert strict.value == 1.0 and strict.excluded_queries == 1
     assert padded.value == 0.5 and padded.excluded_queries == 0
 
@@ -286,8 +292,8 @@ def test_topn_all_relevant():
     signs = random_signs(rng, 10, 16)
     db = pack_codes(signs)
     queries = pack_codes(signs[:2])
-    judge = _judge_single_class([0, 0], [0] * 10, c=1)
-    _, curve = evaluate(queries, db, judge, include_empty=True, n_points=[10])
+    labels = _single_class_labels([0, 0], [0] * 10, c=1)
+    _, curve = evaluate(queries, db, *labels, include_empty=True, n_points=[10])
     assert curve == [(10, 1.0)]
 
 
@@ -297,8 +303,9 @@ def test_topn_monotone_relevance_toy():
     db_signs = np.vstack([np.ones((4, 16)), -np.ones((6, 16))])
     db = pack_codes(db_signs)
     queries = pack_codes(base)
-    judge = _judge_single_class([0], [0] * 4 + [1] * 6, c=2)
-    curve = dict(evaluate(queries, db, judge, include_empty=True, n_points=[1, 2, 3, 4, 6])[1])
+    labels = _single_class_labels([0], [0] * 4 + [1] * 6, c=2)
+    curve = dict(evaluate(queries, db, *labels, include_empty=True,
+                          n_points=[1, 2, 3, 4, 6])[1])
     assert curve[1] == curve[2] == curve[3] == curve[4] == 1.0
     assert curve[6] == pytest.approx(4 / 6)
 
@@ -309,8 +316,8 @@ def test_topn_random_base_rate():
     db = pack_codes(random_signs(rng, 400, 32))
     queries = pack_codes(random_signs(rng, 200, 32))
     db_classes = (rng.random(400) > p).astype(int)  # class 0 with probability p
-    judge = _judge_single_class([0] * 200, db_classes, c=2)
-    (_, precision), = evaluate(queries, db, judge, include_empty=True, n_points=[100])[1]
+    labels = _single_class_labels([0] * 200, db_classes, c=2)
+    (_, precision), = evaluate(queries, db, *labels, include_empty=True, n_points=[100])[1]
     sigma = np.sqrt(p * (1 - p) / (100 * 200))
     assert abs(precision - p) < 3 * sigma + 0.02
 
@@ -322,13 +329,13 @@ def test_topn_matches_oracle_counts():
     db, queries = pack_codes(db_signs), pack_codes(query_signs)
     classes_q = rng.integers(0, 3, 9)
     classes_db = rng.integers(0, 3, 60)
-    judge = _judge_single_class(classes_q, classes_db, c=3)
-    for n_top, precision in evaluate(queries, db, judge, include_empty=True,
+    labels = _single_class_labels(classes_q, classes_db, c=3)
+    for n_top, precision in evaluate(queries, db, *labels, include_empty=True,
                                      n_points=[5, 20])[1]:
         total = 0.0
         for qi in range(9):
             ranked = oracle_rank(unpack_codes(queries)[qi], unpack_codes(db))
-            rel = relevance(judge, qi)
+            rel = relevance(*labels, qi)
             total += sum(rel[i] for i in ranked[:n_top]) / n_top
         assert precision == total / 9
 
@@ -336,27 +343,27 @@ def test_topn_matches_oracle_counts():
 def test_topn_validates_points():
     db = pack_codes(np.ones((3, 8)))
     queries = pack_codes(np.ones((1, 8)))
-    judge = _judge_single_class([0], [0, 0, 0], c=1)
+    labels = _single_class_labels([0], [0, 0, 0], c=1)
     with pytest.raises(ValidationError, match="top-N point 4 outside"):
-        evaluate(queries, db, judge, include_empty=True, n_points=[4])
+        evaluate(queries, db, *labels, include_empty=True, n_points=[4])
 
 
 def test_cutoff_below_one_rejected():
-    judge = _judge_single_class([0], [0, 0, 0], c=1)
+    labels = _single_class_labels([0], [0, 0, 0], c=1)
     for cutoff in (0, -5):
         with pytest.raises(ValidationError, match="cutoff must be at least 1"):
-            evaluate(*ranked_codes(3), judge, cutoff=cutoff)
+            evaluate(*ranked_codes(3), *labels, cutoff=cutoff)
 
 
 # ----------------------------------------------------------- block engine
 
-def _oracle_scores(rankings, judge, cutoff, include_empty, n_points):
+def _oracle_scores(rankings, query_labels, db_labels, cutoff, include_empty, n_points):
     """Query-by-query mAP (None if no query is kept) and top-N from the naive
     rankings (oracle_rank of each query) and the AP oracle."""
     total, kept, excluded = 0.0, 0, 0
     sums = [0.0] * len(n_points)
     for qi, ranked in enumerate(rankings):
-        relevant = relevance(judge, qi)
+        relevant = relevance(query_labels, db_labels, qi)
         ap, empty = oracle_ap(ranked, relevant, cutoff)
         if empty and not include_empty:
             excluded += 1
@@ -389,18 +396,17 @@ def test_block_engine_matches_oracles(monkeypatch, r, n_query, c):
     density = min(0.2, 0.5 / np.sqrt(c))
     ql = (rng.random((c, n_query)) < density).astype(float)
     dl = (rng.random((c, n_db)) < density).astype(float)
-    judge = RelevanceJudge(ql, dl)
     db_bits = unpack_codes(db)
     rankings = [oracle_rank(q, db_bits) for q in unpack_codes(queries)]
     for cutoff in (None, 5, 30):
         for include_empty in (False, True):
             want_map, want_excluded, want_curve = _oracle_scores(
-                rankings, judge, cutoff or n_db, include_empty, points)
+                rankings, ql, dl, cutoff or n_db, include_empty, points)
             if want_map is None:
                 with pytest.raises(EvaluationError):
-                    evaluate(queries, db, judge, cutoff=cutoff, n_points=points)
+                    evaluate(queries, db, ql, dl, cutoff=cutoff, n_points=points)
                 continue
-            got, curve = evaluate(queries, db, judge, cutoff=cutoff,
+            got, curve = evaluate(queries, db, ql, dl, cutoff=cutoff,
                                   include_empty=include_empty, n_points=points)
             assert got.value == want_map and got.excluded_queries == want_excluded
             assert curve == want_curve
@@ -411,17 +417,17 @@ def test_block_engine_matches_oracles(monkeypatch, r, n_query, c):
 def test_block_engine_memory_is_bounded_per_block_cell():
     # ten full blocks of 20 000-item rankings.  The buffers are allocated once
     # per call: one byte per block cell each for distances and relevance, plus
-    # a few database-length rows, whatever the query count
+    # a few database-length rows and the label masks, whatever the query count
     rng = np.random.default_rng(13)
     n_db, r = 20_000, 32
     height = retrieval._BLOCK_CELLS // n_db
     db = pack_codes(random_signs(rng, n_db, r))
     queries = pack_codes(random_signs(rng, 10 * height, r))
-    judge = RelevanceJudge((rng.random((24, queries.n)) < 0.1).astype(float),
-                           (rng.random((24, n_db)) < 0.1).astype(float))
+    ql = (rng.random((24, queries.n)) < 0.1).astype(float)
+    dl = (rng.random((24, n_db)) < 0.1).astype(float)
     tracemalloc.start()
     try:
-        evaluate(queries, db, judge, include_empty=True, n_points=[50, 500])
+        evaluate(queries, db, ql, dl, include_empty=True, n_points=[50, 500])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
