@@ -217,6 +217,9 @@ def cmd_encode(v: dict) -> int:
 
 
 def cmd_eval(v: dict) -> int:
+    if any(ch in v["task"] for ch in ",\n\r"):
+        raise ValidationError(
+            f"--task must not contain a comma or a line break, got {v['task']!r}")
     queries = retrieval.read_codes(v["query_codes"])
     db = retrieval.read_codes(v["db_codes"])
     query_labels = dataio.read_labels(v["query_labels"])

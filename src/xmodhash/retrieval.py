@@ -7,11 +7,11 @@ broken by ascending database index so every metric is bit-reproducible.
 
 Distances are kept in the narrowest unsigned type that holds r (uint8 up to
 r = 255), so each query's stable argsort is one counting pass.  evaluate
-packs each label set once per call into bit-mask words, and relevance is
-"masks AND to non-zero".  It ranks queries in blocks of at most _BLOCK_CELLS
-query-database cells and allocates its buffers once per call: beyond the
-per-query results it holds about two bytes per block cell plus a few
-database-length rows, whatever the query count.
+ranks the queries one at a time.  A query's relevance is the OR of the
+database label rows of its classes, taken in database order and gathered
+through its ranking.  Beyond the per-query results, evaluate holds a few
+database-length rows plus one byte per label entry, whatever the query
+count.
 
 The ABC1 code file is: magic "ABC1", unsigned 64-bit n, unsigned 32-bit r,
 then n * ceil(r/64) little-endian 64-bit words.  It is read and written
@@ -49,9 +49,7 @@ class CodeSet:
         if self.words.ndim != 2 or self.words.shape[1] != width:
             raise ValidationError(
                 f"packed words have shape {self.words.shape}, expected (n, {width})")
-        spare = width * 64 - self.r
-        if spare and np.any(self.words[:, -1] >> np.uint64(64 - spare)):
-            raise ValidationError("unused high bits of the last word must be zero")
+        _check_spare_bits(self.words[:, -1], self.r)
 
     @property
     def n(self) -> int:
@@ -67,6 +65,13 @@ def words_per_code(r: int) -> int:
     return (r + 63) // 64
 
 
+def _check_spare_bits(last_words: np.ndarray, r: int) -> None:
+    """Reject r-bit codes whose last word sets a bit beyond the code's r bits."""
+    spare = words_per_code(r) * 64 - r
+    if spare and (last_words >> np.uint64(64 - spare)).any():
+        raise ValidationError("unused high bits of the last word must be zero")
+
+
 def _pack_bits(bits: np.ndarray) -> CodeSet:
     """Pack an n x r boolean matrix (r >= 1; True is a set bit)."""
     n, r = bits.shape
@@ -77,28 +82,21 @@ def _pack_bits(bits: np.ndarray) -> CodeSet:
     return CodeSet(r=r, words=packed.view("<u8").reshape(n, width))
 
 
-# Cells (queries x database items) ranked per block: bounds the block's
-# distance and relevance buffers whatever the query count.
-_BLOCK_CELLS = 2 ** 20
+def _distances(query: np.ndarray, db: CodeSet, out: np.ndarray, scratch: np.ndarray,
+               counts: np.ndarray) -> np.ndarray:
+    """Write the Hamming distances from one packed query row to every database
+    code into the n-length ``out`` and return it.
 
-
-def _distances(query_words: np.ndarray, db: CodeSet, out: np.ndarray) -> np.ndarray:
-    """Write the B x n Hamming distances from packed query rows to every
-    database code into ``out`` and return it.
-
-    ``out`` has the narrowest unsigned type that holds r, so below r = 256 the
-    stable argsort of a row is one radix (counting) pass over uint8 keys.  Each
-    query row is XORed into one n-word scratch row, word by word, and
-    popcounted straight into its output row.
+    ``out`` has the narrowest unsigned type that holds r, so below r = 256 its
+    stable argsort is one radix (counting) pass over uint8 keys.  The query is
+    XORed into the n-length uint64 ``scratch`` word by word, and each word's
+    popcounts are added through ``counts``, an n-length row of ``out``'s type.
     """
-    scratch = np.empty(db.n, dtype=np.uint64)
-    counts = np.empty(db.n, dtype=out.dtype)
-    for query, row in zip(query_words, out):
-        np.bitwise_xor(db.words[:, 0], query[0], out=scratch)
-        np.bitwise_count(scratch, out=row)
-        for w in range(1, db.words.shape[1]):
-            np.bitwise_xor(db.words[:, w], query[w], out=scratch)
-            row += np.bitwise_count(scratch, out=counts)
+    np.bitwise_xor(db.words[:, 0], query[0], out=scratch)
+    np.bitwise_count(scratch, out=out)
+    for w in range(1, query.size):
+        np.bitwise_xor(db.words[:, w], query[w], out=scratch)
+        out += np.bitwise_count(scratch, out=counts)
     return out
 
 
@@ -108,20 +106,10 @@ def rank_by_hamming(query: np.ndarray, db: CodeSet) -> np.ndarray:
     if query.shape[0] != db.words.shape[1]:
         raise ValidationError(
             f"query has {query.shape[0]} words, database codes have {db.words.shape[1]}")
-    dist = np.empty((1, db.n), dtype=np.min_scalar_type(db.r))
-    return np.argsort(_distances(query[None, :], db, dist)[0], kind="stable")
-
-
-def _label_masks(labels: np.ndarray) -> np.ndarray:
-    """n x ceil(c/64) bit masks of a c x n 0/1 label matrix, class j at bit j,
-    in the narrowest unsigned type that holds min(c, 64) bits."""
-    c, n = labels.shape
-    dtype = np.min_scalar_type((1 << min(c, 64)) - 1)
-    word_bits = 8 * dtype.itemsize
-    padded = np.zeros((n, max(1, -(-c // word_bits)) * word_bits), dtype=bool)
-    padded[:, :c] = labels.T == 1
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return packed.view(dtype.newbyteorder("<")).astype(dtype, copy=False)
+    _check_spare_bits(query[-1], db.r)
+    dist = np.empty(db.n, dtype=np.min_scalar_type(db.r))
+    _distances(query, db, dist, np.empty(db.n, dtype=np.uint64), np.empty_like(dist))
+    return np.argsort(dist, kind="stable")
 
 
 def _ap_from_hits(hits: np.ndarray) -> float:
@@ -142,11 +130,11 @@ def evaluate(queries: CodeSet, db: CodeSet, query_labels: np.ndarray,
     ``query_labels`` and ``db_labels`` are the c x n 0/1 label matrices of
     the queries and the database items; a pair is relevant when it shares a
     label, (q^T d) > 0.  Every argument is checked before any distance is
-    computed.  Queries are ranked in blocks of at most _BLOCK_CELLS
-    query-database pairs, so memory stays bounded whatever the query count.
-    Each query's relevance is taken in database order from the label masks,
-    then gathered through its ranking.  Per-query values are summed in query
-    order, as a query-by-query loop would.
+    computed.  Queries are ranked one at a time.  Each query's relevance is
+    the OR of the database label rows of its classes, taken in database order
+    and then gathered through its ranking.  Beyond the per-query results,
+    memory is a few database-length rows plus one byte per label entry,
+    whatever the query count.  Per-query values are summed in query order.
     """
     query_labels, db_labels = np.asarray(query_labels), np.asarray(db_labels)
     for name, labels in (("query", query_labels), ("database", db_labels)):
@@ -177,35 +165,25 @@ def evaluate(queries: CodeSet, db: CodeSet, query_labels: np.ndarray,
     for n_top in n_points:
         if n_top < 1 or n_top > db.n:
             raise ValidationError(f"top-N point {n_top} outside [1, {db.n}]")
-    query_masks, db_masks = _label_masks(query_labels), _label_masks(db_labels)
+    query_rows, db_rows = query_labels.T == 1, db_labels == 1
     aps = np.zeros(queries.n)
     empty = np.zeros(queries.n, dtype=bool)
     precision = np.zeros((queries.n, len(n_points)))
-    height = min(queries.n, max(1, _BLOCK_CELLS // db.n))
-    dist = np.empty((height, db.n), dtype=np.min_scalar_type(db.r))
-    rel = np.empty((height, db.n), dtype=bool)
-    shared = np.empty(db.n, dtype=db_masks.dtype)
-    word = np.empty_like(shared)
-    unranked = np.empty(db.n, dtype=bool)
-    for start in range(0, queries.n, height):
-        rows = min(height, queries.n - start)
-        _distances(queries.words[start:start + rows], db, dist[:rows])
-        for row, qi in enumerate(range(start, start + rows)):
-            query_mask = query_masks[qi]
-            np.bitwise_and(db_masks[:, 0], query_mask[0], out=shared)
-            for w in range(1, query_mask.size):
-                shared |= np.bitwise_and(db_masks[:, w], query_mask[w], out=word)
-            np.not_equal(shared, 0, out=unranked)
-            # argsort indices are in range; "clip" writes straight into the row
-            np.take(unranked, np.argsort(dist[row], kind="stable"), out=rel[row], mode="clip")
-            hits = np.flatnonzero(rel[row, :cutoff])
-            if hits.size:
-                aps[qi] = _ap_from_hits(hits)
-            else:
-                empty[qi] = True
+    dist = np.empty(db.n, dtype=np.min_scalar_type(db.r))
+    scratch, counts = np.empty(db.n, dtype=np.uint64), np.empty_like(dist)
+    unranked, rel = np.empty(db.n, dtype=bool), np.empty(db.n, dtype=bool)
+    for qi in range(queries.n):
+        _distances(queries.words[qi], db, dist, scratch, counts)
+        np.logical_or.reduce(db_rows[query_rows[qi]], axis=0, out=unranked)
+        # argsort indices are in range; "clip" writes straight into rel
+        np.take(unranked, np.argsort(dist, kind="stable"), out=rel, mode="clip")
+        hits = np.flatnonzero(rel[:cutoff])
+        if hits.size:
+            aps[qi] = _ap_from_hits(hits)
+        else:
+            empty[qi] = True
         for col, n_top in enumerate(n_points):
-            precision[start:start + rows, col] = (
-                np.count_nonzero(rel[:rows, :n_top], axis=1) / n_top)
+            precision[qi, col] = np.count_nonzero(rel[:n_top]) / n_top
     kept = aps if include_empty else aps[~empty]
     if kept.size == 0:
         raise EvaluationError("every query has empty ground truth in the top cutoff")

@@ -142,7 +142,8 @@ def ranked_codes(n):
 
 def relevance(query_labels, db_labels, query_index):
     """Share-any-label relevance of every database item to one query, from the
-    raw c x n label matrices: (q^T d) > 0, independent of any bit masks."""
+    raw c x n label matrices: (q^T d) > 0, a matrix product rather than
+    evaluate's OR of database label rows."""
     return (query_labels[:, query_index].T @ db_labels) > 0
 
 

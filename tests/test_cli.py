@@ -378,6 +378,9 @@ def test_eval_code_and_label_counts_must_agree(tmp_path, capsys, monkeypatch,
     (["--cutoff", "5"], "cutoff 5 exceeds ranking length 4"),
     (["--topn", "0"], "top-N point 0 outside [1, 4]"),
     (["--topn", "2,5"], "top-N point 5 outside [1, 4]"),
+    (["--task", "a,b"], "--task must not contain a comma or a line break, got 'a,b'"),
+    (["--task", "a\nb"], "--task must not contain a comma or a line break, got 'a\\nb'"),
+    (["--task", "a\rb"], "--task must not contain a comma or a line break, got 'a\\rb'"),
 ])
 def test_eval_bad_arguments_fail_before_ranking(tmp_path, capsys, monkeypatch, extra,
                                                 message):

@@ -122,6 +122,21 @@ def test_rank_empty_db():
     assert rank_by_hamming(query, db).size == 0
 
 
+def test_rank_rejects_query_with_dirty_spare_bits():
+    # r = 250 leaves 6 spare bits; set, they would wrap the uint8 distances
+    # (250 + 6 = 0) and put the farthest items first
+    r = 250
+    db_signs = -np.ones((3, r))
+    db_signs[1, 0] = 1.0  # item 1 is one bit closer to the all-+1 query
+    db = pack_codes(db_signs)
+    query = pack_codes(np.ones((1, r))).words[0]
+    assert list(rank_by_hamming(query, db)) == [1, 0, 2]
+    dirty = query.copy()
+    dirty[-1] |= np.uint64(0x3F << 58)
+    with pytest.raises(ValidationError, match="unused high bits"):
+        rank_by_hamming(dirty, db)
+
+
 def test_rank_matches_naive_oracle():
     rng = np.random.default_rng(5)
     signs = random_signs(rng, 200, 48)
@@ -139,9 +154,11 @@ def test_rank_matches_naive_oracle_at_key_width_boundary(r, key_type):
     signs[60:70] = signs[5]  # exact ties, broken by ascending index
     db = pack_codes(signs)
     unpacked = unpack_codes(db)
-    dist = retrieval._distances(db.words[:3], db, np.empty((3, db.n), dtype=key_type))
+    dist, counts = np.empty(db.n, dtype=key_type), np.empty(db.n, dtype=key_type)
+    scratch = np.empty(db.n, dtype=np.uint64)
     for qi in range(3):
-        assert list(dist[qi]) == [hamming(db.words[qi], row) for row in db.words]
+        retrieval._distances(db.words[qi], db, dist, scratch, counts)
+        assert list(dist) == [hamming(db.words[qi], row) for row in db.words]
     for qi in (0, 5, 64, 119):
         ranked = rank_by_hamming(db.words[qi], db)
         assert list(ranked) == oracle_rank(unpacked[qi], unpacked)
@@ -156,21 +173,6 @@ def _single_class_labels(query_classes, db_classes, c):
     dl = np.zeros((c, len(db_classes)))
     dl[db_classes, np.arange(len(db_classes))] = 1
     return ql, dl
-
-
-@pytest.mark.parametrize("c", [1, 6, 8, 9, 16, 17, 32, 33, 64, 65, 130])
-def test_label_masks_match_label_products(c):
-    rng = np.random.default_rng(c)
-    ql = (rng.random((c, 7)) < 2.0 / c).astype(float)
-    dl = (rng.random((c, 40)) < 2.0 / c).astype(float)
-    dl[c - 1, 0] = ql[c - 1, 0] = 1.0  # the highest class bit is in use
-    query_masks, db_masks = retrieval._label_masks(ql), retrieval._label_masks(dl)
-    words = max(1, -(-c // 64))
-    assert db_masks.shape == (40, words) and query_masks.shape == (7, words)
-    assert db_masks.dtype == np.min_scalar_type((1 << min(c, 64)) - 1)
-    for qi in range(7):
-        shared = (db_masks & query_masks[qi]).any(axis=1)
-        assert np.array_equal(shared, relevance(ql, dl, qi))
 
 
 @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
@@ -355,7 +357,7 @@ def test_cutoff_below_one_rejected():
             evaluate(*ranked_codes(3), *labels, cutoff=cutoff)
 
 
-# ----------------------------------------------------------- block engine
+# ------------------------------------------------------- evaluation engine
 
 def _oracle_scores(rankings, query_labels, db_labels, cutoff, include_empty, n_points):
     """Query-by-query mAP (None if no query is kept) and top-N from the naive
@@ -376,32 +378,15 @@ def _oracle_scores(rankings, query_labels, db_labels, cutoff, include_empty, n_p
     return (total / kept if kept else None), excluded, curve
 
 
-# (r, c) cases; six classes keep the bare r id
-_ENGINE_CASES = [pytest.param(r, c, id=str(r) if c == 6 else f"{r}-c{c}")
-                 for c in (6, 64, 65, 130) for r in (8, 64, 96, 130, 255, 256)]
-
-
-@pytest.mark.parametrize("r, c", _ENGINE_CASES)
-@pytest.mark.parametrize("n_query", [1, 4, 11])
-def test_block_engine_matches_oracles(monkeypatch, r, n_query, c):
-    # four queries per block: 4 is one block, 11 straddles two block boundaries;
-    # r = 255 / 256 is the uint8 / uint16 distance boundary, c = 65 and 130
-    # need two and three mask words
-    n_db, points = 90, [1, 7, 90]
-    monkeypatch.setattr(retrieval, "_BLOCK_CELLS", 4 * n_db)
-    rng = np.random.default_rng(r * 100 + n_query)
-    db = pack_codes(random_signs(rng, n_db, r))
-    queries = pack_codes(random_signs(rng, n_query, r))
-    # about a fifth of the pairs share a label whatever the class count
-    density = min(0.2, 0.5 / np.sqrt(c))
-    ql = (rng.random((c, n_query)) < density).astype(float)
-    dl = (rng.random((c, n_db)) < density).astype(float)
+def _assert_matches_oracles(queries, db, ql, dl, cutoffs, points):
+    """evaluate at each cutoff, with and without empty queries, and every
+    query's rank_by_hamming, against the naive rankings and scores."""
     db_bits = unpack_codes(db)
     rankings = [oracle_rank(q, db_bits) for q in unpack_codes(queries)]
-    for cutoff in (None, 5, 30):
+    for cutoff in cutoffs:
         for include_empty in (False, True):
             want_map, want_excluded, want_curve = _oracle_scores(
-                rankings, ql, dl, cutoff or n_db, include_empty, points)
+                rankings, ql, dl, cutoff or db.n, include_empty, points)
             if want_map is None:
                 with pytest.raises(EvaluationError):
                     evaluate(queries, db, ql, dl, cutoff=cutoff, n_points=points)
@@ -410,28 +395,71 @@ def test_block_engine_matches_oracles(monkeypatch, r, n_query, c):
                                   include_empty=include_empty, n_points=points)
             assert got.value == want_map and got.excluded_queries == want_excluded
             assert curve == want_curve
-    for qi in range(n_query):
+    for qi in range(queries.n):
         assert list(rank_by_hamming(queries.words[qi], db)) == rankings[qi]
 
 
-def test_block_engine_memory_is_bounded_per_block_cell():
-    # ten full blocks of 20 000-item rankings.  The buffers are allocated once
-    # per call: one byte per block cell each for distances and relevance, plus
-    # a few database-length rows and the label masks, whatever the query count
-    rng = np.random.default_rng(13)
-    n_db, r = 20_000, 32
-    height = retrieval._BLOCK_CELLS // n_db
+# (r, c) cases; six classes keep the bare r id
+_ENGINE_CASES = [pytest.param(r, c, id=str(r) if c == 6 else f"{r}-c{c}")
+                 for c in (6, 64, 65, 130) for r in (8, 64, 96, 130, 255, 256)]
+
+
+@pytest.mark.parametrize("r, c", _ENGINE_CASES)
+@pytest.mark.parametrize("n_query", [1, 4, 11])
+def test_block_engine_matches_oracles(r, n_query, c):
+    # r = 255 / 256 is the uint8 / uint16 distance boundary; c = 65 and 130
+    # put classes past 64 and 128 into the queries' relevance
+    n_db = 90
+    rng = np.random.default_rng(r * 100 + n_query)
     db = pack_codes(random_signs(rng, n_db, r))
-    queries = pack_codes(random_signs(rng, 10 * height, r))
-    ql = (rng.random((24, queries.n)) < 0.1).astype(float)
-    dl = (rng.random((24, n_db)) < 0.1).astype(float)
-    tracemalloc.start()
-    try:
-        evaluate(queries, db, ql, dl, include_empty=True, n_points=[50, 500])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / (height * n_db) < 4.0
+    queries = pack_codes(random_signs(rng, n_query, r))
+    # about a fifth of the pairs share a label whatever the class count
+    density = min(0.2, 0.5 / np.sqrt(c))
+    ql = (rng.random((c, n_query)) < density).astype(float)
+    dl = (rng.random((c, n_db)) < density).astype(float)
+    _assert_matches_oracles(queries, db, ql, dl, (None, 5, 30), [1, 7, 90])
+
+
+@pytest.mark.parametrize("cutoff, points, unlabeled", [
+    pytest.param(30, [], False, id="no-points-short-cutoff"),
+    pytest.param(5, [6, 40, 90], False, id="points-beyond-cutoff"),
+    pytest.param(None, [1, 90], True, id="query-without-labels"),
+])
+def test_engine_edge_cases_match_oracles(cutoff, points, unlabeled):
+    rng = np.random.default_rng(15)
+    n_db, n_query, r, c = 90, 6, 40, 65
+    db = pack_codes(random_signs(rng, n_db, r))
+    queries = pack_codes(random_signs(rng, n_query, r))
+    ql = (rng.random((c, n_query)) < 0.06).astype(float)
+    dl = (rng.random((c, n_db)) < 0.06).astype(float)
+    if unlabeled:
+        ql[:, 2] = 0.0
+    _assert_matches_oracles(queries, db, ql, dl, (cutoff,), points)
+
+
+def test_evaluate_memory_does_not_grow_with_query_count():
+    # ten times the queries against 20 000 database items.  Per query the
+    # peak may grow by one byte per class (the query's label row) plus its
+    # AP, empty flag and top-N precisions, each held twice while summed.
+    # The slack is a few database-length rows: the AP terms of whichever
+    # query has the most hits.  A query-by-database buffer would add 20 kB
+    # per query
+    rng = np.random.default_rng(13)
+    n_db, r, c, points = 20_000, 32, 24, [50, 500]
+    db = pack_codes(random_signs(rng, n_db, r))
+    dl = (rng.random((c, n_db)) < 0.1).astype(float)
+    peaks = []
+    for n_query in (200, 2000):
+        queries = pack_codes(random_signs(rng, n_query, r))
+        ql = (rng.random((c, n_query)) < 0.1).astype(float)
+        tracemalloc.start()
+        try:
+            evaluate(queries, db, ql, dl, include_empty=True, n_points=points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_query = c + 2 * (8 + 1 + 8 * len(points))
+    assert peaks[1] - peaks[0] <= 1800 * per_query + 4 * 8 * n_db
 
 
 # ------------------------------------------------------------------ code files
