@@ -8,7 +8,7 @@ from .encoder import (HashEncoder, encode, fit_pipeline, fit_ridge_encoder, from
                       to_archive)
 from .errors import (DegenerateDataError, EvaluationError, FormatError,
                      NumericalError, ValidationError)
-from .kernelfeat import KernelMap, estimate_width, fit_kernel, kernelize, select_anchors
+from .kernelfeat import KernelMap, estimate_width, fit_kernel, select_anchors
 from .labelspace import LabelSet, normalize_labels
 from .retrieval import CodeSet, evaluate, rank_by_hamming, read_codes, write_codes
 from .trainer import (ModelState, TrainConfig, TrainReport, init_state, objective_value,

@@ -103,7 +103,7 @@ _SPECS: dict[str, list[Opt]] = {
 
 _HELP = {
     "synth": "generate a seeded synthetic two-modality dataset",
-    "train": "kernelize features, learn codes, and fit the hash encoders",
+    "train": "learn codes from the labels, then fit a kernel map and hash encoder per modality",
     "encode": "hash raw features with a trained model",
     "eval": "rank query codes against database codes and print metric CSV",
     "bench": "time training across synthetic sizes and fit a log-log slope",

@@ -48,22 +48,21 @@ def _check_ridge(ridge: float) -> None:
         raise ValidationError(f"ridge weight must be positive and finite, got {ridge}")
 
 
-def fit_ridge_encoder(phix: np.ndarray, codes: np.ndarray, ridge: float) -> np.ndarray:
+def fit_ridge_encoder(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
     """Solve (X^T X + ridge I) P = X^T B for the hash projection P.
 
-    ``phix`` holds instances as rows (n x k) and ``codes`` the matching
-    +-1 targets (n x r).  Strict convexity for ridge > 0 makes P unique.
+    ``gram`` is X^T X (k x k) and ``rhs`` X^T B (k x r), for instances X
+    (n x k) and their +-1 targets B (n x r); the ridge is added to ``gram``'s
+    diagonal in place.  Strict convexity for ridge > 0 makes P unique.
     """
     _check_ridge(ridge)
-    phix = np.asarray(phix, dtype=np.float64)
-    codes = np.asarray(codes, dtype=np.float64)
-    if phix.ndim != 2 or codes.ndim != 2 or phix.shape[0] != codes.shape[0]:
+    k = gram.shape[0]
+    if gram.shape != (k, k) or rhs.ndim != 2 or rhs.shape[0] != k:
         raise ValidationError(
-            f"features {phix.shape} and codes {codes.shape} disagree on instance count")
-    gram = phix.T @ phix
+            f"Gram matrix {gram.shape} and right-hand side {rhs.shape} disagree on feature count")
     gram[np.diag_indices_from(gram)] += ridge
     try:
-        p = np.linalg.solve(gram, phix.T @ codes)
+        p = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as e:
         raise NumericalError(
             f"ridge solve failed (condition ~{np.linalg.cond(gram):.3e}): {e}") from e
@@ -82,8 +81,8 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
     ``xs[t - 1]`` is modality t, fit with ``k[t - 1]`` anchors from modality
     t's random streams of ``cfg.seed`` whatever its ``modality_id``.  Every
     argument is checked before training starts.  Training reads the labels
-    only, so each modality's n x k training features are built after it and
-    dropped once its ridge fit is done: one such matrix is alive at a time.
+    only; each modality's kernel fit then streams its training rows into the
+    ridge products, so no n x k matrix is ever built.
     """
     _check_ridge(ridge)
     if len(xs) != len(k):
@@ -97,10 +96,10 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
     state, report = train(labels, cfg)
     kernels, proj = [], []
     for t, (x, k_t) in enumerate(zip(xs, k), start=1):
-        km, phi = fit_kernel(replace(x, modality_id=t), k_t, cfg.seed)
+        km, gram, rhs = fit_kernel(replace(x, modality_id=t), k_t, cfg.seed, state.codes.T)
         kernels.append(km)
-        proj.append(fit_ridge_encoder(phi, state.codes.T, ridge))
-        del phi     # before the next modality's features are built
+        proj.append(fit_ridge_encoder(gram, rhs, ridge))
+        del gram    # before the next modality's products are built
     return HashEncoder(proj=proj, kernels=kernels), state, report
 
 

@@ -12,6 +12,12 @@ Float32 rows are cast to float64 one block at a time, so working memory
 beyond the output is one block whatever the row count.  Squared distances
 go straight into the exponent with no square root, so phi can differ from
 exp(-sqrt(d2)^2 / (2 sigma^2)) in the last ulp.
+
+The training pass never holds the n x k training features Phi.  It runs the
+rows once in blocks of _FIT_BLOCK_CELLS cells and adds each uncentered
+block's column sums, Gram and product with the codes into k, k x k and
+k x r accumulators.  Centering follows from Phi_c^T Phi_c = Phi^T Phi - n mu mu^T
+and Phi_c^T B = Phi^T B - mu (1^T B), with mu the column mean.
 """
 
 from dataclasses import dataclass, field, replace
@@ -25,6 +31,11 @@ from .rng import component_rng
 # Point-anchor cells per row block: 512 KB of float64 stays in cache while
 # one block goes through every in-place step.
 _BLOCK_CELLS = 2 ** 16
+
+# Cells per row block of the training pass: at k = 1000 a block is 1 040 rows,
+# tall enough that the per-block k x k Gram costs little more than one Gram
+# over every row.
+_FIT_BLOCK_CELLS = 2 ** 20
 
 # Rows sampled (seeded) for the kernel width estimate when a modality has more.
 _WIDTH_SAMPLE_CAP = 2000
@@ -91,7 +102,7 @@ def _distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     np.negative(out, out=out)
     point_sq = np.sum(points * points, axis=1)
     anchor_sq = np.sum(anchors * anchors, axis=1)
-    for rows in _row_blocks(points.shape[0], anchors.shape[0]):
+    for rows in _row_blocks(points.shape[0], max(1, _BLOCK_CELLS // anchors.shape[0])):
         out[rows] += point_sq[rows, None] + anchor_sq
     np.maximum(out, 0.0, out=out)
     return np.sqrt(out, out=out)
@@ -114,9 +125,8 @@ def estimate_width(x: FeatureMatrix, anchors: np.ndarray, seed: int = 0) -> floa
     return sigma
 
 
-def _row_blocks(n: int, k: int):
-    """Row slices covering n rows, each of at most _BLOCK_CELLS cells (one row minimum)."""
-    height = max(1, _BLOCK_CELLS // k)
+def _row_blocks(n: int, height: int):
+    """Row slices covering n rows, each of ``height`` rows (the last may be shorter)."""
     return (slice(lo, min(lo + height, n)) for lo in range(0, n, height))
 
 
@@ -134,38 +144,48 @@ def _kernel_block(rows: np.ndarray, km: KernelMap, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _kernel_blocks(x: FeatureMatrix, km: KernelMap):
-    """Yield (row slice, centered map of those rows) block by block.
+def _kernel_blocks(x: FeatureMatrix, km: KernelMap, cells: int | None = None):
+    """Yield (row slice, centered map of those rows), blocks of at most
+    ``cells`` point-anchor cells (``_BLOCK_CELLS`` when None).
 
     Every block is written into one reused buffer, so a caller keeps only
-    what it derives from a block before asking for the next.  The caller
-    checks the feature dimension.
+    what it derives from a block before asking for the next.  The map runs
+    in steps of at most _BLOCK_CELLS cells (one row minimum), and a block
+    is a whole number of steps, so every row is mapped in the same step,
+    and to the same bits, whatever the block size; the steps' row-sized
+    temporaries stay small.  The caller checks the feature dimension.
     """
-    buf = np.empty((min(x.n, max(1, _BLOCK_CELLS // km.k)), km.k))
-    for rows in _row_blocks(x.n, km.k):
-        yield rows, _kernel_block(x.values[rows], km, buf[:rows.stop - rows.start])
+    step = max(1, _BLOCK_CELLS // km.k)
+    height = step * max(1, (cells or _BLOCK_CELLS) // (step * km.k))
+    buf = np.empty((min(x.n, height), km.k))
+    for rows in _row_blocks(x.n, height):
+        block = buf[:rows.stop - rows.start]
+        for part in _row_blocks(rows.stop - rows.start, step):
+            _kernel_block(x.values[rows][part], km, block[part])
+        yield rows, block
 
 
-def kernelize(x: FeatureMatrix, km: KernelMap) -> np.ndarray:
-    """Map raw rows to their n x k centered RBF similarities against the anchors.
+def fit_kernel(x: FeatureMatrix, k: int, seed: int,
+               codes: np.ndarray) -> tuple[KernelMap, np.ndarray, np.ndarray]:
+    """Anchors, width and one pass over the training rows: the map (centered
+    on the training column mean mu) and the ridge products of its centered
+    training features Phi_c with the n x r ``codes`` B, Phi_c^T Phi_c (k x k)
+    and Phi_c^T B (k x r).
 
-    The output is filled block by block with the stored center subtracted.
-    Row blocks are independent, so evaluation order never affects the output.
+    The rows go through the map uncentered, one block at a time; the sums
+    of each block are added into accumulators that every block reuses, so
+    the pass holds one block and no n x k matrix.
     """
-    if x.dim != km.anchors.shape[1]:
-        raise ValidationError(
-            f"feature dimension {x.dim} does not match anchor dimension {km.anchors.shape[1]}")
-    out = np.empty((x.n, km.k))
-    for rows in _row_blocks(x.n, km.k):
-        _kernel_block(x.values[rows], km, out[rows])
-    return out
-
-
-def fit_kernel(x: FeatureMatrix, k: int, seed: int) -> tuple[KernelMap, np.ndarray]:
-    """Anchors, width and the centering pass: the map and its n x k training features."""
     anchors = select_anchors(x, k, seed)
     km = KernelMap(anchors, estimate_width(x, anchors, seed=seed), center=np.zeros(k))
-    phi = kernelize(x, km)
-    km = replace(km, center=phi.mean(axis=0))
-    phi -= km.center
-    return km, phi
+    col_sum = np.zeros(k)
+    gram, gram_blk = np.zeros((k, k)), np.empty((k, k))
+    rhs, rhs_blk = np.zeros((k, codes.shape[1])), np.empty((k, codes.shape[1]))
+    for rows, phi in _kernel_blocks(x, km, _FIT_BLOCK_CELLS):
+        col_sum += phi.sum(axis=0)
+        gram += np.matmul(phi.T, phi, out=gram_blk)      # symmetric: numpy's syrk path
+        rhs += np.matmul(phi.T, codes[rows], out=rhs_blk)
+    center = col_sum / x.n
+    gram -= np.multiply.outer(col_sum, center, out=gram_blk)     # n mu mu^T
+    rhs -= np.multiply.outer(center, codes.sum(axis=0), out=rhs_blk)
+    return replace(km, center=center), gram, rhs

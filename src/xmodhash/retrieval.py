@@ -137,10 +137,13 @@ def evaluate(queries: CodeSet, db: CodeSet, query_labels: np.ndarray,
     whatever the query count.  Per-query values are summed in query order.
     """
     query_labels, db_labels = np.asarray(query_labels), np.asarray(db_labels)
+    ones = []
     for name, labels in (("query", query_labels), ("database", db_labels)):
         if labels.ndim != 2:
             raise ValidationError(f"{name} labels must be a c x n matrix, got ndim={labels.ndim}")
-        if not np.all((labels == 0) | (labels == 1)):
+        # every nonzero entry is a 1: NaN and Inf count as nonzero but are not 1
+        ones.append(labels == 1)
+        if np.count_nonzero(labels) != np.count_nonzero(ones[-1]):
             raise ValidationError(f"{name} label entries must be 0 or 1")
     if query_labels.shape[0] != db_labels.shape[0]:
         raise ValidationError(
@@ -165,7 +168,7 @@ def evaluate(queries: CodeSet, db: CodeSet, query_labels: np.ndarray,
     for n_top in n_points:
         if n_top < 1 or n_top > db.n:
             raise ValidationError(f"top-N point {n_top} outside [1, {db.n}]")
-    query_rows, db_rows = query_labels.T == 1, db_labels == 1
+    query_rows, db_rows = ones[0].T, ones[1]
     aps = np.zeros(queries.n)
     empty = np.zeros(queries.n, dtype=bool)
     precision = np.zeros((queries.n, len(n_points)))

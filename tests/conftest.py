@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import xmodhash
+from dense_fit import fit_kernel_dense
 from xmodhash import dataio
 from xmodhash.errors import ValidationError
-from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import LabelSet, normalize_labels
 from xmodhash.retrieval import CodeSet, _pack_bits
 
@@ -190,7 +190,7 @@ def small_synth():
     """A small trained-ready dataset shared by the slower tests."""
     x1, x2, raw = dataio.generate_synthetic(200, 4, 12, 10, 0.25, seed=3)
     labels = normalize_labels(raw)
-    km1, phi1 = fit_kernel(x1, 48, 3)
-    km2, phi2 = fit_kernel(x2, 48, 3)
+    km1, phi1 = fit_kernel_dense(x1, 48, 3)
+    km2, phi2 = fit_kernel_dense(x2, 48, 3)
     return {"x1": x1, "x2": x2, "labels": labels,
             "km1": km1, "km2": km2, "phi1": phi1, "phi2": phi2}

@@ -21,10 +21,10 @@ from collective_trainer import (CollectiveState, constraint_residuals, latent_of
 from conftest import (cli_env, fd_gradient, gradient_scale, naive_objective, oracle_map,
                       pack_codes, random_feasible_latent, random_labelset, ranked_codes,
                       relevance)
-from xmodhash import dataio, kernelfeat
+from dense_fit import fit_kernel_dense, kernelize
+from xmodhash import dataio
 from xmodhash.dataio import FeatureMatrix, RawLabelMatrix
 from xmodhash.encoder import encode, fit_pipeline
-from xmodhash.kernelfeat import fit_kernel
 from xmodhash.labelspace import normalize_labels
 from xmodhash.retrieval import evaluate, rank_by_hamming
 from xmodhash.rng import component_rng
@@ -60,7 +60,7 @@ def _ridge_label_oracle(data):
         gram[np.diag_indices_from(gram)] += 1.0
         w = np.linalg.solve(gram, phi.T @ data["labels"].labels.T)
         predicted[f"db{t}"] = phi @ w
-        predicted[f"q{t}"] = kernelfeat.kernelize(x_query, km) @ w
+        predicted[f"q{t}"] = kernelize(x_query, km) @ w
     result = {}
     for task, (qs, dbs) in (("i2t", (predicted["q1"], predicted["db2"])),
                             ("t2i", (predicted["q2"], predicted["db1"]))):
@@ -86,8 +86,8 @@ def pipeline():
     }
     data["labels"] = normalize_labels(RawLabelMatrix(data["lab_tr"]))
     data["relevant"] = [(data["lab_q"][:, qi] @ data["lab_tr"]) > 0 for qi in range(200)]
-    data["km1"], data["phi1"] = fit_kernel(data["x1_tr"], 500, 0)
-    data["km2"], data["phi2"] = fit_kernel(data["x2_tr"], 1000, 0)
+    data["km1"], data["phi1"] = fit_kernel_dense(data["x1_tr"], 500, 0)
+    data["km2"], data["phi2"] = fit_kernel_dense(data["x2_tr"], 1000, 0)
 
     def run_bits(r):
         enc, state, report = fit_pipeline([data["x1_tr"], data["x2_tr"]], data["labels"],

@@ -122,7 +122,7 @@ def test_train_bad_arguments_fail_before_kernel_work(synth_dir, tmp_path, capsys
     def no_kernel(*args, **kwargs):
         raise AssertionError("kernelized before the arguments were checked")
 
-    monkeypatch.setattr(kernelfeat, "kernelize", no_kernel)
+    monkeypatch.setattr(kernelfeat, "select_anchors", no_kernel)
     model = tmp_path / "m.amh"
     code, out, err = run(capsys, *train_args(synth_dir, model, **{flag: value}))
     assert code == 2 and out == ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, gradient_scale, unpack_codes
+from dense_fit import fit_ridge_dense
 from xmodhash import encoder, kernelfeat
 from xmodhash.dataio import (FeatureMatrix, RawLabelMatrix, generate_synthetic, load_model,
                              save_model)
@@ -18,7 +19,7 @@ from xmodhash.trainer import TrainConfig
 def test_identity_features_halve_codes():
     rng = np.random.default_rng(0)
     b = np.where(rng.random((5, 3)) < 0.5, -1.0, 1.0)
-    p = fit_ridge_encoder(np.eye(5), b, ridge=1.0)
+    p = fit_ridge_dense(np.eye(5), b, ridge=1.0)
     assert np.allclose(p, b / 2.0, atol=1e-12)
 
 
@@ -26,7 +27,7 @@ def test_recovery_with_tiny_ridge():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((40, 6))
     w = rng.standard_normal((6, 4))
-    p = fit_ridge_encoder(x, x @ w, ridge=1e-10)
+    p = fit_ridge_dense(x, x @ w, ridge=1e-10)
     assert np.abs(p - w).max() < 1e-6
 
 
@@ -35,7 +36,7 @@ def test_ridge_gradient_vanishes():
     x = rng.standard_normal((20, 5))
     b = np.where(rng.random((20, 3)) < 0.5, -1.0, 1.0)
     ridge = 0.8
-    p_hat = fit_ridge_encoder(x, b, ridge)
+    p_hat = fit_ridge_dense(x, b, ridge)
 
     def f(p):
         return float(np.sum((b - x @ p) ** 2) + ridge * np.sum(p ** 2))
@@ -46,7 +47,7 @@ def test_ridge_gradient_vanishes():
 
 def test_ridge_rejects_nonpositive_weight():
     with pytest.raises(ValidationError):
-        fit_ridge_encoder(np.eye(2), np.ones((2, 1)), ridge=0.0)
+        fit_ridge_dense(np.eye(2), np.ones((2, 1)), ridge=0.0)
 
 
 @pytest.mark.parametrize("ridge", [np.inf, np.nan])
@@ -54,14 +55,22 @@ def test_ridge_rejects_non_finite_weight(ridge):
     # an infinite weight would solve to P = 0, so every code bit would read +1
     with pytest.raises(ValidationError, match=f"ridge weight must be positive and finite, "
                                               f"got {ridge}"):
-        fit_ridge_encoder(np.eye(2), np.ones((2, 1)), ridge=ridge)
+        fit_ridge_dense(np.eye(2), np.ones((2, 1)), ridge=ridge)
+
+
+def test_ridge_checks_the_product_shapes():
+    with pytest.raises(ValidationError, match=r"Gram matrix \(3, 3\) and right-hand side "
+                                              r"\(2, 1\) disagree on feature count"):
+        fit_ridge_encoder(np.eye(3), np.ones((2, 1)), ridge=1.0)
+    with pytest.raises(ValidationError, match="disagree on feature count"):
+        fit_ridge_encoder(np.ones((3, 2)), np.ones((3, 1)), ridge=1.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_ridge_flags_numerical_failure():
     huge = np.full((3, 2), 1e308)
     with pytest.raises(NumericalError):
-        fit_ridge_encoder(huge, np.ones((3, 1)), ridge=1.0)
+        fit_ridge_dense(huge, np.ones((3, 1)), ridge=1.0)
 
 
 def _fitted_encoder(rng):
@@ -157,8 +166,8 @@ def test_encode_memory_stays_below_one_kernel_matrix():
 
 
 def test_fit_pipeline_holds_one_kernel_matrix_at_a_time():
-    # training reads the labels only, so each modality's n x k training
-    # features are built after it and dropped after their ridge fit
+    # training reads the labels only, and each modality's kernel fit streams
+    # its rows into the ridge products: no n x k matrix at any time
     n, k = 20000, 200
     x1, x2, raw = generate_synthetic(n, 4, 8, 6, 0.3, seed=0)
     labels = normalize_labels(raw)
@@ -168,7 +177,7 @@ def test_fit_pipeline_holds_one_kernel_matrix_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * n * k * 8
+    assert peak <= 0.5 * n * k * 8
 
 
 def test_training_bits_reproduced_on_clean_data():
@@ -297,7 +306,7 @@ def test_fit_pipeline_checks_arguments_before_kernelizing(monkeypatch, kwargs, n
     def no_training(*args, **kw):
         raise AssertionError("trained before the arguments were checked")
 
-    monkeypatch.setattr(kernelfeat, "kernelize", no_kernel)
+    monkeypatch.setattr(kernelfeat, "select_anchors", no_kernel)
     monkeypatch.setattr(encoder, "train", no_training)
     x1, x2, raw = generate_synthetic(60, 3, 6, 5, 0.3, seed=1)
     labels = normalize_labels(RawLabelMatrix(raw.values[:, :n_labels]))

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_fit import fit_kernel_dense, fit_ridge_dense, kernelize
 from xmodhash import kernelfeat
 from xmodhash.dataio import FeatureMatrix
+from xmodhash.encoder import fit_ridge_encoder
 from xmodhash.errors import DegenerateDataError, ValidationError
-from xmodhash.kernelfeat import (KernelMap, estimate_width, fit_kernel, kernelize,
-                                 select_anchors)
+from xmodhash.kernelfeat import KernelMap, estimate_width, fit_kernel, select_anchors
 
 
 def fm(values, modality=0):
@@ -150,20 +151,24 @@ def test_kernelize_float32_rows_match_float64(monkeypatch):
     assert np.array_equal(a, b)
 
 
-def test_training_pass_centers_columns():
+def test_training_pass_centers_columns(monkeypatch):
+    # against an all-ones code column the right-hand side is the column sums
+    # of the centered features, which centering zeroes
+    monkeypatch.setattr(kernelfeat, "_BLOCK_CELLS", 30)
+    monkeypatch.setattr(kernelfeat, "_FIT_BLOCK_CELLS", 70)     # 6-row blocks
     rng = np.random.default_rng(4)
     x = fm(rng.standard_normal((100, 3)))
-    km, phi = fit_kernel(x, 10, seed=0)
-    assert np.abs(phi.sum(axis=0)).max() < 1e-9 * 100
+    km, _, rhs = fit_kernel(x, 10, 0, np.ones((100, 1)))
+    assert np.abs(rhs).max() < 1e-9 * 100
     # stored center equals the column mean of the raw kernel matrix
-    raw = phi + km.center
+    raw = kernelize(x, KernelMap(km.anchors, km.sigma, center=np.zeros(10)))
     assert np.abs(km.center - raw.mean(axis=0)).max() < 1e-12
 
 
 def test_query_pass_reuses_center():
     rng = np.random.default_rng(5)
     x = fm(rng.standard_normal((50, 3)))
-    km, _ = fit_kernel(x, 8, seed=0)
+    km, _, _ = fit_kernel(x, 8, 0, np.ones((50, 1)))
     frozen = km.center.copy()
     kernelize(fm(rng.standard_normal((20, 3))), km)
     assert np.array_equal(km.center, frozen)
@@ -172,7 +177,7 @@ def test_query_pass_reuses_center():
 def test_raw_kernel_values_in_unit_interval():
     rng = np.random.default_rng(6)
     x = fm(rng.standard_normal((30, 4)))
-    km, phi = fit_kernel(x, 6, seed=1)
+    km, phi = fit_kernel_dense(x, 6, seed=1)
     raw = phi + km.center
     assert np.all(raw > 0) and np.all(raw <= 1.0 + 1e-15)
 
@@ -186,12 +191,6 @@ def test_kernelize_is_row_independent():
     perm = rng.permutation(25)
     phi_perm = kernelize(fm(x[perm]), km)
     assert np.array_equal(phi_perm, phi[perm])
-
-
-def test_dimension_mismatch():
-    km = KernelMap(np.zeros((2, 3)) + 1.0, sigma=1.0, center=np.zeros(2))
-    with pytest.raises(ValidationError):
-        kernelize(fm(np.ones((4, 2))), km)
 
 
 def test_kernel_map_validation():
@@ -213,3 +212,63 @@ def test_kernel_map_caches_anchor_norms():
     anchors = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 0.5]])
     km = KernelMap(anchors, sigma=1.0, center=np.zeros(3))
     assert np.array_equal(km.anchor_sq, [5.0, 10.0, 0.25])
+
+
+def _codes(rng, n, r):
+    return np.where(rng.random((n, r)) < 0.5, -1.0, 1.0)
+
+
+# the map runs in steps of cells // k rows (one row minimum); a fit block is
+# a whole number of steps
+@pytest.mark.parametrize("n, k, cells, fit_cells", [
+    (7, 1, 4, 12),      # below one 12-row block, in 4-row steps
+    (12, 1, 4, 12),     # exactly one block
+    (6, 6, 12, 36),     # exactly one 6-row block, in 2-row steps
+    (11, 6, 12, 24),    # 4-row blocks, the last one partial
+    (40, 1, 4, 12),     # 12-row blocks, the last one partial
+    (5, 3, 2, 2),       # fewer cells than anchors: 1-row blocks
+])
+def test_streamed_fit_matches_the_dense_fit(monkeypatch, n, k, cells, fit_cells):
+    monkeypatch.setattr(kernelfeat, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(kernelfeat, "_FIT_BLOCK_CELLS", fit_cells)
+    rng = np.random.default_rng(n * 10 + k)
+    x = fm(rng.standard_normal((n, 3)), modality=1)
+    codes = _codes(rng, n, 5)
+    km, gram, rhs = fit_kernel(x, k, 2, codes)
+    dense_km, phi = fit_kernel_dense(x, k, 2)
+    assert np.array_equal(km.anchors, dense_km.anchors) and km.sigma == dense_km.sigma
+    assert np.abs(km.center - dense_km.center).max() <= 1e-12
+    proj = fit_ridge_encoder(gram, rhs, 0.5)
+    dense_proj = fit_ridge_dense(phi, codes, 0.5)
+    assert np.abs(proj - dense_proj).max() <= 1e-9 * np.abs(dense_proj).max()
+    assert np.array_equal(kernelize(x, km) @ proj >= 0, phi @ dense_proj >= 0)
+
+
+def test_fit_blocks_map_each_row_as_encode_does(monkeypatch):
+    # BLAS may round a row differently by its place in a matrix product, so
+    # the fit maps its rows in encode's steps: 7-row steps, 35-row blocks
+    monkeypatch.setattr(kernelfeat, "_BLOCK_CELLS", 7 * 50)
+    rng = np.random.default_rng(16)
+    x = fm(rng.standard_normal((400, 128)))
+    km = KernelMap(x.values[:50], sigma=16.0, center=np.zeros(50))
+    fit_rows = np.vstack([phi.copy() for _, phi in kernelfeat._kernel_blocks(x, km, 35 * 50)])
+    assert np.array_equal(fit_rows, kernelize(x, km))
+
+
+def test_one_row_has_no_kernel_width():
+    # k <= n makes the one row its own anchor, so every distance is 0
+    x = fm([[1.0, -2.0]])
+    with pytest.raises(DegenerateDataError):
+        fit_kernel(x, 1, 0, np.ones((1, 3)))
+
+
+def test_streamed_fit_of_float32_rows_matches_float64(monkeypatch):
+    monkeypatch.setattr(kernelfeat, "_BLOCK_CELLS", 12)
+    monkeypatch.setattr(kernelfeat, "_FIT_BLOCK_CELLS", 24)     # 4-row blocks
+    rng = np.random.default_rng(13)
+    x32 = rng.standard_normal((11, 3)).astype(np.float32)
+    codes = _codes(rng, 11, 4)
+    ours = fit_kernel(FeatureMatrix(x32), 6, 0, codes)
+    ref = fit_kernel(FeatureMatrix(x32.astype(np.float64)), 6, 0, codes)
+    assert ours[0].center.tobytes() == ref[0].center.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ours[1:], ref[1:]))

@@ -175,7 +175,7 @@ def _single_class_labels(query_classes, db_classes, c):
     return ql, dl
 
 
-@pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
+@pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan, np.inf, -np.inf])
 def test_judge_rejects_non_binary_labels(bad):
     dl = np.array([[1.0, 0.0], [0.0, 1.0]])
     ql = np.array([[1.0], [0.0]])
@@ -460,6 +460,26 @@ def test_evaluate_memory_does_not_grow_with_query_count():
             tracemalloc.stop()
     per_query = c + 2 * (8 + 1 + 8 * len(points))
     assert peaks[1] - peaks[0] <= 1800 * per_query + 4 * 8 * n_db
+
+
+def test_evaluate_label_check_holds_one_boolean_matrix():
+    # the 0/1 check keeps only labels == 1, which the loop reuses as its
+    # relevance rows.  128 classes, one per item, so the label rows rather
+    # than the per-query buffers (about 0.4 MB at 20 000 items) set the peak;
+    # measured at 1.16x one c x n boolean matrix, against 2.0x when the
+    # check also held labels == 0 and their OR
+    rng = np.random.default_rng(15)
+    n_db, r, c = 20_000, 32, 128
+    db = pack_codes(random_signs(rng, n_db, r))
+    queries = pack_codes(random_signs(rng, 1, r))
+    ql, dl = _single_class_labels([0], rng.integers(0, c, n_db), c)
+    tracemalloc.start()
+    try:
+        evaluate(queries, db, ql, dl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * c * n_db
 
 
 # ------------------------------------------------------------------ code files
