@@ -210,7 +210,12 @@ def cmd_encode(v: dict) -> int:
     except ValidationError as e:
         raise type(e)(f"{v['model']}: {e}") from e
     del archive     # the encoder holds every array encode reads
-    codes = encode(dataio.read_matrix(v["features"]), enc, v["modality"])
+    features = v["features"]
+    with dataio.open_matrix(features) as x:
+        try:
+            codes = encode(x, enc, v["modality"])
+        except ValidationError as e:    # the dimension, or rows read from the file
+            raise type(e)(f"{features}: {e}") from e
     retrieval.write_codes(codes, v["out"])
     print(f"wrote {codes.n} codes of {codes.r} bits to {v['out']}")
     return 0

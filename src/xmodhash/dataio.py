@@ -26,8 +26,18 @@ anything, then reads the payload into the final array with ``readinto``.
 An archive is read section by section from the open file, so loading it
 holds about one copy, as reading a matrix or code file does.  One writer,
 ``_write_file``, writes the header and then each array's own buffer.
+
+A matrix file is opened as ``MatrixRows``, which checks the header and the
+declared payload size against the file's (no truncation, no trailing
+bytes) before it reads any row.  ``read_matrix`` and ``read_labels`` then
+read every row into one array.  ``open_matrix`` hands the rows to
+``encoder.encode`` instead, which reads them in blocks into one reused
+buffer, each block checked for NaN and Inf as it arrives, so an AMX1 file is
+hashed without ever holding its n x d matrix.  A CSV file, and a pipe, are
+still read whole.
 """
 
+import contextlib
 import io
 import os
 import stat
@@ -64,8 +74,7 @@ class FeatureMatrix:
         n, d = self.values.shape
         if n < 1 or d < 1:
             raise ValidationError(f"feature matrix needs n >= 1 and d >= 1, got {n}x{d}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("feature matrix contains NaN or Inf entries")
+        _check_finite(self.values)
 
     @property
     def n(self) -> int:
@@ -74,6 +83,22 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
+
+    def blocks(self, height: int):
+        """Yield (row slice, those rows) in blocks of ``height`` rows, the
+        rows as views of the values."""
+        for rows in _row_blocks(self.n, height):
+            yield rows, self.values[rows]
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("feature matrix contains NaN or Inf entries")
+
+
+def _row_blocks(n: int, height: int):
+    """Row slices covering n rows, each of ``height`` rows (the last may be shorter)."""
+    return (slice(lo, min(lo + height, n)) for lo in range(0, n, height))
 
 
 @dataclass
@@ -158,6 +183,18 @@ def _sized(f: BinaryIO) -> tuple[BinaryIO, int]:
     return io.BytesIO(rest), len(rest)
 
 
+def _fill(f: BinaryIO, a: np.ndarray, error: Callable[[int], str]) -> None:
+    """Read the next ``a.nbytes`` bytes of ``f`` into the C-order array ``a``;
+    when the file ends first, ``FormatError(error(got))`` is raised."""
+    buf = a.reshape(-1).view(np.uint8)
+    got = 0
+    while got < buf.size:
+        count = f.readinto(buf[got:])
+        if not count:
+            raise FormatError(error(got))
+        got += count
+
+
 def _read_array(f: BinaryIO, shape: tuple[int, ...], dtype: np.dtype | str, need: int,
                 left: int, error: Callable[[int], str]) -> np.ndarray:
     """Read the next ``need`` bytes of ``f`` into a new C-order array.
@@ -170,14 +207,13 @@ def _read_array(f: BinaryIO, shape: tuple[int, ...], dtype: np.dtype | str, need
     if left < need:
         raise FormatError(error(left))
     a = np.empty(shape, dtype=dtype)
-    buf = a.reshape(-1).view(np.uint8)
-    got = 0
-    while got < need:
-        count = f.readinto(buf[got:])
-        if not count:
-            raise FormatError(error(got))
-        got += count
+    _fill(f, a, error)
     return a
+
+
+def _payload_error(rows: int, cols: int, need: int) -> Callable[[int], str]:
+    return lambda size: (f"truncated AMX1 payload: declared {rows}x{cols} needs {need} bytes, "
+                         f"{size} available")
 
 
 def _read_amx(f: BinaryIO, header: bytes, left: int) -> np.ndarray:
@@ -185,9 +221,49 @@ def _read_amx(f: BinaryIO, header: bytes, left: int) -> np.ndarray:
     has ``left`` bytes left after it."""
     dtype, rows, cols = _parse_header(header)
     need = rows * cols * dtype.itemsize
-    return _read_array(f, (rows, cols), dtype, need, left, lambda size: (
-        f"truncated AMX1 payload: declared {rows}x{cols} needs {need} bytes, "
-        f"{size} available"))
+    return _read_array(f, (rows, cols), dtype, need, left, _payload_error(rows, cols, need))
+
+
+class MatrixRows:
+    """The rows of an AMX1 file open for reading, checked before any is read.
+
+    Making it checks the ``header`` just read from ``f`` and the declared
+    payload size against the ``left`` bytes after it: fewer is a truncated
+    payload, more are trailing bytes.  ``blocks`` then reads the rows in
+    blocks; ``read`` reads them all at once.  A file that ends early all the
+    same (it shrank while being read) is a ``FormatError`` either way.  The
+    messages do not name the file; whoever opened it by path adds that.
+    """
+
+    def __init__(self, f: BinaryIO, left: int, header: bytes):
+        self.dtype, self.n, self.dim = _parse_header(header)
+        self._f = f
+        self._need = self.n * self.dim * self.dtype.itemsize
+        self._error = _payload_error(self.n, self.dim, self._need)
+        if left < self._need:
+            raise FormatError(self._error(left))
+        if left > self._need:
+            raise FormatError(f"{left - self._need} trailing bytes after AMX1 payload")
+
+    def blocks(self, height: int):
+        """Yield (row slice, those rows) in blocks of ``height`` rows.
+
+        Every block is read into one reused buffer and checked for NaN and
+        Inf before it is yielded, so a caller keeps only what it derives
+        from a block before asking for the next.
+        """
+        buf = np.empty((min(self.n, height), self.dim), dtype=self.dtype)
+        row_bytes = self.dim * self.dtype.itemsize
+        for rows in _row_blocks(self.n, height):
+            block = buf[:rows.stop - rows.start]
+            _fill(self._f, block, lambda got: self._error(rows.start * row_bytes + got))
+            _check_finite(block)
+            yield rows, block
+
+    def read(self) -> np.ndarray:
+        """Every row, read into one new n x d array; the values are not checked."""
+        return _read_array(self._f, (self.n, self.dim), self.dtype, self._need, self._need,
+                           self._error)
 
 
 def _write_file(path, what: str, parts) -> None:
@@ -229,34 +305,52 @@ def _read_csv_matrix(data: bytes, path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _read_values(path) -> np.ndarray:
+def _in_file(path, fn, *args):
+    """``fn(*args)``, with ``path`` put before the message of any ValidationError."""
+    try:
+        return fn(*args)
+    except ValidationError as e:
+        raise type(e)(f"{path}: {e}") from e
+
+
+@contextlib.contextmanager
+def _open_values(path):
+    """Yield a CSV file's values, parsed whole, or an AMX1 file's ``MatrixRows``
+    (a pipe's rest is read into memory first, see ``_sized``)."""
     with Path(path).open("rb") as raw:
         header = raw.read(_HEADER_LEN)
         if header[:4] != AMX_MAGIC:
-            return _read_csv_matrix(header + raw.read(), path)
-        f, left = _sized(raw)
-        values = _read_amx(f, header, left)
-    if left > values.nbytes:
-        raise FormatError(f"{path}: {left - values.nbytes} trailing bytes after AMX1 payload")
-    return values
+            yield _read_csv_matrix(header + raw.read(), path)
+        else:
+            yield _in_file(path, MatrixRows, *_sized(raw), header)
+
+
+def _read_values(path) -> np.ndarray:
+    with _open_values(path) as m:
+        return m if isinstance(m, np.ndarray) else _in_file(path, m.read)
 
 
 def read_matrix(path) -> FeatureMatrix:
     """Read an AMX1 or CSV matrix file; validates finiteness and shape."""
-    values = _read_values(path)
-    try:
-        return FeatureMatrix(values)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from e
+    return _in_file(path, FeatureMatrix, _read_values(path))
 
 
 def read_labels(path) -> RawLabelMatrix:
     """Read a c x n binary label matrix (AMX1 or CSV) and validate it."""
-    values = _read_values(path)
-    try:
-        return RawLabelMatrix(values)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from e
+    return _in_file(path, RawLabelMatrix, _read_values(path))
+
+
+@contextlib.contextmanager
+def open_matrix(path):
+    """Open a feature file for ``encoder.encode``, for the length of a with-block.
+
+    An AMX1 file gives its ``MatrixRows``, checked but not yet read; encode
+    reads its rows in blocks.  Errors found while they are read (NaN or Inf,
+    a file that shrank) do not name the file.  A CSV file gives a checked
+    ``FeatureMatrix``, read whole.
+    """
+    with _open_values(path) as m:
+        yield _in_file(path, FeatureMatrix, m) if isinstance(m, np.ndarray) else m
 
 
 def save_model(archive: ModelArchive, path) -> None:

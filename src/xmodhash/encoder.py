@@ -2,7 +2,10 @@
 
 Codes are learned first by the trainer; the encoder is fit afterwards to
 map kernelized features onto those codes (``fit_pipeline`` runs both), and
-new instances are hashed by projecting and taking signs.
+new instances are hashed by projecting and taking signs.  ``encode`` hashes
+its rows block by block, whether they are in memory or read from an AMX1
+file as they are needed, and packs each block's sign bits straight into the
+code words.
 
 This module alone names a model archive's sections and metadata keys
 (``REQUIRED_SECTIONS``, ``REQUIRED_METADATA``): ``to_archive`` writes them
@@ -15,11 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import FeatureMatrix, ModelArchive
+from .dataio import FeatureMatrix, MatrixRows, ModelArchive
 from .errors import FormatError, NumericalError, ValidationError
 from .kernelfeat import KernelMap, _kernel_blocks, fit_kernel
 from .labelspace import LabelSet
-from .retrieval import CodeSet, _pack_bits
+from .retrieval import CodeSet, _pack_bits, words_per_code
 from .trainer import ModelState, TrainConfig, TrainReport, check_code_length, train
 
 
@@ -171,11 +174,15 @@ def from_archive(archive: ModelArchive) -> HashEncoder:
     return HashEncoder(proj=[archive.sections[f"Ph_{t}"] for t in (1, 2)], kernels=kernels)
 
 
-def encode(x_raw: FeatureMatrix, enc: HashEncoder, modality: int) -> CodeSet:
+def encode(x_raw: FeatureMatrix | MatrixRows, enc: HashEncoder, modality: int) -> CodeSet:
     """Hash raw features: kernelize with the frozen map, project, sign, pack.
 
-    Rows go through the kernel map block by block; only the n x r sign bits
-    of each block are kept, so memory stays bounded whatever the row count.
+    ``x_raw`` is a ``FeatureMatrix`` or the rows of an open AMX1 file
+    (``dataio.open_matrix``), which are read block by block as they are
+    hashed.  The feature dimension is checked before any row is read.  Each
+    block goes through the kernel map and the projection, and its sign bits
+    are packed straight into the n x ceil(r/64) code words, so besides
+    those words memory stays one block whatever the row count.
     """
     if modality < 1 or modality > len(enc.proj):
         raise ValidationError(
@@ -185,7 +192,7 @@ def encode(x_raw: FeatureMatrix, enc: HashEncoder, modality: int) -> CodeSet:
         raise ValidationError(
             f"modality {modality} expects {km.anchors.shape[1]}-dimensional features, "
             f"got {x_raw.dim}")
-    bits = np.empty((x_raw.n, proj.shape[1]), dtype=bool)
+    words = np.zeros((x_raw.n, words_per_code(proj.shape[1])), dtype="<u8")
     for rows, phi in _kernel_blocks(x_raw, km):
-        np.greater_equal(phi @ proj, 0.0, out=bits[rows])
-    return _pack_bits(bits)
+        _pack_bits(phi @ proj >= 0.0, words[rows])
+    return CodeSet(r=proj.shape[1], words=words)

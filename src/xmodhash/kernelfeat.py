@@ -9,7 +9,9 @@ The map runs in row blocks of at most _BLOCK_CELLS point-anchor cells, each
 computed in place: the squared distance ||x||^2 + ||a||^2 - 2 x.a (anchor
 norms cached on the map), clipped at 0, scaled, exponentiated and centered.
 Float32 rows are cast to float64 one block at a time, so working memory
-beyond the output is one block whatever the row count.  Squared distances
+beyond the output is one block whatever the row count.  The rows come from
+the input's ``blocks`` method: views of an in-memory ``FeatureMatrix``, or
+blocks read from an AMX1 file as they are needed (``dataio.MatrixRows``).  Squared distances
 go straight into the exponent with no square root, so phi can differ from
 exp(-sqrt(d2)^2 / (2 sigma^2)) in the last ulp.
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataio import FeatureMatrix
+from .dataio import FeatureMatrix, MatrixRows, _row_blocks
 from .errors import DegenerateDataError, ValidationError
 from .rng import component_rng
 
@@ -125,11 +127,6 @@ def estimate_width(x: FeatureMatrix, anchors: np.ndarray, seed: int = 0) -> floa
     return sigma
 
 
-def _row_blocks(n: int, height: int):
-    """Row slices covering n rows, each of ``height`` rows (the last may be shorter)."""
-    return (slice(lo, min(lo + height, n)) for lo in range(0, n, height))
-
-
 def _kernel_block(rows: np.ndarray, km: KernelMap, out: np.ndarray) -> np.ndarray:
     """Write the centered map of ``rows`` (one block) into ``out`` in place."""
     rows = rows.astype(np.float64, copy=False)
@@ -144,24 +141,28 @@ def _kernel_block(rows: np.ndarray, km: KernelMap, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _kernel_blocks(x: FeatureMatrix, km: KernelMap, cells: int | None = None):
+def _kernel_blocks(x: FeatureMatrix | MatrixRows, km: KernelMap, cells: int | None = None):
     """Yield (row slice, centered map of those rows), blocks of at most
     ``cells`` point-anchor cells (``_BLOCK_CELLS`` when None).
 
-    Every block is written into one reused buffer, so a caller keeps only
-    what it derives from a block before asking for the next.  The map runs
-    in steps of at most _BLOCK_CELLS cells (one row minimum), and a block
-    is a whole number of steps, so every row is mapped in the same step,
-    and to the same bits, whatever the block size; the steps' row-sized
-    temporaries stay small.  The caller checks the feature dimension.
+    ``x`` is a ``FeatureMatrix`` or an AMX1 file's ``dataio.MatrixRows``;
+    its ``blocks`` method gives the rows, as views of the values or read
+    from the file as they are needed.  Every block is written into one
+    reused buffer, so a caller keeps only what it derives from a block
+    before asking for the next.  The map runs in steps of at most
+    _BLOCK_CELLS cells (one row minimum), and a block is a whole number of
+    steps counted from row 0, so every row is mapped in the same step, and
+    to the same bits, whatever the block size or source; the steps'
+    row-sized temporaries stay small.  The caller checks the feature
+    dimension.
     """
     step = max(1, _BLOCK_CELLS // km.k)
     height = step * max(1, (cells or _BLOCK_CELLS) // (step * km.k))
     buf = np.empty((min(x.n, height), km.k))
-    for rows in _row_blocks(x.n, height):
-        block = buf[:rows.stop - rows.start]
-        for part in _row_blocks(rows.stop - rows.start, step):
-            _kernel_block(x.values[rows][part], km, block[part])
+    for rows, values in x.blocks(height):
+        block = buf[:len(values)]
+        for part in _row_blocks(len(values), step):
+            _kernel_block(values[part], km, block[part])
         yield rows, block
 
 

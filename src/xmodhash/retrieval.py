@@ -72,14 +72,11 @@ def _check_spare_bits(last_words: np.ndarray, r: int) -> None:
         raise ValidationError("unused high bits of the last word must be zero")
 
 
-def _pack_bits(bits: np.ndarray) -> CodeSet:
-    """Pack an n x r boolean matrix (r >= 1; True is a set bit)."""
-    n, r = bits.shape
-    width = words_per_code(r)
-    padded = np.zeros((n, width * 64), dtype=np.uint8)
-    padded[:, :r] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return CodeSet(r=r, words=packed.view("<u8").reshape(n, width))
+def _pack_bits(bits: np.ndarray, words: np.ndarray) -> None:
+    """Pack an m x r boolean block (True is a set bit) into ``words``, m rows
+    of ceil(r/64) little-endian uint64 words whose bytes are all zero."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
 
 
 def _distances(query: np.ndarray, db: CodeSet, out: np.ndarray, scratch: np.ndarray,

@@ -11,7 +11,7 @@ from dense_fit import fit_kernel_dense
 from xmodhash import dataio
 from xmodhash.errors import ValidationError
 from xmodhash.labelspace import LabelSet, normalize_labels
-from xmodhash.retrieval import CodeSet, _pack_bits
+from xmodhash.retrieval import CodeSet, _pack_bits, words_per_code
 
 
 def cli_env():
@@ -97,7 +97,9 @@ def pack_codes(signs: np.ndarray) -> CodeSet:
         raise ValidationError("codes need at least one bit")
     if not np.all(np.abs(signs) == 1):
         raise ValidationError("sign matrix entries must be exactly -1 or +1")
-    return _pack_bits(signs > 0)
+    words = np.zeros((signs.shape[0], words_per_code(signs.shape[1])), dtype="<u8")
+    _pack_bits(signs > 0, words)
+    return CodeSet(r=signs.shape[1], words=words)
 
 
 def unpack_codes(codes: CodeSet) -> np.ndarray:
