@@ -432,7 +432,8 @@ def load_model(path) -> ModelArchive:
             if name in archive.sections:
                 raise FormatError(f"{path}: duplicate section name {name!r}")
             header = f.read(_HEADER_LEN)
-            archive.sections[name] = _read_amx(f, header, size - f.tell())
+            archive.sections[name] = _in_file(f"{path}: section {name!r}", _read_amx,
+                                              f, header, size - f.tell())
         else:
             raise FormatError(f"{path}: archive has no metadata section")
     return archive

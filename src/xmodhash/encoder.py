@@ -21,9 +21,10 @@ import numpy as np
 from .dataio import FeatureMatrix, MatrixRows, ModelArchive
 from .errors import FormatError, NumericalError, ValidationError
 from .kernelfeat import KernelMap, _kernel_blocks, fit_kernel
-from .labelspace import LabelSet
+from .labelspace import LabelSet, label_patterns
 from .retrieval import CodeSet, _pack_bits, words_per_code
-from .trainer import ModelState, TrainConfig, TrainReport, check_code_length, train
+from .trainer import (ModelState, TrainConfig, TrainReport, check_code_length, train,
+                      update_codes)
 
 
 @dataclass
@@ -84,8 +85,9 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
     ``xs[t - 1]`` is modality t, fit with ``k[t - 1]`` anchors from modality
     t's random streams of ``cfg.seed`` whatever its ``modality_id``.  Every
     argument is checked before training starts.  Training reads the labels
-    only; each modality's kernel fit then streams its training rows into the
-    ridge products, so no n x k matrix is ever built.
+    only; the codes, sign(M l) once per distinct label pattern l, are
+    gathered by pattern as each modality's kernel fit streams its rows into
+    the ridge products, so nothing n x k or r x n is ever built.
     """
     _check_ridge(ridge)
     if len(xs) != len(k):
@@ -97,9 +99,11 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
         if not 1 <= k_t <= x.n:
             raise ValidationError(f"modality {t} needs 1 to {x.n} anchors, got k={k_t}")
     state, report = train(labels, cfg)
+    patterns, _, index = label_patterns(labels)
+    codes = np.ascontiguousarray(update_codes(state.label_proj, patterns).T)
     kernels, proj = [], []
     for t, (x, k_t) in enumerate(zip(xs, k), start=1):
-        km, gram, rhs = fit_kernel(replace(x, modality_id=t), k_t, cfg.seed, state.codes.T)
+        km, gram, rhs = fit_kernel(replace(x, modality_id=t), k_t, cfg.seed, codes, index)
         kernels.append(km)
         proj.append(fit_ridge_encoder(gram, rhs, ridge))
         del gram    # before the next modality's products are built
@@ -123,9 +127,9 @@ REQUIRED_METADATA = (
 
 def to_archive(enc: HashEncoder, state: ModelState, report: TrainReport,
                cfg: TrainConfig, ridge: float) -> ModelArchive:
-    """The AMH1 sections and metadata of a fitted two-modality model.  The r x n
-    codes B are left out: ``encode`` does not read them, and B is sign(M L).
-    The latent V is not part of the state; training never builds it."""
+    """The AMH1 sections and metadata of a fitted two-modality model.  No
+    section scales with n: training builds neither the latent V nor the
+    codes B, which are sign(M L) of the training labels."""
     if len(enc.kernels) != 2:
         raise ValidationError(f"a model archive holds 2 modalities, got {len(enc.kernels)}")
     km1, km2 = enc.kernels

@@ -166,16 +166,17 @@ def _kernel_blocks(x: FeatureMatrix | MatrixRows, km: KernelMap, cells: int | No
         yield rows, block
 
 
-def fit_kernel(x: FeatureMatrix, k: int, seed: int,
-               codes: np.ndarray) -> tuple[KernelMap, np.ndarray, np.ndarray]:
+def fit_kernel(x: FeatureMatrix, k: int, seed: int, codes: np.ndarray,
+               index: np.ndarray) -> tuple[KernelMap, np.ndarray, np.ndarray]:
     """Anchors, width and one pass over the training rows: the map (centered
     on the training column mean mu) and the ridge products of its centered
-    training features Phi_c with the n x r ``codes`` B, Phi_c^T Phi_c (k x k)
-    and Phi_c^T B (k x r).
+    training features Phi_c with the codes B, Phi_c^T Phi_c (k x k) and
+    Phi_c^T B (k x r).  Row i's code is ``codes[index[i]]``, one of the u
+    distinct code rows (u x r).
 
     The rows go through the map uncentered, one block at a time; the sums
     of each block are added into accumulators that every block reuses, so
-    the pass holds one block and no n x k matrix.
+    the pass holds one block and nothing n x k or n x r.
     """
     anchors = select_anchors(x, k, seed)
     km = KernelMap(anchors, estimate_width(x, anchors, seed=seed), center=np.zeros(k))
@@ -185,8 +186,9 @@ def fit_kernel(x: FeatureMatrix, k: int, seed: int,
     for rows, phi in _kernel_blocks(x, km, _FIT_BLOCK_CELLS):
         col_sum += phi.sum(axis=0)
         gram += np.matmul(phi.T, phi, out=gram_blk)      # symmetric: numpy's syrk path
-        rhs += np.matmul(phi.T, codes[rows], out=rhs_blk)
+        rhs += np.matmul(phi.T, codes[index[rows]], out=rhs_blk)
     center = col_sum / x.n
     gram -= np.multiply.outer(col_sum, center, out=gram_blk)     # n mu mu^T
-    rhs -= np.multiply.outer(center, codes.sum(axis=0), out=rhs_blk)
+    code_sum = np.bincount(index, minlength=codes.shape[0]) @ codes    # 1^T B, exact
+    rhs -= np.multiply.outer(center, code_sum, out=rhs_blk)
     return replace(km, center=center), gram, rhs

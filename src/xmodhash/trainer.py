@@ -11,14 +11,15 @@ never increases.
 
 Training reads the labels only.  The codes are B = sign(M L), shared by
 every instance with the same label vector, and V reaches the M and R steps
-only through V G^T (r x c).  So training never forms V, and B only once,
-after the last sweep: one QR of the centered, count-weighted distinct label
-patterns, taken once, reduces the latent step to an r x rho SVD, and
-||(R V)^T M L||^2 = n ||M L||^2 because V V^T = n I.  The start draws only
-R and M; the latent and code steps at that R and M give the starting V G^T
-and B L^T.  Every term is a c x c or r x r contraction; only the final B is
-r x n, and nothing is n x n, which keeps training linear in the number of
-instances.  The final V is never built: nothing after training reads it.
+only through V G^T (r x c).  So training forms neither V nor B: one QR of
+the centered, count-weighted distinct label patterns, taken once, reduces
+the latent step to an r x rho SVD, and ||(R V)^T M L||^2 = n ||M L||^2
+because V V^T = n I.  The start draws only R and M; the latent and code
+steps at that R and M give the starting V G^T and B L^T.  Every term is a
+c x c or r x r contraction and nothing is r x n or n x n, which keeps
+training linear in the number of instances.  Training returns R and M
+only: nothing after it reads V, and the ridge fit reads each row's code
+sign(M l) from the row's label pattern l.
 
 This is the paper's collective factorization with the feature
 reconstruction weights fixed at 0.  The tests keep the full factorization,
@@ -60,20 +61,11 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
-    """The trained factors that the hash-function step reads; the latent V
-    is not among them (see the module docstring)."""
+    """The trained factors: R and M.  Neither the latent V nor the codes
+    B = sign(M L) are kept (see the module docstring)."""
 
     rotation: np.ndarray         # R, r x r orthogonal
     label_proj: np.ndarray       # M, r x c
-    codes: np.ndarray            # B, r x n, entries exactly +-1
-
-    @property
-    def r(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.codes.shape[1]
 
 
 @dataclass
@@ -240,11 +232,10 @@ def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
     sweep updates M, R, V and B in turn.  Completion directions are
     orthogonal to the kept ones and to 1_n; once the kept ones span the
     centered labels, as they do unless A Gamma^T loses rank, they add
-    nothing to V G^T.  B is built once, after the last sweep.  The history
-    records the objective after every sweep, the start included; a sweep
-    whose relative decrease falls below ``cfg.rel_tol`` stops the loop.
-    Identical inputs and seed reproduce the final state bitwise on a given
-    platform.
+    nothing to V G^T.  Neither V nor B is built.  The history records the
+    objective after every sweep, the start included; a sweep whose relative
+    decrease falls below ``cfg.rel_tol`` stops the loop.  Identical inputs
+    and seed reproduce the final state bitwise on a given platform.
     """
     n = labels.n
     rot, m = init_state(labels, cfg)
@@ -266,5 +257,5 @@ def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
         if sweep and _stalled(history, cfg):
             converged = True
             break
-    state = ModelState(rotation=rot, label_proj=m, codes=update_codes(m, labels))
-    return state, TrainReport(objective_history=history, converged=converged)
+    return (ModelState(rotation=rot, label_proj=m),
+            TrainReport(objective_history=history, converged=converged))

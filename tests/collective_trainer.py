@@ -8,8 +8,8 @@ with a projection P_t (k_t x r) per modality, and every sweep forms the
 r x n latent matrix V and each phi_t V^T.  One sweep updates P, M, R, V and
 B in turn, each to the exact minimizer of its subproblem; the M, R and B
 steps are the trainer's own.  At lambda = 0 the features drop out, and
-``train``, which never forms V, must reach the same M, codes and objective
-history from the same seed.  ``latent_of`` builds the V that ``train``
+``train``, which forms neither V nor B, must reach the same M, codes
+sign(M L) and objective history from the same seed.  ``latent_of`` builds the V that ``train``
 leaves out from R and M: at the seeded start, for both trainers, and at
 ``train``'s final R and M, for the feasibility checks.
 """
@@ -29,20 +29,23 @@ from xmodhash.trainer import (ModelState, TrainConfig, TrainReport, _latent_dire
 
 @dataclass
 class CollectiveState(ModelState):
+    codes: np.ndarray                                      # B, r x n, entries exactly +-1
     latent: np.ndarray                                     # V, r x n
     proj: list[np.ndarray] = field(default_factory=list)  # P_t, k_t x r
 
 
-def constraint_residuals(state: ModelState, v: np.ndarray) -> dict[str, float]:
-    """Max-norm residuals of the feasibility constraints of ``state`` and its
-    latent V (a ``CollectiveState``'s own, or ``latent_of`` a ``train`` result)."""
+def constraint_residuals(state: ModelState, v: np.ndarray,
+                         codes: np.ndarray) -> dict[str, float]:
+    """Max-norm residuals of the feasibility constraints of ``state``, its
+    latent V and its codes B (a ``CollectiveState``'s own, or for a ``train``
+    result ``latent_of`` it and sign(M L))."""
     rot = state.rotation
-    n, r = state.n, state.r
+    r, n = v.shape
     return {
         "rotation": float(np.abs(rot.T @ rot - np.eye(r)).max()),
         "latent_gram": float(np.abs(v @ v.T - n * np.eye(r)).max()),
         "latent_balance": float(np.linalg.norm(v @ np.ones(n))),
-        "codes_binary": float(np.abs(np.abs(state.codes) - 1.0).max()),
+        "codes_binary": float(np.abs(np.abs(codes) - 1.0).max()),
     }
 
 
@@ -97,8 +100,9 @@ def init_collective(phix: Sequence[np.ndarray], labels: LabelSet,
     same point; plus projections fit to it, and each modality's phi_t V^T,
     which the starting objective reuses."""
     rot, m = init_state(labels, cfg)
-    start = ModelState(rotation=rot, label_proj=m, codes=update_codes(m, labels))
-    state = CollectiveState(**vars(start), latent=latent_of(start, labels, cfg))
+    start = ModelState(rotation=rot, label_proj=m)
+    state = CollectiveState(**vars(start), codes=update_codes(m, labels),
+                            latent=latent_of(start, labels, cfg))
     phi_vt = [phi @ state.latent.T for phi in phix]
     state.proj = [update_projection(pv, labels.n) for pv in phi_vt]
     return state, phi_vt
@@ -163,7 +167,7 @@ def objective_value(state: CollectiveState, labels: LabelSet, cfg: TrainConfig,
     """
     l, g = labels.labels, labels.normalized
     v, rot, m, b = state.latent, state.rotation, state.label_proj, state.codes
-    r = state.r
+    r = rot.shape[0]
     ml = m @ l
     rv = rot @ v
     affinity = float(np.sum((ml @ ml.T) * (rv @ rv.T)))
@@ -222,5 +226,5 @@ def train_collective(phix: Sequence[np.ndarray], labels: LabelSet, cfg: TrainCon
             converged = True
             break
         if sweep < cfg.max_iters:
-            state.proj = [update_projection(pv, state.n) for pv in phi_vt]
+            state.proj = [update_projection(pv, labels.n) for pv in phi_vt]
     return state, TrainReport(objective_history=history, converged=converged)

@@ -78,7 +78,7 @@ def naive_objective(state, labels, cfg, phix=(), lambdas=()):
     given features and weights, it adds lambda_t ||phi_t - P_t V||^2 with
     P_t from ``state.proj``."""
     l, g = labels.labels, labels.normalized
-    r = state.r
+    r = state.rotation.shape[0]
     ml = state.label_proj @ l
     big = (state.rotation @ state.latent).T @ ml - r * (g.T @ g)
     total = float(np.sum(big ** 2))

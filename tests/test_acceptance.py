@@ -126,7 +126,8 @@ def test_criterion_1_constraint_suite():
     for r in (16, 32):
         cfg = TrainConfig(r=r, seed=0)
         state, _ = train(labels, cfg)
-        res = constraint_residuals(state, latent_of(state, labels, cfg))
+        res = constraint_residuals(state, latent_of(state, labels, cfg),
+                                   update_codes(state.label_proj, labels))
         worst[r] = res
         assert res["rotation"] < 1e-8
         assert res["latent_gram"] < 1e-8 * 500
@@ -210,8 +211,7 @@ def test_criterion_3_substep_oracles():
     labels_v = random_labelset(rng, c_v, n_v, multi=True)
     rot_v = np.linalg.qr(rng.standard_normal((r_v, r_v)))[0]
     m_v = rng.standard_normal((r_v, c_v))
-    v_hat = latent_of(ModelState(rotation=rot_v, label_proj=m_v,
-                                 codes=update_codes(m_v, labels_v)), labels_v, cfg_v)
+    v_hat = latent_of(ModelState(rotation=rot_v, label_proj=m_v), labels_v, cfg_v)
     z = r_v * rot_v.T @ (m_v @ labels_v.lgt) @ labels_v.normalized
     best_score = np.sum(v_hat * z)
     for _ in range(1000):

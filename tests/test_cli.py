@@ -266,6 +266,10 @@ def _stack_kcenter_1(path):
     _edit_section(path, "kcenter_1", lambda c: np.vstack([c, c]))
 
 
+def _cut_to_200_bytes(path):
+    path.write_bytes(path.read_bytes()[:200])
+
+
 def _inf_sigma_1(path):
     path.write_bytes(re.sub(rb"sigma_1=[^\n]*", b"sigma_1=inf", path.read_bytes()))
 
@@ -278,6 +282,8 @@ def _inf_sigma_1(path):
     (_inf_sigma_1, "kernel width must be finite and positive, got inf"),
     (_inf_kcenter_1, "kernel center contains NaN or Inf entries"),
     (_stack_kcenter_1, "section kcenter_1 is 2x16, expected 1x16"),
+    (_cut_to_200_bytes, "section 'R': truncated AMX1 payload: declared 8x8 needs 512 bytes, "
+                        "163 available"),
 ])
 def test_encode_corrupt_archive_is_exit_2(synth_dir, tmp_path, capsys, corrupt, message):
     model = tmp_path / "model.amh"

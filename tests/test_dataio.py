@@ -384,16 +384,19 @@ _HUGE = b"AMX1" + bytes([1, 0, 0, 0]) + struct.pack("<QQ", 2 ** 40, 2 ** 20) + b
                  id="section-header"),
     pytest.param(b"AMH1\x02\x00\x00\x00\x05\x00\x00\x00R", "{path}: truncated section name",
                  id="section-name"),
-    pytest.param(_amh_bytes([(b"R", _R)])[:_R_AT + 10], "truncated AMX1 header",
-                 id="section-amx-header"),
+    pytest.param(_amh_bytes([(b"R", _R)])[:_R_AT + 10],
+                 "{path}: section 'R': truncated AMX1 header", id="section-amx-header"),
     pytest.param(_amh_bytes([(b"R", _R)])[:_R_AT + 24 + 20],
-                 "truncated AMX1 payload: declared 3x2 needs 48 bytes, 20 available",
+                 "{path}: section 'R': truncated AMX1 payload: declared 3x2 needs 48 bytes, "
+                 "20 available",
                  id="section-payload"),
     pytest.param(_amh_bytes([(b"R", _HUGE)]),
-                 "truncated AMX1 payload: declared 1099511627776x1048576 needs "
-                 "9223372036854775808 bytes, 16 available", id="huge-section-payload"),
+                 "{path}: section 'R': truncated AMX1 payload: declared "
+                 "1099511627776x1048576 needs 9223372036854775808 bytes, 16 available",
+                 id="huge-section-payload"),
     pytest.param(_amh_bytes([(b"R", _R[:16] + struct.pack("<Q", 0))]),
-                 "AMX1 header declares a 3x0 matrix; both dimensions must be >= 1",
+                 "{path}: section 'R': AMX1 header declares a 3x0 matrix; "
+                 "both dimensions must be >= 1",
                  id="zero-dimension-section"),
     pytest.param(_amh_bytes([(b"R", _R), (b"R", _R)]), "{path}: duplicate section name 'R'",
                  id="duplicate-section"),

@@ -13,7 +13,7 @@ from xmodhash.encoder import (REQUIRED_METADATA, REQUIRED_SECTIONS, HashEncoder,
 from xmodhash.errors import FormatError, NumericalError, ValidationError
 from xmodhash.kernelfeat import KernelMap
 from xmodhash.labelspace import normalize_labels
-from xmodhash.trainer import TrainConfig
+from xmodhash.trainer import TrainConfig, update_codes
 
 
 def test_identity_features_halve_codes():
@@ -180,15 +180,35 @@ def test_fit_pipeline_holds_one_kernel_matrix_at_a_time():
     assert peak <= 0.5 * n * k * 8
 
 
+def test_fit_pipeline_peak_does_not_grow_with_the_training_codes():
+    # training returns R and M only, and each kernel fit gathers its blocks'
+    # codes by label pattern, so from 20 000 to 80 000 rows the peak grows by
+    # far less than the 29.3 MiB of one more r x n float64 code array; at
+    # k = 200 a fit block is 5 242 rows, so both sizes run full blocks
+    def peak(n):
+        x1, x2, raw = generate_synthetic(n, 10, 8, 4, 0.3, 3)
+        labels = normalize_labels(raw)
+        tracemalloc.start()
+        try:
+            fit_pipeline([x1, x2], labels, TrainConfig(r=64, max_iters=2, seed=0), (200, 200))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(80000) - peak(20000) < 4 * 2 ** 20
+
+
 def test_training_bits_reproduced_on_clean_data():
     # threshold calibrated on seed 0: observed agreement is 1.0 on noise-free
     # synthetic data, so the 95% floor leaves plenty of margin
     x1, x2, raw = generate_synthetic(150, 5, 10, 8, 0.0, seed=0)
-    enc, state, _ = fit_pipeline([x1, x2], normalize_labels(raw),
+    labels = normalize_labels(raw)
+    enc, state, _ = fit_pipeline([x1, x2], labels,
                                  TrainConfig(r=16, max_iters=10, seed=0), (40, 40))
+    codes = update_codes(state.label_proj, labels)
     for modality, x in ((1, x1), (2, x2)):
         bits = unpack_codes(encode(x, enc, modality)).astype(np.float64)
-        agreement = np.mean(bits == state.codes.T)
+        agreement = np.mean(bits == codes.T)
         assert agreement >= 0.95
 
 

@@ -158,7 +158,7 @@ def test_training_pass_centers_columns(monkeypatch):
     monkeypatch.setattr(kernelfeat, "_FIT_BLOCK_CELLS", 70)     # 6-row blocks
     rng = np.random.default_rng(4)
     x = fm(rng.standard_normal((100, 3)))
-    km, _, rhs = fit_kernel(x, 10, 0, np.ones((100, 1)))
+    km, _, rhs = fit_kernel(x, 10, 0, np.ones((100, 1)), np.arange(100))
     assert np.abs(rhs).max() < 1e-9 * 100
     # stored center equals the column mean of the raw kernel matrix
     raw = kernelize(x, KernelMap(km.anchors, km.sigma, center=np.zeros(10)))
@@ -168,7 +168,7 @@ def test_training_pass_centers_columns(monkeypatch):
 def test_query_pass_reuses_center():
     rng = np.random.default_rng(5)
     x = fm(rng.standard_normal((50, 3)))
-    km, _, _ = fit_kernel(x, 8, 0, np.ones((50, 1)))
+    km, _, _ = fit_kernel(x, 8, 0, np.ones((50, 1)), np.arange(50))
     frozen = km.center.copy()
     kernelize(fm(rng.standard_normal((20, 3))), km)
     assert np.array_equal(km.center, frozen)
@@ -219,27 +219,30 @@ def _codes(rng, n, r):
 
 
 # the map runs in steps of cells // k rows (one row minimum); a fit block is
-# a whole number of steps
-@pytest.mark.parametrize("n, k, cells, fit_cells", [
-    (7, 1, 4, 12),      # below one 12-row block, in 4-row steps
-    (12, 1, 4, 12),     # exactly one block
-    (6, 6, 12, 36),     # exactly one 6-row block, in 2-row steps
-    (11, 6, 12, 24),    # 4-row blocks, the last one partial
-    (40, 1, 4, 12),     # 12-row blocks, the last one partial
-    (5, 3, 2, 2),       # fewer cells than anchors: 1-row blocks
+# a whole number of steps.  Each row's code is codes[index[row]]: one code
+# per row in order, or u < n distinct codes repeated in shuffled order
+@pytest.mark.parametrize("n, k, cells, fit_cells, u", [
+    pytest.param(7, 1, 4, 12, 7, id="7-1-4-12"),      # below one 12-row block, in 4-row steps
+    pytest.param(12, 1, 4, 12, 12, id="12-1-4-12"),   # exactly one block
+    pytest.param(6, 6, 12, 36, 6, id="6-6-12-36"),    # exactly one 6-row block, in 2-row steps
+    pytest.param(11, 6, 12, 24, 11, id="11-6-12-24"),  # 4-row blocks, the last one partial
+    pytest.param(40, 1, 4, 12, 40, id="40-1-4-12"),   # 12-row blocks, the last one partial
+    pytest.param(5, 3, 2, 2, 5, id="5-3-2-2"),        # fewer cells than anchors: 1-row blocks
+    pytest.param(40, 3, 6, 18, 7, id="40-3-6-18-7-codes"),   # 6-row blocks, 7 distinct codes
 ])
-def test_streamed_fit_matches_the_dense_fit(monkeypatch, n, k, cells, fit_cells):
+def test_streamed_fit_matches_the_dense_fit(monkeypatch, n, k, cells, fit_cells, u):
     monkeypatch.setattr(kernelfeat, "_BLOCK_CELLS", cells)
     monkeypatch.setattr(kernelfeat, "_FIT_BLOCK_CELLS", fit_cells)
     rng = np.random.default_rng(n * 10 + k)
     x = fm(rng.standard_normal((n, 3)), modality=1)
-    codes = _codes(rng, n, 5)
-    km, gram, rhs = fit_kernel(x, k, 2, codes)
+    codes = _codes(rng, u, 5)
+    index = np.arange(n) if u == n else rng.permutation(np.arange(n) % u)
+    km, gram, rhs = fit_kernel(x, k, 2, codes, index)
     dense_km, phi = fit_kernel_dense(x, k, 2)
     assert np.array_equal(km.anchors, dense_km.anchors) and km.sigma == dense_km.sigma
     assert np.abs(km.center - dense_km.center).max() <= 1e-12
     proj = fit_ridge_encoder(gram, rhs, 0.5)
-    dense_proj = fit_ridge_dense(phi, codes, 0.5)
+    dense_proj = fit_ridge_dense(phi, codes[index], 0.5)
     assert np.abs(proj - dense_proj).max() <= 1e-9 * np.abs(dense_proj).max()
     assert np.array_equal(kernelize(x, km) @ proj >= 0, phi @ dense_proj >= 0)
 
@@ -259,7 +262,7 @@ def test_one_row_has_no_kernel_width():
     # k <= n makes the one row its own anchor, so every distance is 0
     x = fm([[1.0, -2.0]])
     with pytest.raises(DegenerateDataError):
-        fit_kernel(x, 1, 0, np.ones((1, 3)))
+        fit_kernel(x, 1, 0, np.ones((1, 3)), np.arange(1))
 
 
 def test_streamed_fit_of_float32_rows_matches_float64(monkeypatch):
@@ -268,7 +271,7 @@ def test_streamed_fit_of_float32_rows_matches_float64(monkeypatch):
     rng = np.random.default_rng(13)
     x32 = rng.standard_normal((11, 3)).astype(np.float32)
     codes = _codes(rng, 11, 4)
-    ours = fit_kernel(FeatureMatrix(x32), 6, 0, codes)
-    ref = fit_kernel(FeatureMatrix(x32.astype(np.float64)), 6, 0, codes)
+    ours = fit_kernel(FeatureMatrix(x32), 6, 0, codes, np.arange(11))
+    ref = fit_kernel(FeatureMatrix(x32.astype(np.float64)), 6, 0, codes, np.arange(11))
     assert ours[0].center.tobytes() == ref[0].center.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ours[1:], ref[1:]))

@@ -34,10 +34,10 @@ def test_init_is_deterministic():
 
 
 def _start_of(labels, cfg):
-    """The seeded start's R_0 and M_0 with B_0 = sign(M_0 L), and its V_0."""
+    """The seeded start's R_0 and M_0, its V_0, and B_0 = sign(M_0 L)."""
     rot, m = init_state(labels, cfg)
-    start = ModelState(rotation=rot, label_proj=m, codes=update_codes(m, labels))
-    return start, latent_of(start, labels, cfg)
+    start = ModelState(rotation=rot, label_proj=m)
+    return start, latent_of(start, labels, cfg), update_codes(m, labels)
 
 
 def test_init_satisfies_invariants():
@@ -314,9 +314,9 @@ def test_codes_match_exhaustive_search():
 
 # --------------------------------------------------------------- objective_value
 
-def _objective_of(state, latent, labels, cfg):
+def _objective_of(state, latent, codes, labels, cfg):
     return objective_value(state.rotation, state.label_proj, latent @ labels.normalized.T,
-                           state.codes @ labels.labels.T, labels, cfg)
+                           codes @ labels.labels.T, labels, cfg)
 
 
 def _exact_fit_state():
@@ -337,7 +337,8 @@ def test_objective_zero_at_exact_fit():
     cfg = TrainConfig(r=2, omega=0.3)
     assert objective_from_features(state, labels, phix, cfg, (0.8,)) == pytest.approx(
         0.0, abs=1e-8)
-    assert _objective_of(state, state.latent, labels, cfg) == pytest.approx(0.0, abs=1e-8)
+    assert _objective_of(state, state.latent, state.codes, labels, cfg) == pytest.approx(
+        0.0, abs=1e-8)
 
 
 def test_objective_nonnegative_and_matches_dense():
@@ -358,7 +359,7 @@ def test_objective_nonnegative_and_matches_dense():
         dense = naive_objective(state, labels, cfg, phix, lambdas)
         assert fast >= 0.0
         assert fast == pytest.approx(dense, rel=1e-9)
-        ours = _objective_of(state, v, labels, cfg)
+        ours = _objective_of(state, v, state.codes, labels, cfg)
         assert ours >= 0.0
         assert ours == pytest.approx(naive_objective(state, labels, cfg), rel=1e-9)
 
@@ -416,9 +417,10 @@ def test_train_keeps_every_latent_direction_at_full_rank(small_synth, monkeypatc
                                 small_synth["labels"], cfg, (0.5, 0.5))
     assert at_start == [1]
     assert len(completions) == 1, "latent step completed a full-rank score matrix"
-    res = constraint_residuals(state, state.latent)
-    assert res["latent_gram"] < 1e-8 * state.n
-    assert res["latent_balance"] < 1e-6 * np.sqrt(state.n)
+    res = constraint_residuals(state, state.latent, state.codes)
+    n = small_synth["labels"].n
+    assert res["latent_gram"] < 1e-8 * n
+    assert res["latent_balance"] < 1e-6 * np.sqrt(n)
 
 
 @pytest.mark.parametrize("max_iters, rel_tol", [(8, 1e-30), (30, 1e-3)])
@@ -450,7 +452,8 @@ def test_train_history_ends_at_objective_value(small_synth):
     # matches it to rounding
     state, report = train(labels, cfg)
     assert report.objective_history[-1] == pytest.approx(
-        _objective_of(state, latent_of(state, labels, cfg), labels, cfg), rel=1e-12)
+        _objective_of(state, latent_of(state, labels, cfg),
+                      update_codes(state.label_proj, labels), labels, cfg), rel=1e-12)
 
 
 def test_train_history_starts_at_objective_value(small_synth):
@@ -484,10 +487,10 @@ def test_train_starts_at_the_latent_and_code_minimizer(case):
     _, report = train(labels, cfg)
     start = report.objective_history[0]
     rot, m = init_state(labels, cfg)
+    at_start = ModelState(rotation=rot, label_proj=m)
     for _ in range(50):
-        other = ModelState(rotation=rot, label_proj=m,
-                           codes=np.where(rng.random((r, n)) < 0.5, -1.0, 1.0))
-        worse = _objective_of(other, random_feasible_latent(rng, r, n), labels, cfg)
+        codes = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
+        worse = _objective_of(at_start, random_feasible_latent(rng, r, n), codes, labels, cfg)
         assert start <= worse + 1e-9 * abs(worse)
 
 
@@ -495,20 +498,25 @@ def test_train_final_state_feasible(small_synth):
     labels = small_synth["labels"]
     cfg = TrainConfig(r=12, max_iters=10, rel_tol=1e-30, seed=2)
     state, _ = train(labels, cfg)
-    res = constraint_residuals(state, latent_of(state, labels, cfg))
+    res = constraint_residuals(state, latent_of(state, labels, cfg),
+                               update_codes(state.label_proj, labels))
     assert res["rotation"] < 1e-8
-    assert res["latent_gram"] < 1e-8 * state.n
-    assert res["latent_balance"] < 1e-6 * np.sqrt(state.n)
+    assert res["latent_gram"] < 1e-8 * labels.n
+    assert res["latent_balance"] < 1e-6 * np.sqrt(labels.n)
     assert res["codes_binary"] == 0.0
 
 
 def test_train_deterministic(small_synth):
     cfg = TrainConfig(r=8, max_iters=6, rel_tol=1e-30, seed=5)
-    a_state, a_report = train(small_synth["labels"], cfg)
-    b_state, b_report = train(small_synth["labels"], cfg)
+    labels = small_synth["labels"]
+    a_state, a_report = train(labels, cfg)
+    b_state, b_report = train(labels, cfg)
+    # the model is R and M; the codes are rebuilt from M
+    assert [f.name for f in fields(a_state)] == ["rotation", "label_proj"]
     assert a_state.label_proj.tobytes() == b_state.label_proj.tobytes()
-    assert a_state.codes.tobytes() == b_state.codes.tobytes()
     assert a_state.rotation.tobytes() == b_state.rotation.tobytes()
+    assert update_codes(a_state.label_proj, labels).tobytes() == \
+        update_codes(b_state.label_proj, labels).tobytes()
     assert a_report.objective_history == b_report.objective_history
 
 
@@ -520,7 +528,8 @@ def test_train_handles_multi_label_data():
     h = report.objective_history
     for prev, cur in zip(h, h[1:]):
         assert cur <= prev + 1e-9 * abs(prev)
-    res = constraint_residuals(state, latent_of(state, labels, cfg))
+    res = constraint_residuals(state, latent_of(state, labels, cfg),
+                               update_codes(state.label_proj, labels))
     assert res["latent_gram"] < 1e-8 * 120
     assert res["codes_binary"] == 0.0
 
@@ -559,7 +568,7 @@ def test_label_space_path_matches_full_trainer(case, r):
     cfg = TrainConfig(r=r, max_iters=6, rel_tol=1e-30, seed=4)
     full, full_report = train_collective(phix, labels, cfg, (0.0, 0.0))
     ours, report = train(labels, cfg)
-    latent = latent_of(ours, labels, cfg)
+    latent, codes = latent_of(ours, labels, cfg), update_codes(ours.label_proj, labels)
 
     def assert_close(expected, got):
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -572,11 +581,11 @@ def test_label_space_path_matches_full_trainer(case, r):
     assert_close(full.rotation @ full.latent @ g.T, ours.rotation @ latent @ g.T)
     if case == "c above r":
         assert_close(full.rotation, ours.rotation)
-    assert np.array_equal(full.codes, ours.codes)
+    assert np.array_equal(full.codes, codes)
     assert np.allclose(report.objective_history, full_report.objective_history,
                        rtol=1e-12, atol=0.0)
     assert (report.iterations_run, report.converged) == (6, False)
-    res = constraint_residuals(ours, latent)
+    res = constraint_residuals(ours, latent, codes)
     assert res["rotation"] < 1e-8
     assert res["latent_gram"] < 1e-8 * n
     assert res["latent_balance"] < 1e-6 * np.sqrt(n)
@@ -598,8 +607,9 @@ def test_label_space_path_trains_on_one_label_pattern():
     ours, report = train(labels, cfg)
     assert np.allclose(report.objective_history, full_report.objective_history,
                        rtol=1e-12, atol=0.0)
-    assert np.array_equal(ours.codes, full.codes)
-    res = constraint_residuals(ours, latent_of(ours, labels, cfg))
+    codes = update_codes(ours.label_proj, labels)
+    assert np.array_equal(codes, full.codes)
+    res = constraint_residuals(ours, latent_of(ours, labels, cfg), codes)
     assert res["latent_gram"] < 1e-8 * 50
     assert res["latent_balance"] < 1e-6 * np.sqrt(50)
 
