@@ -21,7 +21,7 @@ import numpy as np
 from .dataio import FeatureMatrix, MatrixRows, ModelArchive
 from .errors import FormatError, NumericalError, ValidationError
 from .kernelfeat import KernelMap, _kernel_blocks, fit_kernel
-from .labelspace import LabelSet, label_patterns
+from .labelspace import LabelSet
 from .retrieval import CodeSet, _pack_bits, words_per_code
 from .trainer import (ModelState, TrainConfig, TrainReport, check_code_length, train,
                       update_codes)
@@ -85,9 +85,10 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
     ``xs[t - 1]`` is modality t, fit with ``k[t - 1]`` anchors from modality
     t's random streams of ``cfg.seed`` whatever its ``modality_id``.  Every
     argument is checked before training starts.  Training reads the labels
-    only; the codes, sign(M l) once per distinct label pattern l, are
-    gathered by pattern as each modality's kernel fit streams its rows into
-    the ridge products, so nothing n x k or r x n is ever built.
+    only; the codes, sign(M l) once per distinct label column l, are
+    gathered by each row's column index as each modality's kernel fit
+    streams its rows into the ridge products, so nothing n x k or r x n is
+    ever built.
     """
     _check_ridge(ridge)
     if len(xs) != len(k):
@@ -99,11 +100,10 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
         if not 1 <= k_t <= x.n:
             raise ValidationError(f"modality {t} needs 1 to {x.n} anchors, got k={k_t}")
     state, report = train(labels, cfg)
-    patterns, _, index = label_patterns(labels)
-    codes = np.ascontiguousarray(update_codes(state.label_proj, patterns).T)
+    codes = np.ascontiguousarray(update_codes(state.label_proj, labels.patterns).T)
     kernels, proj = [], []
     for t, (x, k_t) in enumerate(zip(xs, k), start=1):
-        km, gram, rhs = fit_kernel(replace(x, modality_id=t), k_t, cfg.seed, codes, index)
+        km, gram, rhs = fit_kernel(replace(x, modality_id=t), k_t, cfg.seed, codes, labels.index)
         kernels.append(km)
         proj.append(fit_ridge_encoder(gram, rhs, ridge))
         del gram    # before the next modality's products are built

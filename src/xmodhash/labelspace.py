@@ -1,11 +1,12 @@
-"""Label matrix normalization, the label Grams, and distinct label patterns.
+"""Label matrix normalization: the distinct label columns and the label Grams.
 
 The trainer only ever touches small Gram contractions of the normalized
 label matrix; it never builds explicit pairwise affinity entries.  Its
-sweeps run on the distinct label columns and their counts.
+sweeps run on the distinct label columns and their counts, which
+``normalize_labels`` finds once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,43 +15,38 @@ from .dataio import RawLabelMatrix
 
 @dataclass
 class LabelSet:
-    """Binary labels plus their column-normalized companion (unit columns),
-    and the c x c Grams of the two, taken once when the set is built."""
+    """The training labels L (c x n, entries 0/1) as their u distinct
+    columns, with the same columns of the column-normalized G = L / ||L||
+    and the c x c Grams of L and G over all n instances.  Only ``index``
+    has an entry per instance: L = patterns[:, index]."""
 
-    labels: np.ndarray      # L, c x n, entries 0/1
-    normalized: np.ndarray  # G, c x n, each column has Euclidean norm 1
-    llt: np.ndarray = field(init=False, repr=False)   # L L^T
-    lgt: np.ndarray = field(init=False, repr=False)   # L G^T
-    ggt: np.ndarray = field(init=False, repr=False)   # G G^T
-
-    def __post_init__(self):
-        self.llt = self.labels @ self.labels.T
-        self.lgt = self.labels @ self.normalized.T
-        self.ggt = self.normalized @ self.normalized.T
+    patterns: np.ndarray    # c x u, the distinct columns of L
+    normalized: np.ndarray  # c x u, the same columns of G, each of Euclidean norm 1
+    counts: np.ndarray      # u, instances holding each column (float64)
+    index: np.ndarray       # n, each instance's column
+    llt: np.ndarray         # L L^T
+    lgt: np.ndarray         # L G^T
+    ggt: np.ndarray         # G G^T
 
     @property
     def c(self) -> int:
-        return self.labels.shape[0]
+        return self.patterns.shape[0]
 
     @property
     def n(self) -> int:
-        return self.labels.shape[1]
+        return self.index.shape[0]
 
 
 def normalize_labels(raw: RawLabelMatrix) -> LabelSet:
-    """Divide every label column by its Euclidean norm."""
+    """Divide every label column by its Euclidean norm, take the Grams, and
+    keep the distinct columns."""
     l = raw.values.astype(np.float64, copy=True)
-    norms = np.linalg.norm(l, axis=0, keepdims=True)
-    return LabelSet(labels=l, normalized=l / norms)
-
-
-def label_patterns(labels: LabelSet) -> tuple[LabelSet, np.ndarray, np.ndarray]:
-    """The distinct label columns (as a c x u LabelSet), how many instances
-    hold each one, and the index of every instance's pattern."""
+    g = l / np.linalg.norm(l, axis=0, keepdims=True)
     # one packed byte string per instance sorts far faster than float columns
-    bits = np.ascontiguousarray(np.packbits(labels.labels.astype(bool), axis=0).T)
+    bits = np.ascontiguousarray(np.packbits(l.astype(bool), axis=0).T)
     keys = bits.view(f"V{bits.shape[1]}").ravel()
-    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
-                                          return_counts=True)
-    patterns = LabelSet(labels=labels.labels[:, first], normalized=labels.normalized[:, first])
-    return patterns, counts.astype(np.float64), inverse.reshape(-1)
+    _, first, index, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                        return_counts=True)
+    return LabelSet(patterns=l[:, first], normalized=g[:, first],
+                    counts=counts.astype(np.float64), index=index.reshape(-1),
+                    llt=l @ l.T, lgt=l @ g.T, ggt=g @ g.T)

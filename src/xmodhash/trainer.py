@@ -9,17 +9,19 @@ each to the exact minimizer of its subproblem, so the objective
 
 never increases.
 
-Training reads the labels only.  The codes are B = sign(M L), shared by
-every instance with the same label vector, and V reaches the M and R steps
-only through V G^T (r x c).  So training forms neither V nor B: one QR of
-the centered, count-weighted distinct label patterns, taken once, reduces
-the latent step to an r x rho SVD, and ||(R V)^T M L||^2 = n ||M L||^2
-because V V^T = n I.  The start draws only R and M; the latent and code
-steps at that R and M give the starting V G^T and B L^T.  Every term is a
-c x c or r x r contraction and nothing is r x n or n x n, which keeps
-training linear in the number of instances.  Training returns R and M
-only: nothing after it reads V, and the ridge fit reads each row's code
-sign(M l) from the row's label pattern l.
+Training reads the labels only, as a ``LabelSet``: the u distinct label
+columns, their counts and the c x c label Grams.  The codes are
+B = sign(M L), shared by every instance with the same label vector, and V
+reaches the M and R steps only through V G^T (r x c).  So training forms
+neither V nor B: one QR of the centered, count-weighted distinct columns,
+taken once, reduces the latent step to an r x rho SVD, and
+||(R V)^T M L||^2 = n ||M L||^2 because V V^T = n I.  The start draws only
+R and M; the latent and code steps at that R and M give the starting
+V G^T and B L^T.  Every term is a c x c or r x r contraction and nothing
+is r x n or n x n, which keeps training linear in the number of
+instances.  Training returns R and M only: nothing after it reads V, and
+the ridge fit reads each row's code sign(M l) from the row's distinct
+label column l.
 
 This is the paper's collective factorization with the feature
 reconstruction weights fixed at 0.  The tests keep the full factorization,
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, NumericalError, ValidationError
-from .labelspace import LabelSet, label_patterns
+from .labelspace import LabelSet
 from .rng import component_rng
 
 
@@ -137,24 +139,10 @@ def update_rotation(m: np.ndarray, labels: LabelSet, v_gt: np.ndarray) -> np.nda
     return left @ right_t
 
 
-def _split_directions(left: np.ndarray, singvals: np.ndarray, wt: np.ndarray,
-                      n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kept left and right singular vectors of Y's SVD, and the deficient
-    left ones: those at or below numpy ``matrix_rank``'s default tolerance,
-    plus any of the r that have no singular value."""
-    r = left.shape[0]
-    top = float(singvals[0]) if singvals.size else 0.0
-    if top <= 0.0:
-        raise DegenerateDataError("latent update has no signal (all singular values zero)")
-    keep = singvals > max(r, n) * np.finfo(np.float64).eps * top
-    kept = np.zeros(r, dtype=bool)
-    kept[:keep.size] = keep
-    return left[:, kept], wt[:keep.size][keep], left[:, ~kept]
-
-
-def update_codes(m: np.ndarray, labels: LabelSet) -> np.ndarray:
-    """Elementwise optimal quantization of the label embedding; sign(0) = +1."""
-    return np.where(m @ labels.labels >= 0, 1.0, -1.0)
+def update_codes(m: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Elementwise optimal quantization of the label embedding of the 0/1
+    label columns ``l``; sign(0) = +1."""
+    return np.where(m @ l >= 0, 1.0, -1.0)
 
 
 def objective_value(rot: np.ndarray, m: np.ndarray, v_gt: np.ndarray, b_lt: np.ndarray,
@@ -176,57 +164,60 @@ def _stalled(history: list[float], cfg: TrainConfig) -> bool:
     return prev - cur <= cfg.rel_tol * abs(prev)
 
 
-def _pattern_basis(patterns: LabelSet, counts: np.ndarray,
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The latent step's basis from the distinct label patterns, taken once.
+def _pattern_basis(labels: LabelSet) -> np.ndarray:
+    """The latent step's coordinates Gamma, from the distinct label columns.
 
-    Let E be the n x u indicator of each instance's distinct label pattern
+    Let E be the n x u indicator of each instance's distinct label column
     and K = diag(sqrt(counts)).  E K^-1 has orthonormal columns, and
     [1_n / sqrt(n), G^T] = E K^-1 [sqrt(counts) / sqrt(n), K Ghat^T], so a
     QR of the u-row right-hand matrix gives the QR of the n-row left-hand
-    one.  Returns the u distinct rows of the n x rho basis Q', which is
-    orthogonal to 1_n, and the coordinates Gamma of the centered G^T = Q' Gamma.
-    Pinning 1_n / sqrt(n) as the first column keeps every direction balanced
-    however small its singular value.
+    one: the centered G^T = Q' Gamma, for an n x rho basis Q' orthogonal to
+    1_n.  Only Gamma is kept; Q' enters no later step.  Pinning
+    1_n / sqrt(n) as the first column keeps every direction balanced however
+    small its singular value.
     """
-    root = np.sqrt(counts)[:, None]
+    root = np.sqrt(labels.counts)[:, None]
     try:
-        q, tri = np.linalg.qr(np.hstack([root / np.sqrt(n), root * patterns.normalized.T]))
+        tri = np.linalg.qr(np.hstack([root / np.sqrt(labels.n), root * labels.normalized.T]),
+                           mode="r")
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"label-pattern factorization failed: {e}") from e
-    return q[:, 1:] / root, tri[1:, 1:]
+    return tri[1:, 1:]
 
 
-def _latent_directions(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
-                       gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _latent_step(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
+                 gamma: np.ndarray) -> np.ndarray:
     """The latent step: maximize the linear score <V, Z> over balanced
-    decorrelated V, for Z = A G with A = r R^T M L G^T.
+    decorrelated V, for Z = A G with A = r R^T M L G^T; returns V G^T.
 
     Y, Z with its rows centered, is (A Gamma^T) Q'^T (see ``_pattern_basis``),
     so the r x rho SVD A Gamma^T = U S W^T gives the maximizer
-    sqrt(n) U (Q' W)^T, and V G^T = sqrt(n) U W^T Gamma.  Returns the kept
-    and the deficient singular directions (``_split_directions``); V would
-    pair each deficient one with a random balanced direction orthogonal to
-    the kept ones, which adds nothing to V G^T.  With one distinct label
-    pattern Gamma has no rows: Y = 0, every V is optimal, and all r
-    directions are deficient.
+    sqrt(n) U (Q' W)^T, and V G^T = sqrt(n) U W^T Gamma over the kept
+    directions: those above numpy ``matrix_rank``'s default tolerance.  V
+    would pair each other direction with a random balanced direction
+    orthogonal to the kept ones, which adds nothing to V G^T.  With one
+    distinct label column Gamma has no rows: Y = 0, every V is optimal,
+    and V G^T = 0.
     """
-    r = rot.shape[0]
+    r, n = rot.shape[0], labels.n
     if gamma.shape[0] == 0:
-        return np.empty((r, 0)), np.empty((0, 0)), np.eye(r)
+        return np.zeros((r, labels.c))
     a = r * (rot.T @ (m @ labels.lgt))
     try:
         left, singvals, wt = np.linalg.svd(a @ gamma.T)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"latent factorization failed: {e}") from e
-    return _split_directions(left, singvals, wt, labels.n)
+    if singvals[0] <= 0.0:
+        raise DegenerateDataError("latent update has no signal (all singular values zero)")
+    keep = singvals > max(r, n) * np.finfo(np.float64).eps * singvals[0]
+    return np.sqrt(n) * (left[:, :keep.size][:, keep] @ wt[:keep.size][keep]) @ gamma
 
 
 def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
     """Run full sweeps of the updates until the objective stalls.
 
     The sweeps track V G^T and B L^T, summed over the distinct label
-    patterns (see the module docstring).  Sweep 0 is the start: R and M
+    columns (see the module docstring).  Sweep 0 is the start: R and M
     come from ``init_state``, and only the latent and code steps run, so V
     and B start at their joint minimizer for that R and M.  Every later
     sweep updates M, R, V and B in turn.  Completion directions are
@@ -237,10 +228,8 @@ def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
     decrease falls below ``cfg.rel_tol`` stops the loop.  Identical inputs
     and seed reproduce the final state bitwise on a given platform.
     """
-    n = labels.n
     rot, m = init_state(labels, cfg)
-    patterns, counts, _ = label_patterns(labels)
-    gamma = _pattern_basis(patterns, counts, n)[1]
+    gamma = _pattern_basis(labels)
     history = []
     converged = False
     for sweep in range(cfg.max_iters + 1):
@@ -248,9 +237,8 @@ def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
             if sweep:
                 m = update_label_projection(v_gt, rot, b_lt, labels, cfg)
                 rot = update_rotation(m, labels, v_gt)
-            directions = _latent_directions(rot, m, labels, gamma)
-            v_gt = np.sqrt(n) * (directions[0] @ directions[1]) @ gamma
-            b_lt = (update_codes(m, patterns) * counts) @ patterns.labels.T
+            v_gt = _latent_step(rot, m, labels, gamma)
+            b_lt = (update_codes(m, labels.patterns) * labels.counts) @ labels.patterns.T
         except NumericalError as e:
             raise NumericalError(f"sweep {sweep}: {e}") from e
         history.append(objective_value(rot, m, v_gt, b_lt, labels, cfg))

@@ -19,11 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from xmodhash.errors import NumericalError
-from xmodhash.labelspace import LabelSet, label_patterns
+from conftest import dense
+from xmodhash.errors import DegenerateDataError, NumericalError
+from xmodhash.labelspace import LabelSet
 from xmodhash.rng import component_rng
-from xmodhash.trainer import (ModelState, TrainConfig, TrainReport, _latent_directions,
-                              _pattern_basis, _split_directions, _stalled, init_state,
+from xmodhash.trainer import (ModelState, TrainConfig, TrainReport, _stalled, init_state,
                               update_codes, update_label_projection, update_rotation)
 
 
@@ -66,6 +66,21 @@ def _complete_balanced_basis(rng: np.random.Generator, n: int, count: int,
     return q
 
 
+def _split_directions(left: np.ndarray, singvals: np.ndarray, wt: np.ndarray,
+                      n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kept left and right singular vectors of Y's SVD, and the deficient
+    left ones: those at or below numpy ``matrix_rank``'s default tolerance,
+    plus any of the r that have no singular value."""
+    r = left.shape[0]
+    top = float(singvals[0]) if singvals.size else 0.0
+    if top <= 0.0:
+        raise DegenerateDataError("latent update has no signal (all singular values zero)")
+    keep = singvals > max(r, n) * np.finfo(np.float64).eps * top
+    kept = np.zeros(r, dtype=bool)
+    kept[:keep.size] = keep
+    return left[:, kept], wt[:keep.size][keep], left[:, ~kept]
+
+
 def _latent_from_directions(u_kept: np.ndarray, w_kept: np.ndarray, u_deficient: np.ndarray,
                             basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """sqrt(n) U_k (basis W_k)^T, plus each deficient left direction paired
@@ -85,12 +100,26 @@ def latent_of(state: ModelState, labels: LabelSet, cfg: TrainConfig) -> np.ndarr
     """The r x n latent V at the R and M of ``state`` (the seeded start or a
     ``train`` result): the maximizer of the latent step there, each
     deficient direction completed from the seed's ``latent-completion``
-    stream.  ``train`` tracks only V G^T, which this V reproduces."""
-    patterns, counts, inverse = label_patterns(labels)
-    rows, gamma = _pattern_basis(patterns, counts, labels.n)
-    return _latent_from_directions(
-        *_latent_directions(state.rotation, state.label_proj, labels, gamma), rows[inverse],
-        component_rng(cfg.seed, "latent-completion"))
+    stream.  ``train`` tracks only V G^T, which this V reproduces.
+
+    The basis is the trainer's: the QR of the count-weighted distinct label
+    columns (``xmodhash.trainer._pattern_basis``), whose Q factor, scaled
+    back by each column's count, gives the distinct rows of the n x rho
+    basis Q'.  With one distinct column Gamma has no rows, and all r
+    directions are deficient.
+    """
+    rot, m = state.rotation, state.label_proj
+    r = rot.shape[0]
+    root = np.sqrt(labels.counts)[:, None]
+    q, tri = np.linalg.qr(np.hstack([root / np.sqrt(labels.n), root * labels.normalized.T]))
+    gamma = tri[1:, 1:]
+    if gamma.shape[0] == 0:
+        directions = np.empty((r, 0)), np.empty((0, 0)), np.eye(r)
+    else:
+        a = r * (rot.T @ (m @ labels.lgt))
+        directions = _split_directions(*np.linalg.svd(a @ gamma.T), labels.n)
+    return _latent_from_directions(*directions, (q[:, 1:] / root)[labels.index],
+                                   component_rng(cfg.seed, "latent-completion"))
 
 
 def init_collective(phix: Sequence[np.ndarray], labels: LabelSet,
@@ -101,7 +130,7 @@ def init_collective(phix: Sequence[np.ndarray], labels: LabelSet,
     which the starting objective reuses."""
     rot, m = init_state(labels, cfg)
     start = ModelState(rotation=rot, label_proj=m)
-    state = CollectiveState(**vars(start), codes=update_codes(m, labels),
+    state = CollectiveState(**vars(start), codes=update_codes(m, dense(labels)[0]),
                             latent=latent_of(start, labels, cfg))
     phi_vt = [phi @ state.latent.T for phi in phix]
     state.proj = [update_projection(pv, labels.n) for pv in phi_vt]
@@ -137,7 +166,7 @@ def update_latent(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
     maximizer whatever the spectrum, which keeps training monotone without
     comparing against the previous V.
     """
-    g = labels.normalized
+    g = dense(labels)[1]
     r = rot.shape[0]
     n = labels.n
     if rng is None:
@@ -165,7 +194,7 @@ def objective_value(state: CollectiveState, labels: LabelSet, cfg: TrainConfig,
     ||A^T C||^2 = trace((A A^T)(C C^T)) applied to A = R V and C = M L,
     plus the cross trace against the label Gram.
     """
-    l, g = labels.labels, labels.normalized
+    l, g = dense(labels)
     v, rot, m, b = state.latent, state.rotation, state.label_proj, state.codes
     r = rot.shape[0]
     ml = m @ l
@@ -202,7 +231,7 @@ def train_collective(phix: Sequence[np.ndarray], labels: LabelSet, cfg: TrainCon
     the end of the sweep before, from the phi_t V^T the objective just took,
     so no P is fit that no latent step reads.
     """
-    l, g = labels.labels, labels.normalized
+    l, g = dense(labels)
     # phi_t V^T serves the objective after a sweep and the next sweep's P step
     state, phi_vt = init_collective(phix, labels, cfg)
     completion_rng = component_rng(cfg.seed, "latent-completion")
@@ -217,7 +246,7 @@ def train_collective(phix: Sequence[np.ndarray], labels: LabelSet, cfg: TrainCon
             state.rotation = update_rotation(state.label_proj, labels, v_gt)
             state.latent = update_latent(state.rotation, state.label_proj, labels,
                                          phix, state.proj, cfg, lambdas, completion_rng)
-            state.codes = update_codes(state.label_proj, labels)
+            state.codes = update_codes(state.label_proj, l)
         except NumericalError as e:
             raise NumericalError(f"sweep {sweep}: {e}") from e
         phi_vt = [phi @ state.latent.T for phi in phix]

@@ -73,11 +73,17 @@ def random_labelset(rng, c, n, multi=False) -> LabelSet:
     return normalize_labels(dataio.RawLabelMatrix(l))
 
 
+def dense(labels: LabelSet) -> tuple[np.ndarray, np.ndarray]:
+    """The c x n label matrix L and its column-normalized G, rebuilt from
+    the distinct columns a ``LabelSet`` keeps."""
+    return labels.patterns[:, labels.index], labels.normalized[:, labels.index]
+
+
 def naive_objective(state, labels, cfg, phix=(), lambdas=()):
     """Dense objective evaluation that does materialize the n x n affinity;
     given features and weights, it adds lambda_t ||phi_t - P_t V||^2 with
     P_t from ``state.proj``."""
-    l, g = labels.labels, labels.normalized
+    l, g = dense(labels)
     r = state.rotation.shape[0]
     ml = state.label_proj @ l
     big = (state.rotation @ state.latent).T @ ml - r * (g.T @ g)
@@ -130,7 +136,7 @@ def semantic_affinity_block(labels: LabelSet, rows, cols) -> np.ndarray:
     for name, idx in (("rows", rows), ("cols", cols)):
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ValidationError(f"{name} indices out of range for {n} instances")
-    g = labels.normalized
+    g = dense(labels)[1]
     return g[:, rows].T @ g[:, cols]
 
 

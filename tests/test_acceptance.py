@@ -18,9 +18,9 @@ import pytest
 
 from collective_trainer import (CollectiveState, constraint_residuals, latent_of,
                                 objective_from_features, update_latent, update_projection)
-from conftest import (cli_env, fd_gradient, gradient_scale, naive_objective, oracle_map,
-                      pack_codes, random_feasible_latent, random_labelset, ranked_codes,
-                      relevance)
+from conftest import (cli_env, dense, fd_gradient, gradient_scale, naive_objective,
+                      oracle_map, pack_codes, random_feasible_latent, random_labelset,
+                      ranked_codes, relevance)
 from dense_fit import fit_kernel_dense, kernelize
 from xmodhash import dataio
 from xmodhash.dataio import FeatureMatrix, RawLabelMatrix
@@ -58,7 +58,7 @@ def _ridge_label_oracle(data):
              (data["km2"], data["phi2"], data["x2_q"])), start=1):
         gram = phi.T @ phi
         gram[np.diag_indices_from(gram)] += 1.0
-        w = np.linalg.solve(gram, phi.T @ data["labels"].labels.T)
+        w = np.linalg.solve(gram, phi.T @ data["lab_tr"].T)
         predicted[f"db{t}"] = phi @ w
         predicted[f"q{t}"] = kernelize(x_query, km) @ w
     result = {}
@@ -127,7 +127,7 @@ def test_criterion_1_constraint_suite():
         cfg = TrainConfig(r=r, seed=0)
         state, _ = train(labels, cfg)
         res = constraint_residuals(state, latent_of(state, labels, cfg),
-                                   update_codes(state.label_proj, labels))
+                                   update_codes(state.label_proj, raw.values))
         worst[r] = res
         assert res["rotation"] < 1e-8
         assert res["latent_gram"] < 1e-8 * 500
@@ -173,7 +173,7 @@ def test_criterion_3_substep_oracles():
     rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     cfg = TrainConfig(r=r, omega=0.5)
-    l, g = labels.labels, labels.normalized
+    l, g = dense(labels)
     m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
 
     def f_m(m):
@@ -212,16 +212,15 @@ def test_criterion_3_substep_oracles():
     rot_v = np.linalg.qr(rng.standard_normal((r_v, r_v)))[0]
     m_v = rng.standard_normal((r_v, c_v))
     v_hat = latent_of(ModelState(rotation=rot_v, label_proj=m_v), labels_v, cfg_v)
-    z = r_v * rot_v.T @ (m_v @ labels_v.lgt) @ labels_v.normalized
+    z = r_v * rot_v.T @ (m_v @ labels_v.lgt) @ dense(labels_v)[1]
     best_score = np.sum(v_hat * z)
     for _ in range(1000):
         assert np.sum(random_feasible_latent(rng, r_v, n_v) * z) \
             <= best_score + 1e-9 * abs(best_score)
 
     # B-step: exhaustive enumeration over all 4096 sign matrices
-    eye_labels = normalize_labels(RawLabelMatrix(np.eye(4)))
     m_b = rng.standard_normal((3, 4))
-    b_hat = update_codes(m_b, eye_labels)
+    b_hat = update_codes(m_b, np.eye(4))
     ours = np.sum((b_hat - m_b) ** 2)
     best = min(np.sum((np.array(cand).reshape(3, 4) - m_b) ** 2)
                for cand in itertools.product((-1.0, 1.0), repeat=12))
@@ -249,15 +248,15 @@ def test_criterion_4_dense_oracle_equivalence():
         cfg = TrainConfig(r=r, omega=rng.random())
         lambdas = (rng.random(),)
         fast = objective_from_features(state, labels, phix, cfg, lambdas)
-        dense = naive_objective(state, labels, cfg, phix, lambdas)
-        rel = abs(fast - dense) / abs(dense)
+        naive = naive_objective(state, labels, cfg, phix, lambdas)
+        rel = abs(fast - naive) / abs(naive)
         worst = max(worst, rel)
         assert rel < 1e-9
-        ours = objective_value(state.rotation, state.label_proj,
-                               state.latent @ labels.normalized.T,
-                               state.codes @ labels.labels.T, labels, cfg)
-        dense = naive_objective(state, labels, cfg)
-        rel = abs(ours - dense) / abs(dense)
+        l, g = dense(labels)
+        ours = objective_value(state.rotation, state.label_proj, state.latent @ g.T,
+                               state.codes @ l.T, labels, cfg)
+        naive = naive_objective(state, labels, cfg)
+        rel = abs(ours - naive) / abs(naive)
         worst = max(worst, rel)
         assert rel < 1e-9
     _report(4, worst < 1e-9, f"worst relative gap {worst:.2e} over 20 states, both objectives")
@@ -401,16 +400,17 @@ def test_criterion_10_real_data_reproduction():
     root = Path(data_dir)
     x1_tr = dataio.read_matrix(root / "train_img.amx")
     x2_tr = dataio.read_matrix(root / "train_txt.amx")
-    labels = normalize_labels(dataio.read_labels(root / "train_labels.amx"))
+    lab_tr = dataio.read_labels(root / "train_labels.amx")
+    labels = normalize_labels(lab_tr)
     x1_q = dataio.read_matrix(root / "query_img.amx")
     x2_q = dataio.read_matrix(root / "query_txt.amx")
     lab_q = dataio.read_labels(root / "query_labels.amx")
 
     enc, _, _ = fit_pipeline([x1_tr, x2_tr], labels, TrainConfig(r=128, seed=0), (500, 1000))
     i2t = evaluate(encode(x1_q, enc, 1), encode(x2_tr, enc, 2),
-                   lab_q.values, labels.labels)[0].value
+                   lab_q.values, lab_tr.values)[0].value
     t2i = evaluate(encode(x2_q, enc, 2), encode(x1_tr, enc, 1),
-                   lab_q.values, labels.labels)[0].value
+                   lab_q.values, lab_tr.values)[0].value
     ok = abs(i2t - 0.7523) <= 0.03 and abs(t2i - 0.8339) <= 0.03
     _report(10, ok, f"128-bit mAP i2t {i2t:.4f} (target 0.7523), "
                     f"t2i {t2i:.4f} (target 0.8339)")

@@ -205,7 +205,7 @@ def test_training_bits_reproduced_on_clean_data():
     labels = normalize_labels(raw)
     enc, state, _ = fit_pipeline([x1, x2], labels,
                                  TrainConfig(r=16, max_iters=10, seed=0), (40, 40))
-    codes = update_codes(state.label_proj, labels)
+    codes = update_codes(state.label_proj, raw.values)
     for modality, x in ((1, x1), (2, x2)):
         bits = unpack_codes(encode(x, enc, modality)).astype(np.float64)
         agreement = np.mean(bits == codes.T)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import semantic_affinity_block
+from conftest import dense, semantic_affinity_block
 from xmodhash import trainer
 from xmodhash.dataio import RawLabelMatrix
 from xmodhash.errors import ValidationError
-from xmodhash.labelspace import label_patterns, normalize_labels
+from xmodhash.labelspace import normalize_labels
 
 
 def labelset(values):
@@ -18,12 +18,12 @@ def labelset(values):
 
 def test_unit_column_is_fixed_point():
     ls = labelset([[1, 0], [0, 1], [0, 0]])
-    assert np.array_equal(ls.normalized[:, 0], [1, 0, 0])
+    assert np.array_equal(dense(ls)[1][:, 0], [1, 0, 0])
 
 
 def test_multi_label_column_normalized():
     ls = labelset([[1, 1], [1, 0], [0, 1]])
-    assert ls.normalized[:, 0] == pytest.approx([0.7071068, 0.7071068, 0.0], abs=1e-7)
+    assert dense(ls)[1][:, 0] == pytest.approx([0.7071068, 0.7071068, 0.0], abs=1e-7)
 
 
 def test_all_columns_unit_norm():
@@ -35,8 +35,10 @@ def test_all_columns_unit_norm():
 
 
 def test_grams_are_the_label_products():
-    ls = labelset([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 0, 1]])
-    l, g = ls.labels, ls.normalized
+    # the first and last columns repeat: the Grams sum over all n instances
+    l = np.array([[1, 1, 0, 1, 1], [0, 1, 1, 1, 0], [1, 0, 0, 1, 1]], dtype=float)
+    ls = labelset(l)
+    g = l / np.linalg.norm(l, axis=0)
     assert np.array_equal(ls.llt, l @ l.T)
     assert np.array_equal(ls.lgt, l @ g.T)
     assert np.array_equal(ls.ggt, g @ g.T)
@@ -51,12 +53,23 @@ def test_label_patterns_rebuild_the_labels(seed):
     l = (rng.random((c, n)) < rng.random()).astype(float)
     l[rng.integers(0, c, n), np.arange(n)] = 1.0
     ls = labelset(l)
-    patterns, counts, inverse = label_patterns(ls)
-    u = patterns.n
-    assert np.array_equal(patterns.labels[:, inverse], ls.labels)
-    assert np.array_equal(patterns.normalized[:, inverse], ls.normalized)
-    assert np.array_equal(counts, np.bincount(inverse, minlength=u))
-    assert len({col.tobytes() for col in patterns.labels.T}) == u
+    u = ls.patterns.shape[1]
+    assert ls.index.shape == (n,)
+    assert np.array_equal(ls.patterns[:, ls.index], l)
+    assert np.array_equal(ls.normalized[:, ls.index], l / np.linalg.norm(l, axis=0))
+    assert np.array_equal(ls.counts, np.bincount(ls.index, minlength=u))
+    assert len({col.tobytes() for col in ls.patterns.T}) == u
+
+
+def test_labelset_keeps_nothing_n_wide_but_the_index():
+    # 3 distinct columns over n instances: only the n-entry row index may grow
+    # with n; L and G as c x n float64 would add 160 bytes per instance
+    n = 30_000
+    l = np.tile(np.array([[1, 0, 1], [0, 1, 1]] + [[0, 0, 0]] * 8, dtype=float), n // 3)
+    ls = labelset(l)
+    assert ls.patterns.shape == (10, 3) and ls.n == n
+    arrays = [v for v in vars(ls).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 8 * n + 4096
 
 
 def test_identical_columns_have_affinity_one():
@@ -79,7 +92,7 @@ def test_disjoint_classes_have_zero_affinity():
 def test_affinity_matches_brute_force():
     ls = labelset([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     block = semantic_affinity_block(ls, range(3), range(3))
-    g = ls.normalized
+    g = dense(ls)[1]
     expected = np.array([[g[:, i] @ g[:, j] for j in range(3)] for i in range(3)])
     assert np.allclose(block, expected, atol=1e-15)
 

@@ -10,8 +10,8 @@ import collective_trainer
 from collective_trainer import (CollectiveState, constraint_residuals, init_collective,
                                 latent_of, objective_from_features, train_collective,
                                 update_latent, update_projection)
-from conftest import (fd_gradient, gradient_scale, naive_objective, random_feasible_latent,
-                      random_labelset)
+from conftest import (dense, fd_gradient, gradient_scale, naive_objective,
+                      random_feasible_latent, random_labelset)
 from xmodhash.errors import DegenerateDataError, ValidationError
 from xmodhash.rng import component_rng
 from xmodhash.trainer import (ModelState, TrainConfig, init_state, objective_value, train,
@@ -37,7 +37,7 @@ def _start_of(labels, cfg):
     """The seeded start's R_0 and M_0, its V_0, and B_0 = sign(M_0 L)."""
     rot, m = init_state(labels, cfg)
     start = ModelState(rotation=rot, label_proj=m)
-    return start, latent_of(start, labels, cfg), update_codes(m, labels)
+    return start, latent_of(start, labels, cfg), update_codes(m, dense(labels)[0])
 
 
 def test_init_satisfies_invariants():
@@ -95,7 +95,7 @@ def test_label_projection_gradient_vanishes():
     rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     cfg = TrainConfig(r=r, omega=0.7)
-    l, g = labels.labels, labels.normalized
+    l, g = dense(labels)
     m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
 
     def f(m):
@@ -115,7 +115,7 @@ def test_label_projection_single_class_matches_line_search():
     rot = np.linalg.qr(rng.standard_normal((r, r)))[0]
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     cfg = TrainConfig(r=r, omega=0.4)
-    l, g = labels.labels, labels.normalized
+    l, g = dense(labels)
     m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
 
     def f(m):
@@ -148,8 +148,9 @@ def test_label_projection_shape():
     v = random_feasible_latent(rng, 16, 40)
     rot = np.eye(16)
     b = np.where(rng.random((16, 40)) < 0.5, -1.0, 1.0)
-    assert update_label_projection(v @ labels.normalized.T, rot, b @ labels.labels.T,
-                                   labels, TrainConfig(r=16)).shape == (16, 5)
+    l, g = dense(labels)
+    assert update_label_projection(v @ g.T, rot, b @ l.T, labels,
+                                   TrainConfig(r=16)).shape == (16, 5)
 
 
 # -------------------------------------------------------------- update_rotation
@@ -157,7 +158,7 @@ def test_label_projection_shape():
 def _rotation_inputs(rng, r, c, n):
     labels = random_labelset(rng, c, n, multi=True)
     v = random_feasible_latent(rng, r, n)
-    l, g = labels.labels, labels.normalized
+    l, g = dense(labels)
     lead = r * (l @ g.T) @ (g @ v.T)          # c x r factor multiplying M from the right
     return labels, v, lead
 
@@ -166,7 +167,7 @@ def test_rotation_identity_target():
     rng = np.random.default_rng(8)
     labels, v, lead = _rotation_inputs(rng, 4, 6, 30)
     m = np.linalg.pinv(lead)                   # makes the Procrustes target I_r
-    assert np.allclose(update_rotation(m, labels, v @ labels.normalized.T), np.eye(4),
+    assert np.allclose(update_rotation(m, labels, v @ dense(labels)[1].T), np.eye(4),
                        atol=1e-8)
 
 
@@ -175,7 +176,7 @@ def test_rotation_orthogonal_target():
     labels, v, lead = _rotation_inputs(rng, 4, 6, 30)
     q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     m = q @ np.linalg.pinv(lead)
-    assert np.allclose(update_rotation(m, labels, v @ labels.normalized.T), q, atol=1e-8)
+    assert np.allclose(update_rotation(m, labels, v @ dense(labels)[1].T), q, atol=1e-8)
 
 
 def test_rotation_beats_random_rotations():
@@ -184,7 +185,7 @@ def test_rotation_beats_random_rotations():
     labels = random_labelset(rng, c, n, multi=True)
     v = random_feasible_latent(rng, r, n)
     m = rng.standard_normal((r, c))
-    l, g = labels.labels, labels.normalized
+    l, g = dense(labels)
     target = r * (m @ (l @ g.T)) @ (g @ v.T)
     best = update_rotation(m, labels, v @ g.T)
     best_trace = np.sum(best * target)
@@ -198,7 +199,7 @@ def test_rotation_is_orthogonal():
     rng = np.random.default_rng(11)
     labels = random_labelset(rng, 3, 25)
     v = random_feasible_latent(rng, 5, 25)
-    rot = update_rotation(rng.standard_normal((5, 3)), labels, v @ labels.normalized.T)
+    rot = update_rotation(rng.standard_normal((5, 3)), labels, v @ dense(labels)[1].T)
     assert np.abs(rot.T @ rot - np.eye(5)).max() < 1e-8
 
 
@@ -275,37 +276,27 @@ def test_latent_degenerate_error():
 
 # ----------------------------------------------------------------- update_codes
 
-def _identity_labelset(n):
-    eye = np.eye(n)
-    from xmodhash.dataio import RawLabelMatrix
-    from xmodhash.labelspace import normalize_labels
-    return normalize_labels(RawLabelMatrix(eye))
-
-
 def test_codes_hand_case():
-    labels = _identity_labelset(2)
     m = np.array([[0.5, -0.2], [0.0, 3.0]])
-    assert np.array_equal(update_codes(m, labels), [[1.0, -1.0], [1.0, 1.0]])
+    assert np.array_equal(update_codes(m, np.eye(2)), [[1.0, -1.0], [1.0, 1.0]])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_codes_elementwise_optimal(seed):
     rng = np.random.default_rng(seed)
-    labels = _identity_labelset(4)
     m = rng.standard_normal((3, 4))
-    b = update_codes(m, labels)
-    ml = m @ labels.labels
+    b = update_codes(m, np.eye(4))
+    ml = m @ np.eye(4)
     for flipped in (-1.0, 1.0):
         assert np.all((b - ml) ** 2 <= (flipped - ml) ** 2 + 1e-15)
 
 
 def test_codes_match_exhaustive_search():
     rng = np.random.default_rng(17)
-    labels = _identity_labelset(4)
     m = rng.standard_normal((3, 4))
-    b = update_codes(m, labels)
-    ml = m @ labels.labels
+    b = update_codes(m, np.eye(4))
+    ml = m @ np.eye(4)
     ours = np.sum((b - ml) ** 2)
     best = min(np.sum((np.array(cand).reshape(3, 4) - ml) ** 2)
                for cand in itertools.product((-1.0, 1.0), repeat=12))
@@ -315,8 +306,9 @@ def test_codes_match_exhaustive_search():
 # --------------------------------------------------------------- objective_value
 
 def _objective_of(state, latent, codes, labels, cfg):
-    return objective_value(state.rotation, state.label_proj, latent @ labels.normalized.T,
-                           codes @ labels.labels.T, labels, cfg)
+    l, g = dense(labels)
+    return objective_value(state.rotation, state.label_proj, latent @ g.T, codes @ l.T,
+                           labels, cfg)
 
 
 def _exact_fit_state():
@@ -356,9 +348,9 @@ def test_objective_nonnegative_and_matches_dense():
         cfg = TrainConfig(r=r, omega=rng.random())
         lambdas = (rng.random(),)
         fast = objective_from_features(state, labels, phix, cfg, lambdas)
-        dense = naive_objective(state, labels, cfg, phix, lambdas)
+        naive = naive_objective(state, labels, cfg, phix, lambdas)
         assert fast >= 0.0
-        assert fast == pytest.approx(dense, rel=1e-9)
+        assert fast == pytest.approx(naive, rel=1e-9)
         ours = _objective_of(state, v, state.codes, labels, cfg)
         assert ours >= 0.0
         assert ours == pytest.approx(naive_objective(state, labels, cfg), rel=1e-9)
@@ -453,7 +445,7 @@ def test_train_history_ends_at_objective_value(small_synth):
     state, report = train(labels, cfg)
     assert report.objective_history[-1] == pytest.approx(
         _objective_of(state, latent_of(state, labels, cfg),
-                      update_codes(state.label_proj, labels), labels, cfg), rel=1e-12)
+                      update_codes(state.label_proj, dense(labels)[0]), labels, cfg), rel=1e-12)
 
 
 def test_train_history_starts_at_objective_value(small_synth):
@@ -499,7 +491,7 @@ def test_train_final_state_feasible(small_synth):
     cfg = TrainConfig(r=12, max_iters=10, rel_tol=1e-30, seed=2)
     state, _ = train(labels, cfg)
     res = constraint_residuals(state, latent_of(state, labels, cfg),
-                               update_codes(state.label_proj, labels))
+                               update_codes(state.label_proj, dense(labels)[0]))
     assert res["rotation"] < 1e-8
     assert res["latent_gram"] < 1e-8 * labels.n
     assert res["latent_balance"] < 1e-6 * np.sqrt(labels.n)
@@ -515,8 +507,9 @@ def test_train_deterministic(small_synth):
     assert [f.name for f in fields(a_state)] == ["rotation", "label_proj"]
     assert a_state.label_proj.tobytes() == b_state.label_proj.tobytes()
     assert a_state.rotation.tobytes() == b_state.rotation.tobytes()
-    assert update_codes(a_state.label_proj, labels).tobytes() == \
-        update_codes(b_state.label_proj, labels).tobytes()
+    l = dense(labels)[0]
+    assert update_codes(a_state.label_proj, l).tobytes() == \
+        update_codes(b_state.label_proj, l).tobytes()
     assert a_report.objective_history == b_report.objective_history
 
 
@@ -529,7 +522,7 @@ def test_train_handles_multi_label_data():
     for prev, cur in zip(h, h[1:]):
         assert cur <= prev + 1e-9 * abs(prev)
     res = constraint_residuals(state, latent_of(state, labels, cfg),
-                               update_codes(state.label_proj, labels))
+                               update_codes(state.label_proj, dense(labels)[0]))
     assert res["latent_gram"] < 1e-8 * 120
     assert res["codes_binary"] == 0.0
 
@@ -568,12 +561,12 @@ def test_label_space_path_matches_full_trainer(case, r):
     cfg = TrainConfig(r=r, max_iters=6, rel_tol=1e-30, seed=4)
     full, full_report = train_collective(phix, labels, cfg, (0.0, 0.0))
     ours, report = train(labels, cfg)
-    latent, codes = latent_of(ours, labels, cfg), update_codes(ours.label_proj, labels)
+    l, g = dense(labels)
+    latent, codes = latent_of(ours, labels, cfg), update_codes(ours.label_proj, l)
 
     def assert_close(expected, got):
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    g = labels.normalized
     assert_close(full.label_proj, ours.label_proj)
     assert_close(full.latent @ g.T, latent @ g.T)
     # R is unique only when the Procrustes target has full rank r; the steps
@@ -607,7 +600,7 @@ def test_label_space_path_trains_on_one_label_pattern():
     ours, report = train(labels, cfg)
     assert np.allclose(report.objective_history, full_report.objective_history,
                        rtol=1e-12, atol=0.0)
-    codes = update_codes(ours.label_proj, labels)
+    codes = update_codes(ours.label_proj, dense(labels)[0])
     assert np.array_equal(codes, full.codes)
     res = constraint_residuals(ours, latent_of(ours, labels, cfg), codes)
     assert res["latent_gram"] < 1e-8 * 50
