@@ -192,9 +192,11 @@ def cmd_synth(v: dict) -> int:
 def cmd_train(v: dict) -> int:
     cfg = trainer.TrainConfig(r=v["bits"], omega=v["omega"], max_iters=v["max_iters"],
                               rel_tol=v["tol"], seed=v["seed"])
-    xs = [dataio.read_matrix(v["x1"]), dataio.read_matrix(v["x2"])]
-    labels = labelspace.normalize_labels(dataio.read_labels(v["labels"]))
-    enc, state, report = fit_pipeline(xs, labels, cfg, (v["k1"], v["k2"]), v["lambda_h"])
+    # the feature files stay open, their rows read in blocks by the kernel fit
+    with dataio.open_matrix(v["x1"]) as x1, dataio.open_matrix(v["x2"]) as x2:
+        labels = labelspace.normalize_labels(dataio.read_labels(v["labels"]))
+        enc, state, report = fit_pipeline([x1, x2], labels, cfg, (v["k1"], v["k2"]),
+                                          v["lambda_h"])
     dataio.save_model(to_archive(enc, state, report, cfg, v["lambda_h"]), v["out"])
     print(f"final objective {report.objective_history[-1]!r} "
           f"after {report.iterations_run} sweeps (converged={report.converged})")
@@ -210,12 +212,13 @@ def cmd_encode(v: dict) -> int:
     except ValidationError as e:
         raise type(e)(f"{v['model']}: {e}") from e
     del archive     # the encoder holds every array encode reads
-    features = v["features"]
+    features, dim = v["features"], enc.kernels[v["modality"] - 1].anchors.shape[1]
+    # errors met while the rows are read name the file themselves
     with dataio.open_matrix(features) as x:
-        try:
-            codes = encode(x, enc, v["modality"])
-        except ValidationError as e:    # the dimension, or rows read from the file
-            raise type(e)(f"{features}: {e}") from e
+        if x.dim != dim:
+            raise ValidationError(f"{features}: modality {v['modality']} expects "
+                                  f"{dim}-dimensional features, got {x.dim}")
+        codes = encode(x, enc, v["modality"])
     retrieval.write_codes(codes, v["out"])
     print(f"wrote {codes.n} codes of {codes.r} bits to {v['out']}")
     return 0

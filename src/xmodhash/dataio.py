@@ -29,12 +29,15 @@ holds about one copy, as reading a matrix or code file does.  One writer,
 
 A matrix file is opened as ``MatrixRows``, which checks the header and the
 declared payload size against the file's (no truncation, no trailing
-bytes) before it reads any row.  ``read_matrix`` and ``read_labels`` then
-read every row into one array.  ``open_matrix`` hands the rows to
-``encoder.encode`` instead, which reads them in blocks into one reused
-buffer, each block checked for NaN and Inf as it arrives, so an AMX1 file is
-hashed without ever holding its n x d matrix.  A CSV file, and a pipe, are
-still read whole.
+bytes) before it reads any row.  ``read_matrix`` and ``read_labels`` read
+every row into one array; label files are always read that way.
+``open_matrix`` hands the rows to ``train`` (``encoder.fit_pipeline``) and
+``encode`` instead.  They read them in blocks into one reused buffer, each
+block checked for NaN and Inf as it arrives, and gather the anchors and the
+width sample by row index, each in one such pass, so neither command ever
+holds a feature file's n x d matrix.  Every error found while the rows are read
+names the file.  A CSV file is still read whole, and a pipe's rest is read
+into memory first.
 """
 
 import contextlib
@@ -57,6 +60,9 @@ _HEADER_LEN = 24
 
 _CODE_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+
+# Values per block when ``MatrixRows.gather`` reads a file: 512 KB of float64.
+_GATHER_CELLS = 2 ** 16
 
 @dataclass
 class FeatureMatrix:
@@ -89,6 +95,10 @@ class FeatureMatrix:
         rows as views of the values."""
         for rows in _row_blocks(self.n, height):
             yield rows, self.values[rows]
+
+    def gather(self, idx: np.ndarray) -> np.ndarray:
+        """The rows ``idx`` (indices in 0..n-1), in that order, as a new array."""
+        return self.values[idx]
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -230,35 +240,58 @@ class MatrixRows:
     Making it checks the ``header`` just read from ``f`` and the declared
     payload size against the ``left`` bytes after it: fewer is a truncated
     payload, more are trailing bytes.  ``blocks`` then reads the rows in
-    blocks; ``read`` reads them all at once.  A file that ends early all the
-    same (it shrank while being read) is a ``FormatError`` either way.  The
-    messages do not name the file; whoever opened it by path adds that.
+    blocks, and ``gather`` picks rows by index; each starts again from the
+    first row.  ``read`` reads them all at once.  A file that ends early all
+    the same (it shrank while being read) is a ``FormatError`` either way.
+    Every message starts with ``path``, the file's name.
     """
 
-    def __init__(self, f: BinaryIO, left: int, header: bytes):
-        self.dtype, self.n, self.dim = _parse_header(header)
+    def __init__(self, f: BinaryIO, left: int, header: bytes, path):
+        self.path = path
+        self.dtype, self.n, self.dim = _in_file(path, _parse_header, header)
         self._f = f
+        self._start = f.tell()
         self._need = self.n * self.dim * self.dtype.itemsize
-        self._error = _payload_error(self.n, self.dim, self._need)
+        payload_error = _payload_error(self.n, self.dim, self._need)
+        self._error = lambda size: f"{path}: {payload_error(size)}"
         if left < self._need:
             raise FormatError(self._error(left))
         if left > self._need:
-            raise FormatError(f"{left - self._need} trailing bytes after AMX1 payload")
+            raise FormatError(f"{path}: {left - self._need} trailing bytes after AMX1 payload")
 
     def blocks(self, height: int):
-        """Yield (row slice, those rows) in blocks of ``height`` rows.
+        """Yield (row slice, those rows) in blocks of ``height`` rows, from row 0.
 
         Every block is read into one reused buffer and checked for NaN and
         Inf before it is yielded, so a caller keeps only what it derives
         from a block before asking for the next.
         """
+        self._f.seek(self._start)
         buf = np.empty((min(self.n, height), self.dim), dtype=self.dtype)
         row_bytes = self.dim * self.dtype.itemsize
         for rows in _row_blocks(self.n, height):
             block = buf[:rows.stop - rows.start]
             _fill(self._f, block, lambda got: self._error(rows.start * row_bytes + got))
-            _check_finite(block)
+            _in_file(self.path, _check_finite, block)
             yield rows, block
+
+    def gather(self, idx: np.ndarray) -> np.ndarray:
+        """The rows ``idx`` (indices in 0..n-1), in that order, as a new array.
+
+        One pass of ``blocks`` reads the whole file, checking every block,
+        and copies out the wanted rows of each in sorted order; they are
+        put back in ``idx``'s order as they are copied.  A block pass costs
+        far less than one seek and read per wanted row.
+        """
+        order = np.argsort(idx, kind="stable")
+        wanted = idx[order]
+        out = np.empty((len(idx), self.dim), dtype=self.dtype)
+        lo = 0
+        for rows, block in self.blocks(max(1, _GATHER_CELLS // self.dim)):
+            hi = int(np.searchsorted(wanted, rows.stop))
+            out[order[lo:hi]] = block[wanted[lo:hi] - rows.start]
+            lo = hi
+        return out
 
     def read(self) -> np.ndarray:
         """Every row, read into one new n x d array; the values are not checked."""
@@ -322,12 +355,12 @@ def _open_values(path):
         if header[:4] != AMX_MAGIC:
             yield _read_csv_matrix(header + raw.read(), path)
         else:
-            yield _in_file(path, MatrixRows, *_sized(raw), header)
+            yield MatrixRows(*_sized(raw), header, path)
 
 
 def _read_values(path) -> np.ndarray:
     with _open_values(path) as m:
-        return m if isinstance(m, np.ndarray) else _in_file(path, m.read)
+        return m if isinstance(m, np.ndarray) else m.read()
 
 
 def read_matrix(path) -> FeatureMatrix:
@@ -342,12 +375,13 @@ def read_labels(path) -> RawLabelMatrix:
 
 @contextlib.contextmanager
 def open_matrix(path):
-    """Open a feature file for ``encoder.encode``, for the length of a with-block.
+    """Open a feature file for ``encoder.fit_pipeline`` or ``encoder.encode``,
+    for the length of a with-block.
 
-    An AMX1 file gives its ``MatrixRows``, checked but not yet read; encode
-    reads its rows in blocks.  Errors found while they are read (NaN or Inf,
-    a file that shrank) do not name the file.  A CSV file gives a checked
-    ``FeatureMatrix``, read whole.
+    An AMX1 file gives its ``MatrixRows``, checked but not yet read; the
+    fit and encode read its rows in blocks.  Errors found while they are
+    read (NaN or Inf, a file that shrank) name the file.  A CSV file gives a
+    checked ``FeatureMatrix``, read whole.
     """
     with _open_values(path) as m:
         yield _in_file(path, FeatureMatrix, m) if isinstance(m, np.ndarray) else m

@@ -13,7 +13,7 @@ and ``from_archive`` rejects an archive with any other section or one
 missing.  ``dataio`` only frames them in the AMH1 container.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -76,19 +76,21 @@ def fit_ridge_encoder(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.nda
     return p
 
 
-def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig,
+def fit_pipeline(xs: Sequence[FeatureMatrix | MatrixRows], labels: LabelSet, cfg: TrainConfig,
                  k: Sequence[int],
                  ridge: float = 1.0) -> tuple[HashEncoder, ModelState, TrainReport]:
     """Fit a model on training rows: codes, then one kernel map and hash
     encoder per modality.
 
-    ``xs[t - 1]`` is modality t, fit with ``k[t - 1]`` anchors from modality
-    t's random streams of ``cfg.seed`` whatever its ``modality_id``.  Every
-    argument is checked before training starts.  Training reads the labels
-    only; the codes, sign(M l) once per distinct label column l, are
-    gathered by each row's column index as each modality's kernel fit
-    streams its rows into the ridge products, so nothing n x k or r x n is
-    ever built.
+    ``xs[t - 1]`` is modality t, a ``FeatureMatrix`` or the rows of an open
+    AMX1 file (``dataio.open_matrix``), fit with ``k[t - 1]`` anchors from
+    modality t's random streams of ``cfg.seed`` (a ``FeatureMatrix``'s
+    ``modality_id`` plays no part).  Every argument is checked before
+    training starts.
+    Training reads the labels only; the codes, sign(M l) once per distinct
+    label column l, are gathered by each row's column index as each
+    modality's kernel fit streams its rows into the ridge products, so
+    nothing n x d, n x k or r x n is ever built from a file's rows.
     """
     _check_ridge(ridge)
     if len(xs) != len(k):
@@ -103,7 +105,7 @@ def fit_pipeline(xs: Sequence[FeatureMatrix], labels: LabelSet, cfg: TrainConfig
     codes = np.ascontiguousarray(update_codes(state.label_proj, labels.patterns).T)
     kernels, proj = [], []
     for t, (x, k_t) in enumerate(zip(xs, k), start=1):
-        km, gram, rhs = fit_kernel(replace(x, modality_id=t), k_t, cfg.seed, codes, labels.index)
+        km, gram, rhs = fit_kernel(x, k_t, cfg.seed, codes, labels.index, modality=t)
         kernels.append(km)
         proj.append(fit_ridge_encoder(gram, rhs, ridge))
         del gram    # before the next modality's products are built

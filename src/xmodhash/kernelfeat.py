@@ -5,21 +5,24 @@ against anchor rows sampled from the training set, then zero-centered with
 the training-set column mean.  The mean is stored on the map so queries are
 centered with the same offset they would have seen at training time.
 
-The map runs in row blocks of at most _BLOCK_CELLS point-anchor cells, each
+The map runs in steps of at most _BLOCK_CELLS point-anchor cells, each
 computed in place: the squared distance ||x||^2 + ||a||^2 - 2 x.a (anchor
 norms cached on the map), clipped at 0, scaled, exponentiated and centered.
-Float32 rows are cast to float64 one block at a time, so working memory
-beyond the output is one block whatever the row count.  The rows come from
-the input's ``blocks`` method: views of an in-memory ``FeatureMatrix``, or
-blocks read from an AMX1 file as they are needed (``dataio.MatrixRows``).  Squared distances
-go straight into the exponent with no square root, so phi can differ from
+Float32 rows are cast to float64 one step at a time, so working memory
+beyond the output is one step whatever the row count.  The rows come from
+the input's ``blocks`` method one step at a time: views of an in-memory
+``FeatureMatrix``, or rows read from an AMX1 file as they are needed
+(``dataio.MatrixRows``).  The anchors and the width sample come from its
+``gather`` method, by row index.  Squared distances go straight into the
+exponent with no square root, so phi can differ from
 exp(-sqrt(d2)^2 / (2 sigma^2)) in the last ulp.
 
-The training pass never holds the n x k training features Phi.  It runs the
-rows once in blocks of _FIT_BLOCK_CELLS cells and adds each uncentered
-block's column sums, Gram and product with the codes into k, k x k and
-k x r accumulators.  Centering follows from Phi_c^T Phi_c = Phi^T Phi - n mu mu^T
-and Phi_c^T B = Phi^T B - mu (1^T B), with mu the column mean.
+The training pass never holds the n x d training rows or the n x k training
+features Phi.  It runs the rows once in blocks of _FIT_BLOCK_CELLS cells and
+adds each uncentered block's column sums, Gram and product with the codes
+into k, k x k and k x r accumulators.  Centering follows from
+Phi_c^T Phi_c = Phi^T Phi - n mu mu^T and Phi_c^T B = Phi^T B - mu (1^T B),
+with mu the column mean.
 """
 
 from dataclasses import dataclass, field, replace
@@ -75,8 +78,10 @@ class KernelMap:
         return self.anchors.shape[0]
 
 
-def select_anchors(x: FeatureMatrix, k: int, seed: int) -> np.ndarray:
-    """Sample k training rows uniformly without replacement.
+def select_anchors(x: FeatureMatrix | MatrixRows, k: int, seed: int,
+                   modality: int = 0) -> np.ndarray:
+    """Sample k training rows uniformly without replacement, from the random
+    stream of ``seed`` tagged with ``modality``.
 
     The sampled indices are distinct, but the rows need not be: data with
     duplicate rows can yield duplicate anchors and hence identical kernel
@@ -88,9 +93,9 @@ def select_anchors(x: FeatureMatrix, k: int, seed: int) -> np.ndarray:
         raise ValidationError(f"need at least one anchor, got k={k}")
     if k > n:
         raise ValidationError(f"cannot sample {k} anchors from {n} training rows")
-    rng = component_rng(seed, f"anchors-{x.modality_id}")
+    rng = component_rng(seed, f"anchors-{modality}")
     idx = rng.choice(n, size=k, replace=False)
-    return x.values[idx].astype(np.float64, copy=False)
+    return x.gather(idx).astype(np.float64, copy=False)
 
 
 def _distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -110,17 +115,19 @@ def _distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def estimate_width(x: FeatureMatrix, anchors: np.ndarray, seed: int = 0) -> float:
+def estimate_width(x: FeatureMatrix | MatrixRows, anchors: np.ndarray, seed: int = 0,
+                   modality: int = 0) -> float:
     """Kernel width heuristic: mean point-to-anchor distance over at most
-    _WIDTH_SAMPLE_CAP rows."""
+    _WIDTH_SAMPLE_CAP rows, sampled from the random stream of ``seed``
+    tagged with ``modality`` when there are more."""
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.ndim != 2 or anchors.shape[0] < 1:
         raise ValidationError("anchors must be a non-empty k x d matrix")
-    points = x.values
+    idx = np.arange(x.n)
     if x.n > _WIDTH_SAMPLE_CAP:
-        rng = component_rng(seed, f"width-sample-{x.modality_id}")
-        points = points[rng.choice(x.n, size=_WIDTH_SAMPLE_CAP, replace=False)]
-    points = points.astype(np.float64, copy=False)     # only the sampled rows
+        rng = component_rng(seed, f"width-sample-{modality}")
+        idx = rng.choice(x.n, size=_WIDTH_SAMPLE_CAP, replace=False)
+    points = x.gather(idx).astype(np.float64, copy=False)     # only the sampled rows
     sigma = float(_distances(points, anchors).mean())
     if sigma == 0.0:
         raise DegenerateDataError("all sampled points coincide with all anchors (width 0)")
@@ -145,41 +152,43 @@ def _kernel_blocks(x: FeatureMatrix | MatrixRows, km: KernelMap, cells: int | No
     """Yield (row slice, centered map of those rows), blocks of at most
     ``cells`` point-anchor cells (``_BLOCK_CELLS`` when None).
 
-    ``x`` is a ``FeatureMatrix`` or an AMX1 file's ``dataio.MatrixRows``;
-    its ``blocks`` method gives the rows, as views of the values or read
-    from the file as they are needed.  Every block is written into one
-    reused buffer, so a caller keeps only what it derives from a block
-    before asking for the next.  The map runs in steps of at most
-    _BLOCK_CELLS cells (one row minimum), and a block is a whole number of
-    steps counted from row 0, so every row is mapped in the same step, and
-    to the same bits, whatever the block size or source; the steps'
-    row-sized temporaries stay small.  The caller checks the feature
-    dimension.
+    ``x`` is a ``FeatureMatrix`` or an AMX1 file's ``dataio.MatrixRows``.
+    The map runs in steps of at most _BLOCK_CELLS cells (one row minimum),
+    and its ``blocks`` method gives the rows one step at a time, as views of
+    the values or read from the file as they are needed, so a file is read
+    into a buffer of one step's rows.  Each step is mapped straight into one
+    reused block buffer, so a caller keeps only what it derives from a block
+    before asking for the next.  A block is a whole number of steps counted
+    from row 0, so every row is mapped in the same step, and to the same
+    bits, whatever the block size or source; the steps' row-sized
+    temporaries stay small.  The caller checks the feature dimension.
     """
     step = max(1, _BLOCK_CELLS // km.k)
     height = step * max(1, (cells or _BLOCK_CELLS) // (step * km.k))
     buf = np.empty((min(x.n, height), km.k))
-    for rows, values in x.blocks(height):
-        block = buf[:len(values)]
-        for part in _row_blocks(len(values), step):
-            _kernel_block(values[part], km, block[part])
-        yield rows, block
+    for rows, values in x.blocks(step):
+        at = rows.start % height
+        end = at + len(values)
+        _kernel_block(values, km, buf[at:end])
+        if end == height or rows.stop == x.n:
+            yield slice(rows.stop - end, rows.stop), buf[:end]
 
 
-def fit_kernel(x: FeatureMatrix, k: int, seed: int, codes: np.ndarray,
-               index: np.ndarray) -> tuple[KernelMap, np.ndarray, np.ndarray]:
+def fit_kernel(x: FeatureMatrix | MatrixRows, k: int, seed: int, codes: np.ndarray,
+               index: np.ndarray, modality: int = 0) -> tuple[KernelMap, np.ndarray, np.ndarray]:
     """Anchors, width and one pass over the training rows: the map (centered
     on the training column mean mu) and the ridge products of its centered
     training features Phi_c with the codes B, Phi_c^T Phi_c (k x k) and
     Phi_c^T B (k x r).  Row i's code is ``codes[index[i]]``, one of the u
-    distinct code rows (u x r).
+    distinct code rows (u x r).  The anchors and the width sample come from
+    the random streams of ``seed`` tagged with ``modality``.
 
     The rows go through the map uncentered, one block at a time; the sums
     of each block are added into accumulators that every block reuses, so
-    the pass holds one block and nothing n x k or n x r.
+    the pass holds one block and nothing n x d, n x k or n x r.
     """
-    anchors = select_anchors(x, k, seed)
-    km = KernelMap(anchors, estimate_width(x, anchors, seed=seed), center=np.zeros(k))
+    anchors = select_anchors(x, k, seed, modality)
+    km = KernelMap(anchors, estimate_width(x, anchors, seed, modality), center=np.zeros(k))
     col_sum = np.zeros(k)
     gram, gram_blk = np.zeros((k, k)), np.empty((k, k))
     rhs, rhs_blk = np.zeros((k, codes.shape[1])), np.empty((k, codes.shape[1]))

@@ -40,7 +40,7 @@ class LabelSet:
 def normalize_labels(raw: RawLabelMatrix) -> LabelSet:
     """Divide every label column by its Euclidean norm, take the Grams, and
     keep the distinct columns."""
-    l = raw.values.astype(np.float64, copy=True)
+    l = np.ascontiguousarray(raw.values)     # float64 already; no copy of a read file's
     g = l / np.linalg.norm(l, axis=0, keepdims=True)
     # one packed byte string per instance sorts far faster than float columns
     bits = np.ascontiguousarray(np.packbits(l.astype(bool), axis=0).T)
