@@ -11,7 +11,7 @@ from .errors import (DegenerateDataError, EvaluationError, FormatError,
 from .kernelfeat import KernelMap, estimate_width, fit_kernel, select_anchors
 from .labelspace import LabelSet, normalize_labels
 from .retrieval import CodeSet, evaluate, rank_by_hamming, read_codes, write_codes
-from .trainer import (ModelState, TrainConfig, TrainReport, init_state, objective_value,
-                      train, update_codes, update_label_projection, update_rotation)
+from .trainer import (TrainConfig, TrainReport, init_state, objective_value, train,
+                      update_codes, update_label_projection)
 
 __version__ = "0.1.0"

@@ -195,9 +195,9 @@ def cmd_train(v: dict) -> int:
     # the feature files stay open, their rows read in blocks by the kernel fit
     with dataio.open_matrix(v["x1"]) as x1, dataio.open_matrix(v["x2"]) as x2:
         labels = labelspace.normalize_labels(dataio.read_labels(v["labels"]))
-        enc, state, report = fit_pipeline([x1, x2], labels, cfg, (v["k1"], v["k2"]),
-                                          v["lambda_h"])
-    dataio.save_model(to_archive(enc, state, report, cfg, v["lambda_h"]), v["out"])
+        enc, m, report = fit_pipeline([x1, x2], labels, cfg, (v["k1"], v["k2"]),
+                                      v["lambda_h"])
+    dataio.save_model(to_archive(enc, m, report, cfg, v["lambda_h"]), v["out"])
     print(f"final objective {report.objective_history[-1]!r} "
           f"after {report.iterations_run} sweeps (converged={report.converged})")
     return 0

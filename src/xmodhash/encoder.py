@@ -23,8 +23,7 @@ from .errors import FormatError, NumericalError, ValidationError
 from .kernelfeat import KernelMap, _kernel_blocks, fit_kernel
 from .labelspace import LabelSet
 from .retrieval import CodeSet, _pack_bits, words_per_code
-from .trainer import (ModelState, TrainConfig, TrainReport, check_code_length, train,
-                      update_codes)
+from .trainer import TrainConfig, TrainReport, check_code_length, train, update_codes
 
 
 @dataclass
@@ -78,9 +77,9 @@ def fit_ridge_encoder(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.nda
 
 def fit_pipeline(xs: Sequence[FeatureMatrix | MatrixRows], labels: LabelSet, cfg: TrainConfig,
                  k: Sequence[int],
-                 ridge: float = 1.0) -> tuple[HashEncoder, ModelState, TrainReport]:
-    """Fit a model on training rows: codes, then one kernel map and hash
-    encoder per modality.
+                 ridge: float = 1.0) -> tuple[HashEncoder, np.ndarray, TrainReport]:
+    """Fit a model on training rows: the label projection M and the codes,
+    then one kernel map and hash encoder per modality.
 
     ``xs[t - 1]`` is modality t, a ``FeatureMatrix`` or the rows of an open
     AMX1 file (``dataio.open_matrix``), fit with ``k[t - 1]`` anchors from
@@ -101,21 +100,21 @@ def fit_pipeline(xs: Sequence[FeatureMatrix | MatrixRows], labels: LabelSet, cfg
             raise ValidationError(f"x{t} has {x.n} instances but labels have {labels.n}")
         if not 1 <= k_t <= x.n:
             raise ValidationError(f"modality {t} needs 1 to {x.n} anchors, got k={k_t}")
-    state, report = train(labels, cfg)
-    codes = np.ascontiguousarray(update_codes(state.label_proj, labels.patterns).T)
+    m, report = train(labels, cfg)
+    codes = np.ascontiguousarray(update_codes(m, labels.patterns).T)
     kernels, proj = [], []
     for t, (x, k_t) in enumerate(zip(xs, k), start=1):
         km, gram, rhs = fit_kernel(x, k_t, cfg.seed, codes, labels.index, modality=t)
         kernels.append(km)
         proj.append(fit_ridge_encoder(gram, rhs, ridge))
         del gram    # before the next modality's products are built
-    return HashEncoder(proj=proj, kernels=kernels), state, report
+    return HashEncoder(proj=proj, kernels=kernels), m, report
 
 
 #: Matrix sections of a two-modality model archive, in the order ``to_archive``
 #: writes them; none scales with n.
 REQUIRED_SECTIONS = (
-    "R", "M", "Ph_1", "Ph_2",
+    "M", "Ph_1", "Ph_2",
     "anchors_1", "anchors_2", "kcenter_1", "kcenter_2",
 )
 
@@ -127,7 +126,7 @@ REQUIRED_METADATA = (
 )
 
 
-def to_archive(enc: HashEncoder, state: ModelState, report: TrainReport,
+def to_archive(enc: HashEncoder, m: np.ndarray, report: TrainReport,
                cfg: TrainConfig, ridge: float) -> ModelArchive:
     """The AMH1 sections and metadata of a fitted two-modality model.  No
     section scales with n: training builds neither the latent V nor the
@@ -136,7 +135,7 @@ def to_archive(enc: HashEncoder, state: ModelState, report: TrainReport,
         raise ValidationError(f"a model archive holds 2 modalities, got {len(enc.kernels)}")
     km1, km2 = enc.kernels
     values = (
-        state.rotation, state.label_proj, *enc.proj,
+        m, *enc.proj,
         km1.anchors, km2.anchors, km1.center.reshape(1, -1), km2.center.reshape(1, -1),
     )
     return ModelArchive(

@@ -41,7 +41,7 @@ def normalize_labels(raw: RawLabelMatrix) -> LabelSet:
     """Divide every label column by its Euclidean norm, take the Grams, and
     keep the distinct columns."""
     l = np.ascontiguousarray(raw.values)     # float64 already; no copy of a read file's
-    g = l / np.linalg.norm(l, axis=0, keepdims=True)
+    g = l / np.sqrt(l.sum(axis=0, keepdims=True))     # 0/1 entries: ||l||^2 = sum(l)
     # one packed byte string per instance sorts far faster than float columns
     bits = np.ascontiguousarray(np.packbits(l.astype(bool), axis=0).T)
     keys = bits.view(f"V{bits.shape[1]}").ravel()

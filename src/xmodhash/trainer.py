@@ -1,36 +1,41 @@
 """Alternating optimization of binary codes from the training labels.
 
 The model couples a shared latent matrix V (r x n, decorrelated and
-balanced: V V^T = n I, V 1 = 0), a square rotation R, a label projection M
-and discrete codes B.  One training sweep updates M, R, V and B in turn,
-each to the exact minimizer of its subproblem, so the objective
+balanced: V V^T = n I, V 1 = 0), a label projection M and discrete codes
+B.  One training sweep updates M, V and B in turn, each to the exact
+minimizer of its subproblem, so the objective
 
-    ||(R V)^T (M L) - r G^T G||_F^2 + omega ||B - M L||_F^2
+    ||V^T (M L) - r G^T G||_F^2 + omega ||B - M L||_F^2
 
 never increases.
+
+The paper's factorization also carries a square rotation R, with V^T
+replaced by (R V)^T.  It is left out because it changes nothing: R enters
+only through R V, and R V is balanced and decorrelated whenever V is, so
+the latent step's optimal R V is the same for every R and M, B and every
+objective value follow the same path without it.  (A rotation matters when
+the codes are sign(R V), as in ITQ; here they are sign(M L).)  V here is
+the paper's R V.
 
 Training reads the labels only, as a ``LabelSet``: the u distinct label
 columns, their counts and the c x c label Grams.  The codes are
 B = sign(M L), shared by every instance with the same label vector, and V
-reaches the M and R steps only through V G^T (r x c).  So training forms
-neither V nor B: one QR of the centered, count-weighted distinct columns,
-taken once, reduces the latent step to an r x rho SVD, and
-||(R V)^T M L||^2 = n ||M L||^2 because V V^T = n I.  The start draws only
-R and M; the latent and code steps at that R and M give the starting
-V G^T and B L^T.  Every term is a c x c or r x r contraction and nothing
-is r x n or n x n, which keeps training linear in the number of
-instances.  Training returns R and M only: nothing after it reads V, and
-the ridge fit reads each row's code sign(M l) from the row's distinct
-label column l.
+reaches the M step only through V G^T (r x c).  So training forms neither
+V nor B: one QR of the centered, count-weighted distinct columns, taken
+once, reduces the latent step to an r x rho SVD, and
+||V^T M L||^2 = n ||M L||^2 because V V^T = n I.  The start draws only M;
+the latent and code steps at that M give the starting V G^T and B L^T.
+Every term is a c x c or r x r contraction and nothing is r x n or n x n,
+which keeps training linear in the number of instances.  Training returns
+M only: nothing after it reads V, and the ridge fit reads each row's code
+sign(M l) from the row's distinct label column l.
 
 This is the paper's collective factorization with the feature
 reconstruction weights fixed at 0.  The tests keep the full factorization,
-which forms V and each phi_t V^T every sweep, as the reference this trainer
-must match: from the same seed it reaches the same M, codes and objective
-history, to rounding.  R can differ where the Procrustes target has rank
-below r: any rotation of that null space is optimal, and no later step
-reads it.  The tests also rebuild the final V from the trained R and M to
-check it against the constraints.
+R included, which forms V and each phi_t V^T every sweep, as the reference
+this trainer must match: from the same seed it reaches the same M, codes,
+R V G^T and objective history, to rounding.  The tests also rebuild the
+final V from the trained M to check it against the constraints.
 """
 
 from dataclasses import dataclass
@@ -62,15 +67,6 @@ class TrainConfig:
 
 
 @dataclass
-class ModelState:
-    """The trained factors: R and M.  Neither the latent V nor the codes
-    B = sign(M L) are kept (see the module docstring)."""
-
-    rotation: np.ndarray         # R, r x r orthogonal
-    label_proj: np.ndarray       # M, r x c
-
-
-@dataclass
 class TrainReport:
     objective_history: list[float]   # the start's objective, then one per sweep
     converged: bool
@@ -78,11 +74,6 @@ class TrainReport:
     @property
     def iterations_run(self) -> int:
         return len(self.objective_history) - 1
-
-
-def _haar_orthogonal(rng: np.random.Generator, r: int) -> np.ndarray:
-    q, rr = np.linalg.qr(rng.standard_normal((r, r)))
-    return q * np.sign(np.diag(rr))
 
 
 def check_code_length(r: int, n: int) -> None:
@@ -93,17 +84,18 @@ def check_code_length(r: int, n: int) -> None:
             f"(the balanced latent constraints are infeasible otherwise), got n={n}")
 
 
-def init_state(labels: LabelSet, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded start: a Haar rotation R_0 (r x r), then a Gaussian label
-    projection M_0 (r x c), drawn in that order from one stream.  ``train``
-    takes the starting V and B from the latent and code steps at them."""
+def init_state(labels: LabelSet, cfg: TrainConfig) -> np.ndarray:
+    """The seeded start: a Gaussian label projection M_0 (r x c), drawn from
+    the seed's ``init`` stream after r x r discarded normals.  ``train``
+    takes the starting V and B from the latent and code steps at it."""
     check_code_length(cfg.r, labels.n)
     rng = component_rng(cfg.seed, "init")
-    return _haar_orthogonal(rng, cfg.r), rng.standard_normal((cfg.r, labels.c))
+    rng.standard_normal((cfg.r, cfg.r))    # the rotation R_0 took these; keeps each seed's codes
+    return rng.standard_normal((cfg.r, labels.c))
 
 
-def update_label_projection(v_gt: np.ndarray, rot: np.ndarray, b_lt: np.ndarray,
-                            labels: LabelSet, cfg: TrainConfig) -> np.ndarray:
+def update_label_projection(v_gt: np.ndarray, b_lt: np.ndarray, labels: LabelSet,
+                            cfg: TrainConfig) -> np.ndarray:
     """Closed-form minimizer of the affinity and quantization terms in M.
 
     V and B enter only through V G^T and B L^T (r x c each), and the normal
@@ -111,7 +103,7 @@ def update_label_projection(v_gt: np.ndarray, rot: np.ndarray, b_lt: np.ndarray,
     label Gram solvable when some class is empty.
     """
     r = v_gt.shape[0]
-    rhs = r * ((rot @ v_gt) @ labels.lgt.T) + cfg.omega * b_lt
+    rhs = r * (v_gt @ labels.lgt.T) + cfg.omega * b_lt
     gram = (labels.n + cfg.omega) * labels.llt
     gram[np.diag_indices_from(gram)] += 1e-6 * np.trace(labels.llt) / labels.c
     try:
@@ -127,33 +119,21 @@ def update_label_projection(v_gt: np.ndarray, rot: np.ndarray, b_lt: np.ndarray,
     return m
 
 
-def update_rotation(m: np.ndarray, labels: LabelSet, v_gt: np.ndarray) -> np.ndarray:
-    """Orthogonal Procrustes step: maximize trace(R^T C) over rotations; V
-    enters only through V G^T."""
-    r = v_gt.shape[0]
-    c_mat = r * (m @ labels.lgt) @ v_gt.T          # r x r, no n x n factor
-    try:
-        left, _, right_t = np.linalg.svd(c_mat)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"rotation SVD did not converge: {e}") from e
-    return left @ right_t
-
-
 def update_codes(m: np.ndarray, l: np.ndarray) -> np.ndarray:
     """Elementwise optimal quantization of the label embedding of the 0/1
     label columns ``l``; sign(0) = +1."""
     return np.where(m @ l >= 0, 1.0, -1.0)
 
 
-def objective_value(rot: np.ndarray, m: np.ndarray, v_gt: np.ndarray, b_lt: np.ndarray,
-                    labels: LabelSet, cfg: TrainConfig) -> float:
-    """The training objective from R, M, V G^T and B L^T, without forming any
-    n-sized matrix: V V^T = n I gives ||(R V)^T M L||^2 = n ||M L||^2, +-1
+def objective_value(m: np.ndarray, v_gt: np.ndarray, b_lt: np.ndarray, labels: LabelSet,
+                    cfg: TrainConfig) -> float:
+    """The training objective from M, V G^T and B L^T, without forming any
+    n-sized matrix: V V^T = n I gives ||V^T M L||^2 = n ||M L||^2, +-1
     codes give ||B||^2 = r n, and the cross terms are r x c contractions."""
     n, r = labels.n, cfg.r
     ml_sq = float(np.sum((m @ labels.llt) * m))    # ||M L||^2
     affinity = (n * ml_sq
-                - 2.0 * r * float(np.sum(rot * ((m @ labels.lgt) @ v_gt.T)))
+                - 2.0 * r * float(np.sum((m @ labels.lgt) * v_gt))
                 + r * r * float(np.sum(labels.ggt * labels.ggt)))
     quantization = cfg.omega * (r * n - 2.0 * float(np.sum(m * b_lt)) + ml_sq)
     return affinity + quantization
@@ -185,10 +165,9 @@ def _pattern_basis(labels: LabelSet) -> np.ndarray:
     return tri[1:, 1:]
 
 
-def _latent_step(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
-                 gamma: np.ndarray) -> np.ndarray:
+def _latent_step(m: np.ndarray, labels: LabelSet, gamma: np.ndarray) -> np.ndarray:
     """The latent step: maximize the linear score <V, Z> over balanced
-    decorrelated V, for Z = A G with A = r R^T M L G^T; returns V G^T.
+    decorrelated V, for Z = A G with A = r M L G^T; returns V G^T.
 
     Y, Z with its rows centered, is (A Gamma^T) Q'^T (see ``_pattern_basis``),
     so the r x rho SVD A Gamma^T = U S W^T gives the maximizer
@@ -199,10 +178,10 @@ def _latent_step(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
     distinct label column Gamma has no rows: Y = 0, every V is optimal,
     and V G^T = 0.
     """
-    r, n = rot.shape[0], labels.n
+    r, n = m.shape[0], labels.n
     if gamma.shape[0] == 0:
         return np.zeros((r, labels.c))
-    a = r * (rot.T @ (m @ labels.lgt))
+    a = r * (m @ labels.lgt)
     try:
         left, singvals, wt = np.linalg.svd(a @ gamma.T)
     except np.linalg.LinAlgError as e:
@@ -213,14 +192,15 @@ def _latent_step(rot: np.ndarray, m: np.ndarray, labels: LabelSet,
     return np.sqrt(n) * (left[:, :keep.size][:, keep] @ wt[:keep.size][keep]) @ gamma
 
 
-def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
-    """Run full sweeps of the updates until the objective stalls.
+def train(labels: LabelSet, cfg: TrainConfig) -> tuple[np.ndarray, TrainReport]:
+    """Run full sweeps of the updates until the objective stalls; returns M
+    (r x c) and the report.
 
     The sweeps track V G^T and B L^T, summed over the distinct label
-    columns (see the module docstring).  Sweep 0 is the start: R and M
-    come from ``init_state``, and only the latent and code steps run, so V
-    and B start at their joint minimizer for that R and M.  Every later
-    sweep updates M, R, V and B in turn.  Completion directions are
+    columns (see the module docstring).  Sweep 0 is the start: M comes
+    from ``init_state``, and only the latent and code steps run, so V and
+    B start at their joint minimizer for that M.  Every later sweep
+    updates M, V and B in turn.  Completion directions are
     orthogonal to the kept ones and to 1_n; once the kept ones span the
     centered labels, as they do unless A Gamma^T loses rank, they add
     nothing to V G^T.  Neither V nor B is built.  The history records the
@@ -228,22 +208,20 @@ def train(labels: LabelSet, cfg: TrainConfig) -> tuple[ModelState, TrainReport]:
     decrease falls below ``cfg.rel_tol`` stops the loop.  Identical inputs
     and seed reproduce the final state bitwise on a given platform.
     """
-    rot, m = init_state(labels, cfg)
+    m = init_state(labels, cfg)
     gamma = _pattern_basis(labels)
     history = []
     converged = False
     for sweep in range(cfg.max_iters + 1):
         try:
             if sweep:
-                m = update_label_projection(v_gt, rot, b_lt, labels, cfg)
-                rot = update_rotation(m, labels, v_gt)
-            v_gt = _latent_step(rot, m, labels, gamma)
+                m = update_label_projection(v_gt, b_lt, labels, cfg)
+            v_gt = _latent_step(m, labels, gamma)
             b_lt = (update_codes(m, labels.patterns) * labels.counts) @ labels.patterns.T
         except NumericalError as e:
             raise NumericalError(f"sweep {sweep}: {e}") from e
-        history.append(objective_value(rot, m, v_gt, b_lt, labels, cfg))
+        history.append(objective_value(m, v_gt, b_lt, labels, cfg))
         if sweep and _stalled(history, cfg):
             converged = True
             break
-    return (ModelState(rotation=rot, label_proj=m),
-            TrainReport(objective_history=history, converged=converged))
+    return m, TrainReport(objective_history=history, converged=converged)

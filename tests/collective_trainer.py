@@ -4,14 +4,17 @@ It adds to the training objective a feature reconstruction term per modality,
 
     sum_t lambda_t ||phi(X_t) - P_t V||_F^2,
 
-with a projection P_t (k_t x r) per modality, and every sweep forms the
+with a projection P_t (k_t x r) per modality, and keeps the paper's square
+rotation R, so the affinity term reads (R V)^T M L.  Every sweep forms the
 r x n latent matrix V and each phi_t V^T.  One sweep updates P, M, R, V and
-B in turn, each to the exact minimizer of its subproblem; the M, R and B
-steps are the trainer's own.  At lambda = 0 the features drop out, and
-``train``, which forms neither V nor B, must reach the same M, codes
-sign(M L) and objective history from the same seed.  ``latent_of`` builds the V that ``train``
-leaves out from R and M: at the seeded start, for both trainers, and at
-``train``'s final R and M, for the feasibility checks.
+B in turn, each to the exact minimizer of its subproblem; the M and B
+steps are the trainer's own, fed R V G^T, and the R step is an orthogonal
+Procrustes SVD.  At lambda = 0 the features drop out, and ``train``, which
+has no R and forms neither V nor B, must reach the same M, codes sign(M L),
+R V G^T and objective history from the same seed: its V is this one's R V.
+``latent_of`` builds the V that ``train`` leaves out from R and M: at the
+seeded start, for both trainers, and at ``train``'s final M (R = I), for
+the feasibility checks.
 """
 
 from dataclasses import dataclass, field
@@ -23,30 +26,56 @@ from conftest import dense
 from xmodhash.errors import DegenerateDataError, NumericalError
 from xmodhash.labelspace import LabelSet
 from xmodhash.rng import component_rng
-from xmodhash.trainer import (ModelState, TrainConfig, TrainReport, _stalled, init_state,
-                              update_codes, update_label_projection, update_rotation)
+from xmodhash.trainer import (TrainConfig, TrainReport, _stalled, check_code_length,
+                              update_codes, update_label_projection)
 
 
 @dataclass
-class CollectiveState(ModelState):
+class CollectiveState:
+    rotation: np.ndarray                                   # R, r x r orthogonal
+    label_proj: np.ndarray                                 # M, r x c
     codes: np.ndarray                                      # B, r x n, entries exactly +-1
     latent: np.ndarray                                     # V, r x n
     proj: list[np.ndarray] = field(default_factory=list)  # P_t, k_t x r
 
 
-def constraint_residuals(state: ModelState, v: np.ndarray,
-                         codes: np.ndarray) -> dict[str, float]:
-    """Max-norm residuals of the feasibility constraints of ``state``, its
-    latent V and its codes B (a ``CollectiveState``'s own, or for a ``train``
-    result ``latent_of`` it and sign(M L))."""
-    rot = state.rotation
+def constraint_residuals(v: np.ndarray, codes: np.ndarray) -> dict[str, float]:
+    """Max-norm residuals of the feasibility constraints of a latent V and
+    codes B (a ``CollectiveState``'s own, or for a ``train`` result the V
+    ``latent_of`` rebuilds and sign(M L))."""
     r, n = v.shape
     return {
-        "rotation": float(np.abs(rot.T @ rot - np.eye(r)).max()),
         "latent_gram": float(np.abs(v @ v.T - n * np.eye(r)).max()),
         "latent_balance": float(np.linalg.norm(v @ np.ones(n))),
         "codes_binary": float(np.abs(np.abs(codes) - 1.0).max()),
     }
+
+
+def _haar_orthogonal(rng: np.random.Generator, r: int) -> np.ndarray:
+    q, rr = np.linalg.qr(rng.standard_normal((r, r)))
+    return q * np.sign(np.diag(rr))
+
+
+def init_rotation_and_projection(labels: LabelSet,
+                                 cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded start: a Haar rotation R_0 (r x r), then a Gaussian label
+    projection M_0 (r x c), drawn in that order from the seed's ``init``
+    stream; ``xmodhash.trainer.init_state`` draws the same M_0."""
+    check_code_length(cfg.r, labels.n)
+    rng = component_rng(cfg.seed, "init")
+    return _haar_orthogonal(rng, cfg.r), rng.standard_normal((cfg.r, labels.c))
+
+
+def update_rotation(m: np.ndarray, labels: LabelSet, v_gt: np.ndarray) -> np.ndarray:
+    """Orthogonal Procrustes step: maximize trace(R^T C) over rotations; V
+    enters only through V G^T."""
+    r = v_gt.shape[0]
+    c_mat = r * (m @ labels.lgt) @ v_gt.T          # r x r, no n x n factor
+    try:
+        left, _, right_t = np.linalg.svd(c_mat)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"rotation SVD did not converge: {e}") from e
+    return left @ right_t
 
 
 def _complete_balanced_basis(rng: np.random.Generator, n: int, count: int,
@@ -96,11 +125,13 @@ def _latent_from_directions(u_kept: np.ndarray, w_kept: np.ndarray, u_deficient:
     return np.sqrt(n) * v
 
 
-def latent_of(state: ModelState, labels: LabelSet, cfg: TrainConfig) -> np.ndarray:
-    """The r x n latent V at the R and M of ``state`` (the seeded start or a
-    ``train`` result): the maximizer of the latent step there, each
-    deficient direction completed from the seed's ``latent-completion``
-    stream.  ``train`` tracks only V G^T, which this V reproduces.
+def latent_of(m: np.ndarray, labels: LabelSet, cfg: TrainConfig,
+              rot: np.ndarray | None = None) -> np.ndarray:
+    """The r x n latent V at M and the rotation ``rot`` (the seeded start),
+    or at a ``train`` result's M with no rotation (R = I): the maximizer of
+    the latent step there, each deficient direction completed from the
+    seed's ``latent-completion`` stream.  ``train`` tracks only V G^T,
+    which the V at R = I reproduces.
 
     The basis is the trainer's: the QR of the count-weighted distinct label
     columns (``xmodhash.trainer._pattern_basis``), whose Q factor, scaled
@@ -108,15 +139,14 @@ def latent_of(state: ModelState, labels: LabelSet, cfg: TrainConfig) -> np.ndarr
     basis Q'.  With one distinct column Gamma has no rows, and all r
     directions are deficient.
     """
-    rot, m = state.rotation, state.label_proj
-    r = rot.shape[0]
+    r = m.shape[0]
     root = np.sqrt(labels.counts)[:, None]
     q, tri = np.linalg.qr(np.hstack([root / np.sqrt(labels.n), root * labels.normalized.T]))
     gamma = tri[1:, 1:]
     if gamma.shape[0] == 0:
         directions = np.empty((r, 0)), np.empty((0, 0)), np.eye(r)
     else:
-        a = r * (rot.T @ (m @ labels.lgt))
+        a = r * (m @ labels.lgt if rot is None else rot.T @ (m @ labels.lgt))
         directions = _split_directions(*np.linalg.svd(a @ gamma.T), labels.n)
     return _latent_from_directions(*directions, (q[:, 1:] / root)[labels.index],
                                    component_rng(cfg.seed, "latent-completion"))
@@ -124,14 +154,13 @@ def latent_of(state: ModelState, labels: LabelSet, cfg: TrainConfig) -> np.ndarr
 
 def init_collective(phix: Sequence[np.ndarray], labels: LabelSet,
                     cfg: TrainConfig) -> tuple[CollectiveState, list[np.ndarray]]:
-    """The trainer's start: its seeded R_0 and M_0, B_0 = sign(M_0 L), and the
-    V_0 that ``latent_of`` builds at them, so both trainers start from the
-    same point; plus projections fit to it, and each modality's phi_t V^T,
-    which the starting objective reuses."""
-    rot, m = init_state(labels, cfg)
-    start = ModelState(rotation=rot, label_proj=m)
-    state = CollectiveState(**vars(start), codes=update_codes(m, dense(labels)[0]),
-                            latent=latent_of(start, labels, cfg))
+    """The seeded R_0 and M_0, B_0 = sign(M_0 L), and the V_0 that
+    ``latent_of`` builds at them: ``train``'s start, with R_0 V_0 in the
+    place of its V_0.  Plus projections fit to V_0, and each modality's
+    phi_t V^T, which the starting objective reuses."""
+    rot, m = init_rotation_and_projection(labels, cfg)
+    state = CollectiveState(rotation=rot, label_proj=m, codes=update_codes(m, dense(labels)[0]),
+                            latent=latent_of(m, labels, cfg, rot=rot))
     phi_vt = [phi @ state.latent.T for phi in phix]
     state.proj = [update_projection(pv, labels.n) for pv in phi_vt]
     return state, phi_vt
@@ -242,7 +271,7 @@ def train_collective(phix: Sequence[np.ndarray], labels: LabelSet, cfg: TrainCon
         try:
             v_gt = state.latent @ g.T
             state.label_proj = update_label_projection(
-                v_gt, state.rotation, state.codes @ l.T, labels, cfg)
+                state.rotation @ v_gt, state.codes @ l.T, labels, cfg)
             state.rotation = update_rotation(state.label_proj, labels, v_gt)
             state.latent = update_latent(state.rotation, state.label_proj, labels,
                                          phix, state.proj, cfg, lambdas, completion_rng)

@@ -234,10 +234,17 @@ def test_encode_zero_dimension_features_is_exit_2(synth_dir, tmp_path, capsys):
     assert "declares a 18446744073709551615x0 matrix" in err
 
 
-def _rename_section_r(path):
+def _rename_section_m(path):
     buf = path.read_bytes()
-    at = buf.index(b"\x01\x00\x00\x00R") + 4    # the one-byte name of section "R"
+    at = buf.index(b"\x01\x00\x00\x00M") + 4    # the one-byte name of section "M"
     path.write_bytes(buf[:at] + b"\xff" + buf[at + 1:])
+
+
+def _add_section_r(path):
+    # the layout written while training kept the rotation R: retrain
+    archive = dataio.load_model(path)
+    archive.sections = {"R": np.eye(8), **archive.sections}
+    dataio.save_model(archive, path)
 
 
 def _malform_sigma(path):
@@ -275,14 +282,15 @@ def _inf_sigma_1(path):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (_rename_section_r, "unknown section name"),
+    (_rename_section_m, "unknown section name"),
+    (_add_section_r, "unknown section name 'R'"),
     (_malform_sigma, "metadata sigma_1 is not a number"),
     (_truncate_ph_1, "modality 1: 10 projection rows, 16 anchors"),
     (_nan_ph_1, "modality 1: projection contains NaN or Inf entries"),
     (_inf_sigma_1, "kernel width must be finite and positive, got inf"),
     (_inf_kcenter_1, "kernel center contains NaN or Inf entries"),
     (_stack_kcenter_1, "section kcenter_1 is 2x16, expected 1x16"),
-    (_cut_to_200_bytes, "section 'R': truncated AMX1 payload: declared 8x8 needs 512 bytes, "
+    (_cut_to_200_bytes, "section 'M': truncated AMX1 payload: declared 8x3 needs 192 bytes, "
                         "163 available"),
 ])
 def test_encode_corrupt_archive_is_exit_2(synth_dir, tmp_path, capsys, corrupt, message):

@@ -274,8 +274,8 @@ def test_model_unknown_section_is_format_error(tmp_path):
     path = tmp_path / "m.amh"
     save_model(archive, path)
     buf = bytearray(path.read_bytes())
-    # rename the serialized "R" section so the loader sees an unknown name
-    idx = buf.find(b"\x01\x00\x00\x00R")
+    # rename the serialized "M" section so the loader sees an unknown name
+    idx = buf.find(b"\x01\x00\x00\x00M")
     assert idx >= 0
     buf[idx + 4] = ord("Q")
     path.write_bytes(bytes(buf))
@@ -286,9 +286,9 @@ def test_model_unknown_section_is_format_error(tmp_path):
 
 
 def test_model_missing_section_is_format_error(tmp_path):
-    # serialize an archive that simply leaves "R" out
+    # serialize an archive that simply leaves "M" out
     archive = _tiny_archive()
-    del archive.sections["R"]
+    del archive.sections["M"]
     parts = [b"AMH1", struct.pack("<I", len(archive.sections) + 1)]
     for name, values in archive.sections.items():
         encoded = name.encode()
@@ -297,12 +297,12 @@ def test_model_missing_section_is_format_error(tmp_path):
     parts += [struct.pack("<I", 4), b"meta", meta]
     path = tmp_path / "m.amh"
     path.write_bytes(b"".join(parts))
-    with pytest.raises(FormatError, match="archive missing mandatory sections: R"):
+    with pytest.raises(FormatError, match="archive missing mandatory sections: M"):
         from_archive(load_model(path))
 
 
 @pytest.mark.parametrize("old, new", [
-    (b"\x01\x00\x00\x00R", b"\x01\x00\x00\x00\xff"),    # section name
+    (b"\x01\x00\x00\x00M", b"\x01\x00\x00\x00\xff"),    # section name
     (b"seed=", b"se\xffd="),                                 # metadata
 ])
 def test_model_non_utf8_text_is_format_error(tmp_path, old, new):

@@ -203,9 +203,9 @@ def test_training_bits_reproduced_on_clean_data():
     # synthetic data, so the 95% floor leaves plenty of margin
     x1, x2, raw = generate_synthetic(150, 5, 10, 8, 0.0, seed=0)
     labels = normalize_labels(raw)
-    enc, state, _ = fit_pipeline([x1, x2], labels,
-                                 TrainConfig(r=16, max_iters=10, seed=0), (40, 40))
-    codes = update_codes(state.label_proj, raw.values)
+    enc, m, _ = fit_pipeline([x1, x2], labels, TrainConfig(r=16, max_iters=10, seed=0),
+                             (40, 40))
+    codes = update_codes(m, raw.values)
     for modality, x in ((1, x1), (2, x2)):
         bits = unpack_codes(encode(x, enc, modality)).astype(np.float64)
         agreement = np.mean(bits == codes.T)
@@ -231,8 +231,8 @@ def fitted():
     x1, x2, raw = generate_synthetic(120, 4, 10, 8, 0.3, seed=5)
     cfg = TrainConfig(r=16, max_iters=4, seed=5)
     labels = normalize_labels(raw)
-    enc, state, report = fit_pipeline([x1, x2], labels, cfg, (30, 40), ridge=0.7)
-    return {"xs": (x1, x2), "labels": labels, "cfg": cfg, "enc": enc, "state": state,
+    enc, m, report = fit_pipeline([x1, x2], labels, cfg, (30, 40), ridge=0.7)
+    return {"xs": (x1, x2), "labels": labels, "cfg": cfg, "enc": enc, "m": m,
             "report": report}
 
 
@@ -248,7 +248,7 @@ def test_fit_pipeline_takes_the_modality_from_the_position(fitted):
 
 def test_archive_round_trip_encodes_identically(fitted, tmp_path):
     path = tmp_path / "m.amh"
-    save_model(to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"],
+    save_model(to_archive(fitted["enc"], fitted["m"], fitted["report"], fitted["cfg"],
                           0.7), path)
     loaded = from_archive(load_model(path))
     for modality, x in enumerate(fitted["xs"], start=1):
@@ -259,7 +259,7 @@ def test_archive_round_trip_encodes_identically(fitted, tmp_path):
 def test_archive_with_reconstruction_weights_encodes_identically(fitted, tmp_path):
     # archives written while training took the weights lambda_1 and lambda_2
     # still carry them; nothing reads them, so they load and encode as before
-    archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
+    archive = to_archive(fitted["enc"], fitted["m"], fitted["report"], fitted["cfg"], 0.7)
     archive.metadata.update(lambda_1="0.0", lambda_2="0.0")
     save_model(archive, tmp_path / "old.amh")
     loaded = from_archive(load_model(tmp_path / "old.amh"))
@@ -269,7 +269,7 @@ def test_archive_with_reconstruction_weights_encodes_identically(fitted, tmp_pat
 
 
 def test_to_archive_writes_the_required_layout(fitted):
-    archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
+    archive = to_archive(fitted["enc"], fitted["m"], fitted["report"], fitted["cfg"], 0.7)
     assert tuple(archive.sections) == REQUIRED_SECTIONS
     n = fitted["labels"].n
     assert all(n not in values.shape for values in archive.sections.values())
@@ -285,7 +285,7 @@ def test_to_archive_writes_the_required_layout(fitted):
     (lambda a: a.sections.update(P_1=np.zeros((30, 16))), "unknown section name 'P_1'"),
 ])
 def test_from_archive_checks_the_layout(fitted, edit, message):
-    archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
+    archive = to_archive(fitted["enc"], fitted["m"], fitted["report"], fitted["cfg"], 0.7)
     edit(archive)
     with pytest.raises(FormatError) as caught:
         from_archive(archive)
@@ -295,14 +295,14 @@ def test_from_archive_checks_the_layout(fitted, edit, message):
 def test_to_archive_names_the_modality_count(fitted):
     x1, x2 = fitted["xs"]
     cfg = TrainConfig(r=8, max_iters=2)
-    enc, state, report = fit_pipeline([x1, x2, x1], fitted["labels"], cfg, (10, 10, 10))
+    enc, m, report = fit_pipeline([x1, x2, x1], fitted["labels"], cfg, (10, 10, 10))
     with pytest.raises(ValidationError, match="a model archive holds 2 modalities, got 3"):
-        to_archive(enc, state, report, cfg, 1.0)
+        to_archive(enc, m, report, cfg, 1.0)
 
 
 @pytest.mark.parametrize("value", ["x.149", "", "abc"])
 def test_from_archive_bad_sigma_is_format_error(fitted, value):
-    archive = to_archive(fitted["enc"], fitted["state"], fitted["report"], fitted["cfg"], 0.7)
+    archive = to_archive(fitted["enc"], fitted["m"], fitted["report"], fitted["cfg"], 0.7)
     archive.metadata["sigma_2"] = value
     with pytest.raises(FormatError, match="sigma_2"):
         from_archive(archive)

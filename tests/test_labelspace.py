@@ -35,13 +35,20 @@ def test_all_columns_unit_norm():
 
 
 def test_grams_are_the_label_products():
-    # the first and last columns repeat: the Grams sum over all n instances
-    l = np.array([[1, 1, 0, 1, 1], [0, 1, 1, 1, 0], [1, 0, 0, 1, 1]], dtype=float)
-    ls = labelset(l)
-    g = l / np.linalg.norm(l, axis=0)
-    assert np.array_equal(ls.llt, l @ l.T)
-    assert np.array_equal(ls.lgt, l @ g.T)
-    assert np.array_equal(ls.ggt, g @ g.T)
+    # the first and last columns repeat: the Grams sum over all n instances;
+    # the second case has up to 24 labels per column.  G, built from the 0/1
+    # column sums, must equal bit for bit G divided by the columns' norms
+    rng = np.random.default_rng(3)
+    many = (rng.random((24, 4000)) < rng.random((1, 4000))).astype(float)
+    many[rng.integers(0, 24, 4000), np.arange(4000)] = 1.0
+    for l in (np.array([[1, 1, 0, 1, 1], [0, 1, 1, 1, 0], [1, 0, 0, 1, 1]], dtype=float),
+              many):
+        ls = labelset(l)
+        g = l / np.linalg.norm(l, axis=0, keepdims=True)
+        assert dense(ls)[1].tobytes() == g.tobytes()
+        assert ls.llt.tobytes() == (l @ l.T).tobytes()
+        assert ls.lgt.tobytes() == (l @ g.T).tobytes()
+        assert ls.ggt.tobytes() == (g @ g.T).tobytes()
 
 
 @settings(max_examples=30, deadline=None)

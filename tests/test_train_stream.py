@@ -43,8 +43,8 @@ def test_gather_returns_the_rows_in_index_order(monkeypatch, tmp_path, dtype):
 
 
 def _archive_bytes(xs, labels, cfg, k, path):
-    enc, state, report = fit_pipeline(xs, labels, cfg, k, ridge=0.7)
-    save_model(to_archive(enc, state, report, cfg, 0.7), path)
+    enc, m, report = fit_pipeline(xs, labels, cfg, k, ridge=0.7)
+    save_model(to_archive(enc, m, report, cfg, 0.7), path)
     return path.read_bytes()
 
 

@@ -8,43 +8,46 @@ from hypothesis import strategies as st
 
 import collective_trainer
 from collective_trainer import (CollectiveState, constraint_residuals, init_collective,
-                                latent_of, objective_from_features, train_collective,
-                                update_latent, update_projection)
+                                init_rotation_and_projection, latent_of,
+                                objective_from_features, train_collective, update_latent,
+                                update_projection, update_rotation)
 from conftest import (dense, fd_gradient, gradient_scale, naive_objective,
                       random_feasible_latent, random_labelset)
 from xmodhash.errors import DegenerateDataError, ValidationError
 from xmodhash.rng import component_rng
-from xmodhash.trainer import (ModelState, TrainConfig, init_state, objective_value, train,
-                              update_codes, update_label_projection, update_rotation)
+from xmodhash.trainer import (TrainConfig, init_state, objective_value, train, update_codes,
+                              update_label_projection)
 
 
 # ---------------------------------------------------------------- init_state
 
 def test_init_is_deterministic():
-    # R_0 and M_0 are the first r x r and r x c draws of the seed's init stream
+    # M_0 is the r x c draw after the first r x r of the seed's init stream,
+    # which give the reference trainer's R_0: both trainers start at one M_0
     rng = np.random.default_rng(0)
     labels = random_labelset(rng, 3, 20)
-    rot, m = init_state(labels, TrainConfig(r=4, seed=7))
-    again = init_state(labels, TrainConfig(r=4, seed=7))
-    assert [a.tobytes() for a in again] == [rot.tobytes(), m.tobytes()]
+    m = init_state(labels, TrainConfig(r=4, seed=7))
+    assert init_state(labels, TrainConfig(r=4, seed=7)).tobytes() == m.tobytes()
     stream = component_rng(7, "init")
     q, rr = np.linalg.qr(stream.standard_normal((4, 4)))
-    assert rot.tobytes() == (q * np.sign(np.diag(rr))).tobytes()
     assert m.tobytes() == stream.standard_normal((4, 3)).tobytes()
+    rot, m_ref = init_rotation_and_projection(labels, TrainConfig(r=4, seed=7))
+    assert rot.tobytes() == (q * np.sign(np.diag(rr))).tobytes()
+    assert m_ref.tobytes() == m.tobytes()
 
 
 def _start_of(labels, cfg):
-    """The seeded start's R_0 and M_0, its V_0, and B_0 = sign(M_0 L)."""
-    rot, m = init_state(labels, cfg)
-    start = ModelState(rotation=rot, label_proj=m)
-    return start, latent_of(start, labels, cfg), update_codes(m, dense(labels)[0])
+    """The seeded start's M_0, its V_0, and B_0 = sign(M_0 L)."""
+    m = init_state(labels, cfg)
+    return m, latent_of(m, labels, cfg), update_codes(m, dense(labels)[0])
 
 
 def test_init_satisfies_invariants():
     rng = np.random.default_rng(1)
     labels = random_labelset(rng, 4, 50)
-    res = constraint_residuals(*_start_of(labels, TrainConfig(r=8, seed=1)))
-    assert res["rotation"] < 1e-8
+    res = constraint_residuals(*_start_of(labels, TrainConfig(r=8, seed=1))[1:])
+    rot = init_rotation_and_projection(labels, TrainConfig(r=8, seed=1))[0]
+    assert np.abs(rot.T @ rot - np.eye(8)).max() < 1e-8
     assert res["latent_gram"] < 1e-8 * 50
     assert res["latent_balance"] < 1e-6 * np.sqrt(50)
     assert res["codes_binary"] == 0.0
@@ -96,7 +99,7 @@ def test_label_projection_gradient_vanishes():
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     cfg = TrainConfig(r=r, omega=0.7)
     l, g = dense(labels)
-    m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
+    m_hat = update_label_projection(rot @ v @ g.T, b @ l.T, labels, cfg)
 
     def f(m):
         big = (rot @ v).T @ (m @ l) - r * (g.T @ g)
@@ -116,7 +119,7 @@ def test_label_projection_single_class_matches_line_search():
     b = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
     cfg = TrainConfig(r=r, omega=0.4)
     l, g = dense(labels)
-    m_hat = update_label_projection(v @ g.T, rot, b @ l.T, labels, cfg)
+    m_hat = update_label_projection(rot @ v @ g.T, b @ l.T, labels, cfg)
 
     def f(m):
         big = (rot @ v).T @ (m @ l) - r * (g.T @ g)
@@ -146,14 +149,13 @@ def test_label_projection_shape():
     rng = np.random.default_rng(7)
     labels = random_labelset(rng, 5, 40)
     v = random_feasible_latent(rng, 16, 40)
-    rot = np.eye(16)
     b = np.where(rng.random((16, 40)) < 0.5, -1.0, 1.0)
     l, g = dense(labels)
-    assert update_label_projection(v @ g.T, rot, b @ l.T, labels,
+    assert update_label_projection(v @ g.T, b @ l.T, labels,
                                    TrainConfig(r=16)).shape == (16, 5)
 
 
-# -------------------------------------------------------------- update_rotation
+# --------------------------------------- update_rotation (reference trainer)
 
 def _rotation_inputs(rng, r, c, n):
     labels = random_labelset(rng, c, n, multi=True)
@@ -305,10 +307,9 @@ def test_codes_match_exhaustive_search():
 
 # --------------------------------------------------------------- objective_value
 
-def _objective_of(state, latent, codes, labels, cfg):
+def _objective_of(m, latent, codes, labels, cfg):
     l, g = dense(labels)
-    return objective_value(state.rotation, state.label_proj, latent @ g.T, codes @ l.T,
-                           labels, cfg)
+    return objective_value(m, latent @ g.T, codes @ l.T, labels, cfg)
 
 
 def _exact_fit_state():
@@ -329,8 +330,8 @@ def test_objective_zero_at_exact_fit():
     cfg = TrainConfig(r=2, omega=0.3)
     assert objective_from_features(state, labels, phix, cfg, (0.8,)) == pytest.approx(
         0.0, abs=1e-8)
-    assert _objective_of(state, state.latent, state.codes, labels, cfg) == pytest.approx(
-        0.0, abs=1e-8)
+    assert _objective_of(state.label_proj, state.latent, state.codes, labels,
+                         cfg) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_objective_nonnegative_and_matches_dense():
@@ -351,7 +352,7 @@ def test_objective_nonnegative_and_matches_dense():
         naive = naive_objective(state, labels, cfg, phix, lambdas)
         assert fast >= 0.0
         assert fast == pytest.approx(naive, rel=1e-9)
-        ours = _objective_of(state, v, state.codes, labels, cfg)
+        ours = _objective_of(state.label_proj, rot @ v, state.codes, labels, cfg)
         assert ours >= 0.0
         assert ours == pytest.approx(naive_objective(state, labels, cfg), rel=1e-9)
 
@@ -409,7 +410,7 @@ def test_train_keeps_every_latent_direction_at_full_rank(small_synth, monkeypatc
                                 small_synth["labels"], cfg, (0.5, 0.5))
     assert at_start == [1]
     assert len(completions) == 1, "latent step completed a full-rank score matrix"
-    res = constraint_residuals(state, state.latent, state.codes)
+    res = constraint_residuals(state.latent, state.codes)
     n = small_synth["labels"].n
     assert res["latent_gram"] < 1e-8 * n
     assert res["latent_balance"] < 1e-6 * np.sqrt(n)
@@ -440,12 +441,12 @@ def test_train_history_ends_at_objective_value(small_synth):
     state, report = train_collective(phix, labels, cfg, (0.5, 0.5))
     assert report.objective_history[-1] == objective_from_features(
         state, labels, phix, cfg, (0.5, 0.5))
-    # the sweeps track V G^T, and the V rebuilt from the final R and M
-    # matches it to rounding
-    state, report = train(labels, cfg)
+    # the sweeps track V G^T, and the V rebuilt from the final M matches it
+    # to rounding
+    m, report = train(labels, cfg)
     assert report.objective_history[-1] == pytest.approx(
-        _objective_of(state, latent_of(state, labels, cfg),
-                      update_codes(state.label_proj, dense(labels)[0]), labels, cfg), rel=1e-12)
+        _objective_of(m, latent_of(m, labels, cfg), update_codes(m, dense(labels)[0]),
+                      labels, cfg), rel=1e-12)
 
 
 def test_train_history_starts_at_objective_value(small_synth):
@@ -463,8 +464,8 @@ def test_train_history_starts_at_objective_value(small_synth):
 
 @pytest.mark.parametrize("case", ["single-label", "multi-label", "one pattern"])
 def test_train_starts_at_the_latent_and_code_minimizer(case):
-    # the start's V and B are the joint minimizer at the seeded R_0 and M_0:
-    # no random feasible V and B there do better
+    # the start's V and B are the joint minimizer at the seeded M_0: no
+    # random feasible V and B there do better
     rng = np.random.default_rng(33)
     n, r = 60, 6
     if case == "one pattern":
@@ -478,21 +479,18 @@ def test_train_starts_at_the_latent_and_code_minimizer(case):
     cfg = TrainConfig(r=r, max_iters=1, seed=8)
     _, report = train(labels, cfg)
     start = report.objective_history[0]
-    rot, m = init_state(labels, cfg)
-    at_start = ModelState(rotation=rot, label_proj=m)
+    m = init_state(labels, cfg)
     for _ in range(50):
         codes = np.where(rng.random((r, n)) < 0.5, -1.0, 1.0)
-        worse = _objective_of(at_start, random_feasible_latent(rng, r, n), codes, labels, cfg)
+        worse = _objective_of(m, random_feasible_latent(rng, r, n), codes, labels, cfg)
         assert start <= worse + 1e-9 * abs(worse)
 
 
 def test_train_final_state_feasible(small_synth):
     labels = small_synth["labels"]
     cfg = TrainConfig(r=12, max_iters=10, rel_tol=1e-30, seed=2)
-    state, _ = train(labels, cfg)
-    res = constraint_residuals(state, latent_of(state, labels, cfg),
-                               update_codes(state.label_proj, dense(labels)[0]))
-    assert res["rotation"] < 1e-8
+    m, _ = train(labels, cfg)
+    res = constraint_residuals(latent_of(m, labels, cfg), update_codes(m, dense(labels)[0]))
     assert res["latent_gram"] < 1e-8 * labels.n
     assert res["latent_balance"] < 1e-6 * np.sqrt(labels.n)
     assert res["codes_binary"] == 0.0
@@ -501,15 +499,13 @@ def test_train_final_state_feasible(small_synth):
 def test_train_deterministic(small_synth):
     cfg = TrainConfig(r=8, max_iters=6, rel_tol=1e-30, seed=5)
     labels = small_synth["labels"]
-    a_state, a_report = train(labels, cfg)
-    b_state, b_report = train(labels, cfg)
-    # the model is R and M; the codes are rebuilt from M
-    assert [f.name for f in fields(a_state)] == ["rotation", "label_proj"]
-    assert a_state.label_proj.tobytes() == b_state.label_proj.tobytes()
-    assert a_state.rotation.tobytes() == b_state.rotation.tobytes()
+    a_m, a_report = train(labels, cfg)
+    b_m, b_report = train(labels, cfg)
+    # the model is M alone; the codes are rebuilt from it
+    assert isinstance(a_m, np.ndarray) and a_m.shape == (8, labels.c)
+    assert a_m.tobytes() == b_m.tobytes()
     l = dense(labels)[0]
-    assert update_codes(a_state.label_proj, l).tobytes() == \
-        update_codes(b_state.label_proj, l).tobytes()
+    assert update_codes(a_m, l).tobytes() == update_codes(b_m, l).tobytes()
     assert a_report.objective_history == b_report.objective_history
 
 
@@ -517,12 +513,11 @@ def test_train_handles_multi_label_data():
     rng = np.random.default_rng(21)
     labels = random_labelset(rng, 4, 120, multi=True)
     cfg = TrainConfig(r=8, max_iters=5, rel_tol=1e-30, seed=3)
-    state, report = train(labels, cfg)
+    m, report = train(labels, cfg)
     h = report.objective_history
     for prev, cur in zip(h, h[1:]):
         assert cur <= prev + 1e-9 * abs(prev)
-    res = constraint_residuals(state, latent_of(state, labels, cfg),
-                               update_codes(state.label_proj, dense(labels)[0]))
+    res = constraint_residuals(latent_of(m, labels, cfg), update_codes(m, dense(labels)[0]))
     assert res["latent_gram"] < 1e-8 * 120
     assert res["codes_binary"] == 0.0
 
@@ -543,6 +538,41 @@ def _repeated_patterns(rng, c, n, u):
     return normalize_labels(RawLabelMatrix(patterns[:, rng.integers(0, u, n)].astype(float)))
 
 
+def assert_close(expected, got):
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("case, r", [("single-label", 12), ("c above r", 4)])
+def test_reference_with_rotation_frozen_at_identity_matches(case, r, monkeypatch):
+    # the rotation only ever multiplies V, and R V is feasible whenever V is,
+    # so the latent step's optimal R V, and with it M, the codes and every
+    # objective value, are the same for every R: freezing R at I, with R_0's
+    # draws still taken, changes none of them
+    rng = np.random.default_rng(34)
+    n = 240
+    labels = (random_labelset(rng, 4, n) if case == "single-label"
+              else random_labelset(rng, 12, n, multi=True))
+    phix = [rng.standard_normal((6, n)), rng.standard_normal((5, n))]
+    cfg = TrainConfig(r=r, max_iters=6, rel_tol=1e-30, seed=4)
+    procrustes, procrustes_report = train_collective(phix, labels, cfg, (0.0, 0.0))
+
+    def identity_start(stream, size):
+        stream.standard_normal((size, size))    # R_0's draws, so M_0 stays the same
+        return np.eye(size)
+
+    monkeypatch.setattr(collective_trainer, "_haar_orthogonal", identity_start)
+    monkeypatch.setattr(collective_trainer, "update_rotation", lambda *_: np.eye(r))
+    frozen, frozen_report = train_collective(phix, labels, cfg, (0.0, 0.0))
+    assert np.array_equal(frozen.rotation, np.eye(r))
+    assert not np.allclose(procrustes.rotation, np.eye(r))
+    g = dense(labels)[1]
+    assert_close(procrustes.label_proj, frozen.label_proj)
+    assert_close(procrustes.rotation @ procrustes.latent @ g.T, frozen.latent @ g.T)
+    assert np.array_equal(procrustes.codes, frozen.codes)
+    assert np.allclose(frozen_report.objective_history, procrustes_report.objective_history,
+                       rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("case, r", [
     ("single-label", 12), ("multi-label", 8), ("c above r", 4), ("repeated patterns", 10),
 ])
@@ -560,26 +590,17 @@ def test_label_space_path_matches_full_trainer(case, r):
     phix = [rng.standard_normal((6, n)), rng.standard_normal((5, n))]
     cfg = TrainConfig(r=r, max_iters=6, rel_tol=1e-30, seed=4)
     full, full_report = train_collective(phix, labels, cfg, (0.0, 0.0))
-    ours, report = train(labels, cfg)
+    m, report = train(labels, cfg)
     l, g = dense(labels)
-    latent, codes = latent_of(ours, labels, cfg), update_codes(ours.label_proj, l)
-
-    def assert_close(expected, got):
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-
-    assert_close(full.label_proj, ours.label_proj)
-    assert_close(full.latent @ g.T, latent @ g.T)
-    # R is unique only when the Procrustes target has full rank r; the steps
-    # read it only through R V G^T and R^T M, which are unique either way
-    assert_close(full.rotation @ full.latent @ g.T, ours.rotation @ latent @ g.T)
-    if case == "c above r":
-        assert_close(full.rotation, ours.rotation)
+    latent, codes = latent_of(m, labels, cfg), update_codes(m, l)
+    assert_close(full.label_proj, m)
+    # train's V is the reference's R V
+    assert_close(full.rotation @ full.latent @ g.T, latent @ g.T)
     assert np.array_equal(full.codes, codes)
     assert np.allclose(report.objective_history, full_report.objective_history,
                        rtol=1e-12, atol=0.0)
     assert (report.iterations_run, report.converged) == (6, False)
-    res = constraint_residuals(ours, latent, codes)
-    assert res["rotation"] < 1e-8
+    res = constraint_residuals(latent, codes)
     assert res["latent_gram"] < 1e-8 * n
     assert res["latent_balance"] < 1e-6 * np.sqrt(n)
     assert res["codes_binary"] == 0.0
@@ -597,12 +618,12 @@ def test_label_space_path_trains_on_one_label_pattern():
     phix = [rng.standard_normal((4, 50)), rng.standard_normal((3, 50))]
     cfg = TrainConfig(r=4, max_iters=3, rel_tol=1e-30, seed=0)
     full, full_report = train_collective(phix, labels, cfg, (0.0, 0.0))
-    ours, report = train(labels, cfg)
+    m, report = train(labels, cfg)
     assert np.allclose(report.objective_history, full_report.objective_history,
                        rtol=1e-12, atol=0.0)
-    codes = update_codes(ours.label_proj, dense(labels)[0])
+    codes = update_codes(m, dense(labels)[0])
     assert np.array_equal(codes, full.codes)
-    res = constraint_residuals(ours, latent_of(ours, labels, cfg), codes)
+    res = constraint_residuals(latent_of(m, labels, cfg), codes)
     assert res["latent_gram"] < 1e-8 * 50
     assert res["latent_balance"] < 1e-6 * np.sqrt(50)
 
