@@ -5,9 +5,13 @@ against anchor rows sampled from the training set, then zero-centered with
 the training-set column mean.  The mean is stored on the map so queries are
 centered with the same offset they would have seen at training time.
 
-The map runs in steps of at most _BLOCK_CELLS point-anchor cells, each
-computed in place: the squared distance ||x||^2 + ||a||^2 - 2 x.a (anchor
-norms cached on the map), clipped at 0, scaled, exponentiated and centered.
+The width sigma is the mean point-to-anchor distance over a seeded sample
+of at most _WIDTH_SAMPLE_CAP training rows, the RBF width of SDH (Shen et
+al., CVPR 2015).  The map and the width take their squared distances from
+one routine, (-2 x.a + ||x||^2) + ||a||^2 clipped at 0, in place.  The map
+runs in steps of at most _BLOCK_CELLS point-anchor cells, each computed in
+place: that squared distance (anchor norms cached on the map), scaled,
+exponentiated and centered.
 Float32 rows are cast to float64 one step at a time, so working memory
 beyond the output is one step whatever the row count.  The rows come from
 the input's ``blocks`` method one step at a time: views of an in-memory
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataio import FeatureMatrix, MatrixRows, _row_blocks
+from .dataio import FeatureMatrix, MatrixRows
 from .errors import DegenerateDataError, ValidationError
 from .rng import component_rng
 
@@ -98,21 +102,17 @@ def select_anchors(x: FeatureMatrix | MatrixRows, k: int, seed: int,
     return x.gather(idx).astype(np.float64, copy=False)
 
 
-def _distances(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, points x anchors (the width heuristic's).
-
-    One output buffer: -(2p).a, plus ||p||^2 + ||a||^2 added a row block at
-    a time, clipped at 0 and square-rooted in place.  Doubling and negation
-    are exact, so the values equal sqrt(max(||p||^2 + ||a||^2 - 2p.a, 0)).
-    """
-    out = np.matmul(2.0 * points, anchors.T)
-    np.negative(out, out=out)
-    point_sq = np.sum(points * points, axis=1)
-    anchor_sq = np.sum(anchors * anchors, axis=1)
-    for rows in _row_blocks(points.shape[0], max(1, _BLOCK_CELLS // anchors.shape[0])):
-        out[rows] += point_sq[rows, None] + anchor_sq
+def _sq_distances(rows: np.ndarray, anchors: np.ndarray, anchor_sq: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Write the squared distances of the float64 ``rows`` to the anchors,
+    (-2 x.a + ||x||^2) + ||a||^2 clipped at 0, into ``out`` in place; the
+    map and the width estimate both take their distances from here."""
+    np.matmul(rows, anchors.T, out=out)
+    out *= -2.0
+    out += np.sum(rows * rows, axis=1)[:, None]
+    out += anchor_sq
     np.maximum(out, 0.0, out=out)
-    return np.sqrt(out, out=out)
+    return out
 
 
 def estimate_width(x: FeatureMatrix | MatrixRows, anchors: np.ndarray, seed: int = 0,
@@ -128,7 +128,9 @@ def estimate_width(x: FeatureMatrix | MatrixRows, anchors: np.ndarray, seed: int
         rng = component_rng(seed, f"width-sample-{modality}")
         idx = rng.choice(x.n, size=_WIDTH_SAMPLE_CAP, replace=False)
     points = x.gather(idx).astype(np.float64, copy=False)     # only the sampled rows
-    sigma = float(_distances(points, anchors).mean())
+    sq = _sq_distances(points, anchors, np.sum(anchors * anchors, axis=1),
+                       np.empty((points.shape[0], anchors.shape[0])))
+    sigma = float(np.sqrt(sq, out=sq).mean())
     if sigma == 0.0:
         raise DegenerateDataError("all sampled points coincide with all anchors (width 0)")
     return sigma
@@ -136,12 +138,7 @@ def estimate_width(x: FeatureMatrix | MatrixRows, anchors: np.ndarray, seed: int
 
 def _kernel_block(rows: np.ndarray, km: KernelMap, out: np.ndarray) -> np.ndarray:
     """Write the centered map of ``rows`` (one block) into ``out`` in place."""
-    rows = rows.astype(np.float64, copy=False)
-    np.matmul(rows, km.anchors.T, out=out)
-    out *= -2.0
-    out += np.sum(rows * rows, axis=1)[:, None]
-    out += km.anchor_sq
-    np.maximum(out, 0.0, out=out)
+    _sq_distances(rows.astype(np.float64, copy=False), km.anchors, km.anchor_sq, out)
     out *= -1.0 / (2.0 * km.sigma * km.sigma)
     np.exp(out, out=out)
     out -= km.center

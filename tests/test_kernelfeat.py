@@ -91,17 +91,17 @@ def test_width_of_float32_rows_casts_only_the_sample():
 
 
 @pytest.mark.parametrize("d, k", [(128, 500), (64, 1000), (128, 300)])
-def test_width_equals_the_direct_expression_across_blocks(d, k):
-    # 2000 rows span 10 to 31 row blocks at these anchor counts, the last one partial
+def test_width_equals_the_direct_expression(d, k):
+    # the width's distances are the map's: (-2 x.a + ||x||^2) + ||a||^2, clipped
     rng = np.random.default_rng(d + k)
     points = rng.standard_normal((2000, d))
     anchors = points[rng.choice(2000, size=k, replace=False)]
-    sq = (np.sum(points * points, axis=1)[:, None]
-          + np.sum(anchors * anchors, axis=1)[None, :]
-          - 2.0 * points @ anchors.T)
+    sq = (-2.0 * (points @ anchors.T)
+          + np.sum(points * points, axis=1)[:, None]) + np.sum(anchors * anchors, axis=1)
     direct = np.sqrt(np.maximum(sq, 0.0))
-    assert 2000 % max(1, kernelfeat._BLOCK_CELLS // k) != 0
-    assert np.array_equal(kernelfeat._distances(points, anchors), direct)
+    ours = kernelfeat._sq_distances(points, anchors, np.sum(anchors * anchors, axis=1),
+                                    np.empty((2000, k)))
+    assert np.array_equal(np.sqrt(ours), direct)
     assert estimate_width(fm(points), anchors) == float(direct.mean())
 
 
