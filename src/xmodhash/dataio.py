@@ -66,7 +66,12 @@ _GATHER_CELLS = 2 ** 16
 
 @dataclass
 class FeatureMatrix:
-    """Dense per-instance feature vectors for one modality (one row each)."""
+    """Dense per-instance feature vectors for one modality (one row each).
+
+    ``modality_id`` is ignored: a modality is its place in ``fit_pipeline``'s
+    list or ``encode``'s argument.  The field stays only because the
+    benchmark's lookup client (``perfbench/workload.py``) passes it.
+    """
 
     values: np.ndarray
     modality_id: int = 0
@@ -516,7 +521,7 @@ def generate_synthetic(n: int, c: int, d1: int, d2: int, noise: float,
         x = cent[classes]
         if noise > 0:
             x = x + noise * component_rng(seed, f"synth-noise-{t}").standard_normal((n, d))
-        mats.append(FeatureMatrix(x, modality_id=t))
+        mats.append(FeatureMatrix(x))
     labels = np.zeros((c, n))
     labels[classes, np.arange(n)] = 1.0
     return mats[0], mats[1], RawLabelMatrix(labels)

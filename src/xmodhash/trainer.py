@@ -85,13 +85,11 @@ def check_code_length(r: int, n: int) -> None:
 
 
 def init_state(labels: LabelSet, cfg: TrainConfig) -> np.ndarray:
-    """The seeded start: a Gaussian label projection M_0 (r x c), drawn from
-    the seed's ``init`` stream after r x r discarded normals.  ``train``
-    takes the starting V and B from the latent and code steps at it."""
+    """The seeded start: a Gaussian label projection M_0 (r x c), the first
+    draw of the seed's ``init`` stream.  ``train`` takes the starting V and
+    B from the latent and code steps at it."""
     check_code_length(cfg.r, labels.n)
-    rng = component_rng(cfg.seed, "init")
-    rng.standard_normal((cfg.r, cfg.r))    # the rotation R_0 took these; keeps each seed's codes
-    return rng.standard_normal((cfg.r, labels.c))
+    return component_rng(cfg.seed, "init").standard_normal((cfg.r, labels.c))
 
 
 def update_label_projection(v_gt: np.ndarray, b_lt: np.ndarray, labels: LabelSet,

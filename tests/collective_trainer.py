@@ -58,12 +58,13 @@ def _haar_orthogonal(rng: np.random.Generator, r: int) -> np.ndarray:
 
 def init_rotation_and_projection(labels: LabelSet,
                                  cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded start: a Haar rotation R_0 (r x r), then a Gaussian label
-    projection M_0 (r x c), drawn in that order from the seed's ``init``
+    """The seeded start: a Gaussian label projection M_0 (r x c), then a Haar
+    rotation R_0 (r x r), drawn in that order from the seed's ``init``
     stream; ``xmodhash.trainer.init_state`` draws the same M_0."""
     check_code_length(cfg.r, labels.n)
     rng = component_rng(cfg.seed, "init")
-    return _haar_orthogonal(rng, cfg.r), rng.standard_normal((cfg.r, labels.c))
+    m = rng.standard_normal((cfg.r, labels.c))
+    return _haar_orthogonal(rng, cfg.r), m
 
 
 def update_rotation(m: np.ndarray, labels: LabelSet, v_gt: np.ndarray) -> np.ndarray:

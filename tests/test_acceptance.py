@@ -347,7 +347,7 @@ def test_criterion_8_scaling_and_memory():
 
 
 def test_train_holds_no_code_sized_array_before_final_sign():
-    # the start draws only R_0 and M_0, and the sweeps run over the label
+    # the start draws only M_0, and the sweeps run over the label
     # patterns, so the one r x n array is the final B = sign(M L)
     n, c, r = 20000, 10, 32
     _, _, raw = dataio.generate_synthetic(n, c, 32, 16, 0.3, seed=0)

@@ -237,13 +237,16 @@ def fitted():
 
 
 def test_fit_pipeline_takes_the_modality_from_the_position(fitted):
-    # matrices read from files carry modality_id 0; the fit must not depend on it
-    untagged = [FeatureMatrix(x.values) for x in fitted["xs"]]
-    enc, _, _ = fit_pipeline(untagged, fitted["labels"], fitted["cfg"], (30, 40), ridge=0.7)
-    assert [x.modality_id for x in untagged] == [0, 0]
-    for ours, tagged in zip(enc.kernels, fitted["enc"].kernels):
-        assert np.array_equal(ours.anchors, tagged.anchors) and ours.sigma == tagged.sigma
-    assert all(np.array_equal(a, b) for a, b in zip(enc.proj, fitted["enc"].proj))
+    # modality_id is ignored: inputs tagged either way round fit the same map
+    # and encoder as the untagged ones generate_synthetic returns
+    assert [x.modality_id for x in fitted["xs"]] == [0, 0]
+    for tags in ((1, 2), (2, 1)):
+        tagged = [FeatureMatrix(x.values, modality_id=t) for x, t in zip(fitted["xs"], tags)]
+        enc, _, _ = fit_pipeline(tagged, fitted["labels"], fitted["cfg"], (30, 40), ridge=0.7)
+        for ours, untagged in zip(enc.kernels, fitted["enc"].kernels):
+            assert np.array_equal(ours.anchors, untagged.anchors)
+            assert ours.sigma == untagged.sigma
+        assert all(np.array_equal(a, b) for a, b in zip(enc.proj, fitted["enc"].proj))
 
 
 def test_archive_round_trip_encodes_identically(fitted, tmp_path):

@@ -11,8 +11,8 @@ from xmodhash.errors import DegenerateDataError, ValidationError
 from xmodhash.kernelfeat import KernelMap, estimate_width, fit_kernel, select_anchors
 
 
-def fm(values, modality=0):
-    return FeatureMatrix(np.asarray(values, dtype=np.float64), modality_id=modality)
+def fm(values):
+    return FeatureMatrix(np.asarray(values, dtype=np.float64))
 
 
 def test_anchors_full_sample_is_permutation():
@@ -234,7 +234,7 @@ def test_streamed_fit_matches_the_dense_fit(monkeypatch, n, k, cells, fit_cells,
     monkeypatch.setattr(kernelfeat, "_BLOCK_CELLS", cells)
     monkeypatch.setattr(kernelfeat, "_FIT_BLOCK_CELLS", fit_cells)
     rng = np.random.default_rng(n * 10 + k)
-    x = fm(rng.standard_normal((n, 3)), modality=1)
+    x = fm(rng.standard_normal((n, 3)))
     codes = _codes(rng, u, 5)
     index = np.arange(n) if u == n else rng.permutation(np.arange(n) % u)
     km, gram, rhs = fit_kernel(x, k, 2, codes, index)

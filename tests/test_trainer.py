@@ -22,15 +22,15 @@ from xmodhash.trainer import (TrainConfig, init_state, objective_value, train, u
 # ---------------------------------------------------------------- init_state
 
 def test_init_is_deterministic():
-    # M_0 is the r x c draw after the first r x r of the seed's init stream,
-    # which give the reference trainer's R_0: both trainers start at one M_0
+    # M_0 is the first r x c draw of the seed's init stream; the reference
+    # trainer draws the same M_0 and then its R_0: both start at one M_0
     rng = np.random.default_rng(0)
     labels = random_labelset(rng, 3, 20)
     m = init_state(labels, TrainConfig(r=4, seed=7))
     assert init_state(labels, TrainConfig(r=4, seed=7)).tobytes() == m.tobytes()
     stream = component_rng(7, "init")
-    q, rr = np.linalg.qr(stream.standard_normal((4, 4)))
     assert m.tobytes() == stream.standard_normal((4, 3)).tobytes()
+    q, rr = np.linalg.qr(stream.standard_normal((4, 4)))
     rot, m_ref = init_rotation_and_projection(labels, TrainConfig(r=4, seed=7))
     assert rot.tobytes() == (q * np.sign(np.diag(rr))).tobytes()
     assert m_ref.tobytes() == m.tobytes()
@@ -546,8 +546,8 @@ def assert_close(expected, got):
 def test_reference_with_rotation_frozen_at_identity_matches(case, r, monkeypatch):
     # the rotation only ever multiplies V, and R V is feasible whenever V is,
     # so the latent step's optimal R V, and with it M, the codes and every
-    # objective value, are the same for every R: freezing R at I, with R_0's
-    # draws still taken, changes none of them
+    # objective value, are the same for every R: freezing R at I changes none
+    # of them
     rng = np.random.default_rng(34)
     n = 240
     labels = (random_labelset(rng, 4, n) if case == "single-label"
@@ -556,11 +556,7 @@ def test_reference_with_rotation_frozen_at_identity_matches(case, r, monkeypatch
     cfg = TrainConfig(r=r, max_iters=6, rel_tol=1e-30, seed=4)
     procrustes, procrustes_report = train_collective(phix, labels, cfg, (0.0, 0.0))
 
-    def identity_start(stream, size):
-        stream.standard_normal((size, size))    # R_0's draws, so M_0 stays the same
-        return np.eye(size)
-
-    monkeypatch.setattr(collective_trainer, "_haar_orthogonal", identity_start)
+    monkeypatch.setattr(collective_trainer, "_haar_orthogonal", lambda _, size: np.eye(size))
     monkeypatch.setattr(collective_trainer, "update_rotation", lambda *_: np.eye(r))
     frozen, frozen_report = train_collective(phix, labels, cfg, (0.0, 0.0))
     assert np.array_equal(frozen.rotation, np.eye(r))
