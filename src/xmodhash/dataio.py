@@ -66,12 +66,8 @@ _GATHER_CELLS = 2 ** 16
 
 @dataclass
 class FeatureMatrix:
-    """Dense per-instance feature vectors for one modality (one row each).
-
-    ``modality_id`` is ignored: a modality is its place in ``fit_pipeline``'s
-    list or ``encode``'s argument.  The field stays only because the
-    benchmark's lookup client (``perfbench/workload.py``) passes it.
-    """
+    """Dense per-instance feature vectors for one modality (one row each);
+    ``modality_id`` is ignored and stays only because perfbench passes it."""
 
     values: np.ndarray
     modality_id: int = 0

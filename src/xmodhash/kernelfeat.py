@@ -5,13 +5,11 @@ against anchor rows sampled from the training set, then zero-centered with
 the training-set column mean.  The mean is stored on the map so queries are
 centered with the same offset they would have seen at training time.
 
-The width sigma is the mean point-to-anchor distance over a seeded sample
-of at most _WIDTH_SAMPLE_CAP training rows, the RBF width of SDH (Shen et
-al., CVPR 2015).  The map and the width take their squared distances from
-one routine, (-2 x.a + ||x||^2) + ||a||^2 clipped at 0, in place.  The map
-runs in steps of at most _BLOCK_CELLS point-anchor cells, each computed in
-place: that squared distance (anchor norms cached on the map), scaled,
-exponentiated and centered.
+The map runs in steps of at most _BLOCK_CELLS point-anchor cells, each
+computed in place: the squared distance (-2 x.a + ||x||^2) + ||a||^2 (anchor
+norms cached on the map), clipped at 0, scaled, exponentiated and centered.
+The width sigma averages the same distances, square-rooted, over at most
+_WIDTH_SAMPLE_CAP sampled rows (the RBF width of SDH, Shen et al. 2015).
 Float32 rows are cast to float64 one step at a time, so working memory
 beyond the output is one step whatever the row count.  The rows come from
 the input's ``blocks`` method one step at a time: views of an in-memory
@@ -104,9 +102,8 @@ def select_anchors(x: FeatureMatrix | MatrixRows, k: int, seed: int,
 
 def _sq_distances(rows: np.ndarray, anchors: np.ndarray, anchor_sq: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
-    """Write the squared distances of the float64 ``rows`` to the anchors,
-    (-2 x.a + ||x||^2) + ||a||^2 clipped at 0, into ``out`` in place; the
-    map and the width estimate both take their distances from here."""
+    """Squared distances of the float64 ``rows`` to the anchors,
+    (-2 x.a + ||x||^2) + ||a||^2 clipped at 0, written into ``out`` in place."""
     np.matmul(rows, anchors.T, out=out)
     out *= -2.0
     out += np.sum(rows * rows, axis=1)[:, None]
