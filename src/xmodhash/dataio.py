@@ -33,10 +33,11 @@ bytes) before it reads any row.  ``read_matrix`` and ``read_labels`` read
 every row into one array; label files are always read that way.
 ``open_matrix`` hands the rows to ``train`` (``encoder.fit_pipeline``) and
 ``encode`` instead.  They read them in blocks into one reused buffer, each
-block checked for NaN and Inf as it arrives, and gather the anchors and the
-width sample by row index, each in one such pass, so neither command ever
-holds a feature file's n x d matrix.  Every error found while the rows are read
-names the file.  A CSV file is still read whole, and a pipe's rest is read
+block checked for NaN and Inf as it arrives, so neither command ever holds
+a feature file's n x d matrix: ``train`` reads each file twice, once to
+gather the anchors and the width sample together by row index and once to
+fit, and ``encode`` once.  Every error found while the rows are read names
+the file.  A CSV file is still read whole, and a pipe's rest is read
 into memory first.
 """
 

@@ -7,10 +7,11 @@ its rows block by block, whether they are in memory or read from an AMX1
 file as they are needed, and packs each block's sign bits straight into the
 code words.
 
-This module alone names a model archive's sections and metadata keys
-(``REQUIRED_SECTIONS``, ``REQUIRED_METADATA``): ``to_archive`` writes them
-and ``from_archive`` rejects an archive with any other section or one
-missing.  ``dataio`` only frames them in the AMH1 container.
+This module alone names a model archive's sections and metadata keys:
+``to_archive`` writes every ``REQUIRED_SECTIONS`` section and its metadata,
+and ``from_archive`` rejects an archive with any other section, one
+missing, or no ``sigma_t`` key, the only metadata ``encode`` reads.
+``dataio`` only frames them in the AMH1 container.
 """
 
 from dataclasses import dataclass
@@ -19,11 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import FeatureMatrix, MatrixRows, ModelArchive
-from .errors import FormatError, NumericalError, ValidationError
+from .errors import FormatError, ValidationError
 from .kernelfeat import KernelMap, _kernel_blocks, fit_kernel
 from .labelspace import LabelSet
 from .retrieval import CodeSet, _pack_bits, words_per_code
-from .trainer import TrainConfig, TrainReport, check_code_length, train, update_codes
+from .trainer import TrainConfig, TrainReport, _solve, check_code_length, train, update_codes
 
 
 @dataclass
@@ -63,16 +64,7 @@ def fit_ridge_encoder(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.nda
     if gram.shape != (k, k) or rhs.ndim != 2 or rhs.shape[0] != k:
         raise ValidationError(
             f"Gram matrix {gram.shape} and right-hand side {rhs.shape} disagree on feature count")
-    gram[np.diag_indices_from(gram)] += ridge
-    try:
-        p = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(
-            f"ridge solve failed (condition ~{np.linalg.cond(gram):.3e}): {e}") from e
-    if not np.all(np.isfinite(p)):
-        raise NumericalError(
-            f"ridge solve produced non-finite values (condition ~{np.linalg.cond(gram):.3e})")
-    return p
+    return _solve(gram, rhs, ridge, "ridge")
 
 
 def fit_pipeline(xs: Sequence[FeatureMatrix | MatrixRows], labels: LabelSet, cfg: TrainConfig,
@@ -118,13 +110,6 @@ REQUIRED_SECTIONS = (
     "anchors_1", "anchors_2", "kcenter_1", "kcenter_2",
 )
 
-#: Metadata keys a model archive must carry; ``to_archive`` also writes
-#: ``lambda_h`` and ``converged``, which nothing reads back.
-REQUIRED_METADATA = (
-    "r", "omega", "sigma_1", "sigma_2",
-    "k_1", "k_2", "seed", "iterations", "objective_history",
-)
-
 
 def to_archive(enc: HashEncoder, m: np.ndarray, report: TrainReport,
                cfg: TrainConfig, ridge: float) -> ModelArchive:
@@ -153,20 +138,19 @@ def to_archive(enc: HashEncoder, m: np.ndarray, report: TrainReport,
 
 def from_archive(archive: ModelArchive) -> HashEncoder:
     """The hash encoder stored by ``to_archive``; an archive with a section
-    outside ``REQUIRED_SECTIONS``, or missing a section or metadata key, is a
-    ``FormatError``."""
+    outside ``REQUIRED_SECTIONS``, or missing a section or a kernel width
+    ``sigma_t``, is a ``FormatError``.  No other metadata key is read."""
     unknown = [s for s in archive.sections if s not in REQUIRED_SECTIONS]
     if unknown:
         raise FormatError(f"unknown section name {unknown[0]!r}")
     missing = [s for s in REQUIRED_SECTIONS if s not in archive.sections]
     if missing:
         raise FormatError(f"archive missing mandatory sections: {', '.join(missing)}")
-    missing_meta = [k for k in REQUIRED_METADATA if k not in archive.metadata]
-    if missing_meta:
-        raise FormatError(f"archive missing metadata keys: {', '.join(missing_meta)}")
     kernels = []
     for t in (1, 2):
         key = f"sigma_{t}"
+        if key not in archive.metadata:
+            raise FormatError(f"archive missing metadata key {key}")
         try:
             sigma = float(archive.metadata[key])
         except ValueError as e:

@@ -14,17 +14,17 @@ Float32 rows are cast to float64 one step at a time, so working memory
 beyond the output is one step whatever the row count.  The rows come from
 the input's ``blocks`` method one step at a time: views of an in-memory
 ``FeatureMatrix``, or rows read from an AMX1 file as they are needed
-(``dataio.MatrixRows``).  The anchors and the width sample come from its
-``gather`` method, by row index.  Squared distances go straight into the
-exponent with no square root, so phi can differ from
-exp(-sqrt(d2)^2 / (2 sigma^2)) in the last ulp.
+(``dataio.MatrixRows``).  Squared distances go straight into the exponent
+with no square root, so phi can differ from exp(-sqrt(d2)^2 / (2 sigma^2))
+in the last ulp.
 
-The training pass never holds the n x d training rows or the n x k training
-features Phi.  It runs the rows once in blocks of _FIT_BLOCK_CELLS cells and
-adds each uncentered block's column sums, Gram and product with the codes
-into k, k x k and k x r accumulators.  Centering follows from
-Phi_c^T Phi_c = Phi^T Phi - n mu mu^T and Phi_c^T B = Phi^T B - mu (1^T B),
-with mu the column mean.
+A fit reads its rows twice: one ``gather`` of the anchors and the width
+sample by row index, then the training pass, which never holds the n x d
+training rows or the n x k training features Phi.  It runs the rows in
+blocks of _FIT_BLOCK_CELLS cells and adds each uncentered block's column
+sums, Gram and product with the codes into k, k x k and k x r accumulators.
+Centering follows from Phi_c^T Phi_c = Phi^T Phi - n mu mu^T and
+Phi_c^T B = Phi^T B - mu (1^T B), with mu the column mean.
 """
 
 from dataclasses import dataclass, field, replace
@@ -80,24 +80,29 @@ class KernelMap:
         return self.anchors.shape[0]
 
 
-def select_anchors(x: FeatureMatrix | MatrixRows, k: int, seed: int,
-                   modality: int = 0) -> np.ndarray:
-    """Sample k training rows uniformly without replacement, from the random
-    stream of ``seed`` tagged with ``modality``.
+def select_anchors(n: int, k: int, seed: int, modality: int = 0) -> np.ndarray:
+    """Indices of k of n training rows, sampled uniformly without replacement
+    from the random stream of ``seed`` tagged with ``modality``.
 
-    The sampled indices are distinct, but the rows need not be: data with
+    The indices are distinct, but the rows need not be: data with
     duplicate rows can yield duplicate anchors and hence identical kernel
     columns.  The downstream ridge systems stay solvable because their
     ridge weight is positive.
     """
-    n = x.n
     if k < 1:
         raise ValidationError(f"need at least one anchor, got k={k}")
     if k > n:
         raise ValidationError(f"cannot sample {k} anchors from {n} training rows")
-    rng = component_rng(seed, f"anchors-{modality}")
-    idx = rng.choice(n, size=k, replace=False)
-    return x.gather(idx).astype(np.float64, copy=False)
+    return component_rng(seed, f"anchors-{modality}").choice(n, size=k, replace=False)
+
+
+def _width_sample(n: int, seed: int, modality: int) -> np.ndarray:
+    """Indices of the width sample: every row, or _WIDTH_SAMPLE_CAP rows from
+    the random stream of ``seed`` tagged with ``modality`` when n is larger."""
+    if n <= _WIDTH_SAMPLE_CAP:
+        return np.arange(n)
+    rng = component_rng(seed, f"width-sample-{modality}")
+    return rng.choice(n, size=_WIDTH_SAMPLE_CAP, replace=False)
 
 
 def _sq_distances(rows: np.ndarray, anchors: np.ndarray, anchor_sq: np.ndarray,
@@ -112,19 +117,11 @@ def _sq_distances(rows: np.ndarray, anchors: np.ndarray, anchor_sq: np.ndarray,
     return out
 
 
-def estimate_width(x: FeatureMatrix | MatrixRows, anchors: np.ndarray, seed: int = 0,
-                   modality: int = 0) -> float:
-    """Kernel width heuristic: mean point-to-anchor distance over at most
-    _WIDTH_SAMPLE_CAP rows, sampled from the random stream of ``seed``
-    tagged with ``modality`` when there are more."""
+def estimate_width(points: np.ndarray, anchors: np.ndarray) -> float:
+    """Kernel width heuristic: the mean distance of the float64 rows ``points`` to the anchors."""
     anchors = np.asarray(anchors, dtype=np.float64)
     if anchors.ndim != 2 or anchors.shape[0] < 1:
         raise ValidationError("anchors must be a non-empty k x d matrix")
-    idx = np.arange(x.n)
-    if x.n > _WIDTH_SAMPLE_CAP:
-        rng = component_rng(seed, f"width-sample-{modality}")
-        idx = rng.choice(x.n, size=_WIDTH_SAMPLE_CAP, replace=False)
-    points = x.gather(idx).astype(np.float64, copy=False)     # only the sampled rows
     sq = _sq_distances(points, anchors, np.sum(anchors * anchors, axis=1),
                        np.empty((points.shape[0], anchors.shape[0])))
     sigma = float(np.sqrt(sq, out=sq).mean())
@@ -170,19 +167,24 @@ def _kernel_blocks(x: FeatureMatrix | MatrixRows, km: KernelMap, cells: int | No
 
 def fit_kernel(x: FeatureMatrix | MatrixRows, k: int, seed: int, codes: np.ndarray,
                index: np.ndarray, modality: int = 0) -> tuple[KernelMap, np.ndarray, np.ndarray]:
-    """Anchors, width and one pass over the training rows: the map (centered
-    on the training column mean mu) and the ridge products of its centered
-    training features Phi_c with the codes B, Phi_c^T Phi_c (k x k) and
-    Phi_c^T B (k x r).  Row i's code is ``codes[index[i]]``, one of the u
-    distinct code rows (u x r).  The anchors and the width sample come from
-    the random streams of ``seed`` tagged with ``modality``.
+    """One gather of the anchors and the width sample, then one pass over the
+    training rows: the map (centered on the training column mean mu) and the
+    ridge products of its centered training features Phi_c with the codes B,
+    Phi_c^T Phi_c (k x k) and Phi_c^T B (k x r).  Row i's code is
+    ``codes[index[i]]``, one of the u distinct code rows (u x r).  The
+    anchors and the width sample come from the random streams of ``seed``
+    tagged with ``modality``; the map keeps a copy of the anchors alone.
 
     The rows go through the map uncentered, one block at a time; the sums
     of each block are added into accumulators that every block reuses, so
     the pass holds one block and nothing n x d, n x k or n x r.
     """
-    anchors = select_anchors(x, k, seed, modality)
-    km = KernelMap(anchors, estimate_width(x, anchors, seed, modality), center=np.zeros(k))
+    sample = _width_sample(x.n, seed, modality)
+    idx = np.concatenate([sample, select_anchors(x.n, k, seed, modality)])
+    points, anchors = np.split(x.gather(idx).astype(np.float64, copy=False), [len(sample)])
+    sigma = estimate_width(points, anchors)     # its distances are freed before the copy
+    km = KernelMap(anchors.copy(), sigma, center=np.zeros(k))
+    del sample, idx, points, anchors    # so the training pass holds no sampled row
     col_sum = np.zeros(k)
     gram, gram_blk = np.zeros((k, k)), np.empty((k, k))
     rhs, rhs_blk = np.zeros((k, codes.shape[1])), np.empty((k, codes.shape[1]))

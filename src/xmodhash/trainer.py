@@ -92,6 +92,22 @@ def init_state(labels: LabelSet, cfg: TrainConfig) -> np.ndarray:
     return component_rng(cfg.seed, "init").standard_normal((cfg.r, labels.c))
 
 
+def _solve(gram: np.ndarray, rhs: np.ndarray, shift: float, what: str) -> np.ndarray:
+    """Solve (gram + shift I) X = rhs, shifting ``gram``'s diagonal in place.
+    A failed or non-finite solve is a ``NumericalError`` that names ``what``
+    and the condition estimate."""
+    gram[np.diag_indices_from(gram)] += shift
+    try:
+        x = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(
+            f"{what} solve failed (condition ~{np.linalg.cond(gram):.3e}): {e}") from e
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(
+            f"{what} solve produced non-finite values (condition ~{np.linalg.cond(gram):.3e})")
+    return x
+
+
 def update_label_projection(v_gt: np.ndarray, b_lt: np.ndarray, labels: LabelSet,
                             cfg: TrainConfig) -> np.ndarray:
     """Closed-form minimizer of the affinity and quantization terms in M.
@@ -103,18 +119,7 @@ def update_label_projection(v_gt: np.ndarray, b_lt: np.ndarray, labels: LabelSet
     r = v_gt.shape[0]
     rhs = r * (v_gt @ labels.lgt.T) + cfg.omega * b_lt
     gram = (labels.n + cfg.omega) * labels.llt
-    gram[np.diag_indices_from(gram)] += 1e-6 * np.trace(labels.llt) / labels.c
-    try:
-        m = np.linalg.solve(gram, rhs.T).T
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(
-            f"label-projection solve failed (condition ~{np.linalg.cond(gram):.3e}): {e}"
-        ) from e
-    if not np.all(np.isfinite(m)):
-        raise NumericalError(
-            f"label-projection solve produced non-finite values "
-            f"(condition ~{np.linalg.cond(gram):.3e})")
-    return m
+    return _solve(gram, rhs.T, 1e-6 * np.trace(labels.llt) / labels.c, "label-projection").T
 
 
 def update_codes(m: np.ndarray, l: np.ndarray) -> np.ndarray:

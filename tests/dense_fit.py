@@ -11,7 +11,8 @@ import numpy as np
 
 from xmodhash.dataio import FeatureMatrix
 from xmodhash.encoder import fit_ridge_encoder
-from xmodhash.kernelfeat import KernelMap, _kernel_blocks, estimate_width, select_anchors
+from xmodhash.kernelfeat import (KernelMap, _kernel_blocks, _width_sample, estimate_width,
+                                  select_anchors)
 
 
 def kernelize(x: FeatureMatrix, km: KernelMap) -> np.ndarray:
@@ -24,9 +25,10 @@ def kernelize(x: FeatureMatrix, km: KernelMap) -> np.ndarray:
 
 def fit_kernel_dense(x: FeatureMatrix, k: int, seed: int) -> tuple[KernelMap, np.ndarray]:
     """The map and its centered n x k training features, from the same
-    anchors and width as ``fit_kernel``."""
-    anchors = select_anchors(x, k, seed)
-    km = KernelMap(anchors, estimate_width(x, anchors, seed=seed), center=np.zeros(k))
+    anchor and width-sample indices as ``fit_kernel``."""
+    anchors = x.values[select_anchors(x.n, k, seed)]
+    points = x.values[_width_sample(x.n, seed, 0)]
+    km = KernelMap(anchors, estimate_width(points, anchors), center=np.zeros(k))
     phi = kernelize(x, km)
     km = KernelMap(anchors, km.sigma, center=phi.mean(axis=0))
     phi -= km.center

@@ -6,10 +6,11 @@ import pytest
 from conftest import fd_gradient, gradient_scale, unpack_codes
 from dense_fit import fit_ridge_dense
 from xmodhash import encoder, kernelfeat
+from xmodhash.cli import main
 from xmodhash.dataio import (FeatureMatrix, RawLabelMatrix, generate_synthetic, load_model,
-                             save_model)
-from xmodhash.encoder import (REQUIRED_METADATA, REQUIRED_SECTIONS, HashEncoder, encode,
-                              fit_pipeline, fit_ridge_encoder, from_archive, to_archive)
+                             save_model, write_matrix)
+from xmodhash.encoder import (REQUIRED_SECTIONS, HashEncoder, encode, fit_pipeline,
+                              fit_ridge_encoder, from_archive, to_archive)
 from xmodhash.errors import FormatError, NumericalError, ValidationError
 from xmodhash.kernelfeat import KernelMap
 from xmodhash.labelspace import normalize_labels
@@ -71,6 +72,12 @@ def test_ridge_flags_numerical_failure():
     huge = np.full((3, 2), 1e308)
     with pytest.raises(NumericalError):
         fit_ridge_dense(huge, np.ones((3, 1)), ridge=1.0)
+
+
+def test_ridge_solve_failure_names_the_solve():
+    # -I plus the ridge 1 is the zero matrix, which LAPACK cannot factor
+    with pytest.raises(NumericalError, match=r"^ridge solve failed "):
+        fit_ridge_encoder(-np.eye(2), np.ones((2, 1)), ridge=1.0)
 
 
 def _fitted_encoder(rng):
@@ -276,7 +283,9 @@ def test_to_archive_writes_the_required_layout(fitted):
     assert tuple(archive.sections) == REQUIRED_SECTIONS
     n = fitted["labels"].n
     assert all(n not in values.shape for values in archive.sections.values())
-    assert set(REQUIRED_METADATA) <= set(archive.metadata)
+    assert set(archive.metadata) == {"r", "omega", "lambda_h", "sigma_1", "sigma_2", "k_1",
+                                     "k_2", "seed", "iterations", "converged",
+                                     "objective_history"}
     assert archive.metadata["lambda_h"] == "0.7"
     assert (archive.metadata["k_1"], archive.metadata["k_2"]) == ("30", "40")
 
@@ -284,7 +293,7 @@ def test_to_archive_writes_the_required_layout(fitted):
 @pytest.mark.parametrize("edit, message", [
     (lambda a: a.sections.update(V=np.zeros((16, 120))), "unknown section name 'V'"),
     (lambda a: a.sections.pop("M"), "archive missing mandatory sections: M"),
-    (lambda a: a.metadata.pop("seed"), "archive missing metadata keys: seed"),
+    (lambda a: a.metadata.pop("sigma_1"), "archive missing metadata key sigma_1"),
     (lambda a: a.sections.update(P_1=np.zeros((30, 16))), "unknown section name 'P_1'"),
 ])
 def test_from_archive_checks_the_layout(fitted, edit, message):
@@ -293,6 +302,32 @@ def test_from_archive_checks_the_layout(fitted, edit, message):
     with pytest.raises(FormatError) as caught:
         from_archive(archive)
     assert str(caught.value) == message
+
+
+def test_archive_without_unread_metadata_encodes_identically(fitted, tmp_path):
+    # encode reads sigma_t alone among the metadata keys
+    archive = to_archive(fitted["enc"], fitted["m"], fitted["report"], fitted["cfg"], 0.7)
+    for key in ("r", "omega", "seed", "iterations", "objective_history"):
+        del archive.metadata[key]
+    save_model(archive, tmp_path / "bare.amh")
+    loaded = from_archive(load_model(tmp_path / "bare.amh"))
+    for modality, x in enumerate(fitted["xs"], start=1):
+        ours = encode(x, fitted["enc"], modality).words
+        assert encode(x, loaded, modality).words.tobytes() == ours.tobytes()
+
+
+def test_encode_names_the_archive_missing_a_kernel_width(fitted, tmp_path, capsys):
+    archive = to_archive(fitted["enc"], fitted["m"], fitted["report"], fitted["cfg"], 0.7)
+    del archive.metadata["sigma_2"]
+    model, features, out = tmp_path / "m.amh", tmp_path / "x2.amx", tmp_path / "c.abc"
+    save_model(archive, model)
+    write_matrix(fitted["xs"][1], features)
+    code = main(["encode", "--model", str(model), "--features", str(features),
+                 "--modality", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {model}: archive missing metadata key sigma_2\n"
+    assert not out.exists()
 
 
 def test_to_archive_names_the_modality_count(fitted):

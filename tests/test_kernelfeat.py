@@ -16,78 +16,101 @@ def fm(values):
 
 
 def test_anchors_full_sample_is_permutation():
-    rng = np.random.default_rng(0)
-    x = fm(rng.standard_normal((12, 4)))
-    anchors = select_anchors(x, 12, seed=9)
-    assert sorted(map(tuple, anchors)) == sorted(map(tuple, x.values))
+    assert sorted(select_anchors(12, 12, seed=9)) == list(range(12))
 
 
 def test_anchors_deterministic():
-    x = fm(np.random.default_rng(1).standard_normal((30, 5)))
-    a = select_anchors(x, 10, seed=4)
-    b = select_anchors(x, 10, seed=4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, select_anchors(x, 10, seed=5))
+    a = select_anchors(30, 10, seed=4)
+    assert np.array_equal(select_anchors(30, 10, seed=4), a)
+    assert not np.array_equal(select_anchors(30, 10, seed=5), a)
+    # each modality draws from its own stream
+    assert not np.array_equal(select_anchors(30, 10, seed=4, modality=1),
+                              select_anchors(30, 10, seed=4, modality=2))
 
 
 def test_anchors_distinct_rows():
-    x = fm(np.arange(20.0).reshape(10, 2))
-    anchors = select_anchors(x, 10, seed=0)
-    assert len({tuple(row) for row in anchors}) == 10
+    anchors = select_anchors(1000, 500, seed=0)
+    assert len(set(anchors)) == 500 and 0 <= anchors.min() and anchors.max() < 1000
 
 
 def test_anchors_too_many():
-    with pytest.raises(ValidationError):
-        select_anchors(fm(np.zeros((3, 2))), 4, seed=0)
+    with pytest.raises(ValidationError, match="cannot sample 4 anchors from 3"):
+        select_anchors(3, 4, seed=0)
+    with pytest.raises(ValidationError, match="need at least one anchor"):
+        select_anchors(3, 0, seed=0)
 
 
 def test_width_mean_of_distances():
     # one training point sitting on an anchor, second anchor 4 away
-    x = fm([[0.0, 0.0]])
     anchors = np.array([[0.0, 0.0], [4.0, 0.0]])
-    assert estimate_width(x, anchors) == pytest.approx(2.0)
+    assert estimate_width(np.array([[0.0, 0.0]]), anchors) == pytest.approx(2.0)
 
 
 def test_width_degenerate():
-    x = fm([[1.0, 1.0], [1.0, 1.0]])
+    points = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(DegenerateDataError):
-        estimate_width(x, np.array([[1.0, 1.0]]))
+        estimate_width(points, np.array([[1.0, 1.0]]))
+    with pytest.raises(ValidationError, match="non-empty k x d"):
+        estimate_width(points, np.array([1.0, 1.0]))
 
 
 def test_width_scale_equivariant():
     rng = np.random.default_rng(2)
     values = rng.standard_normal((40, 3))
     anchors = rng.standard_normal((5, 3))
-    base = estimate_width(fm(values), anchors)
-    scaled = estimate_width(fm(3.5 * values), 3.5 * anchors)
+    base = estimate_width(values, anchors)
+    scaled = estimate_width(3.5 * values, 3.5 * anchors)
     assert scaled == pytest.approx(3.5 * base, rel=1e-12)
 
 
 def test_width_sampling_is_seeded():
-    # more rows than the 2000-row sample cap, so the estimate samples
+    # more rows than the 2000-row sample cap, so the width samples; at the
+    # cap it takes every row
+    a = kernelfeat._width_sample(2500, 1, 0)
+    assert len(set(a)) == 2000 and a.max() < 2500
+    assert np.array_equal(kernelfeat._width_sample(2500, 1, 0), a)
+    assert not np.array_equal(kernelfeat._width_sample(2500, 2, 0), a)
+    assert not np.array_equal(kernelfeat._width_sample(2500, 1, 1),
+                              kernelfeat._width_sample(2500, 1, 2))
+    assert np.array_equal(kernelfeat._width_sample(2000, 1, 0), np.arange(2000))
+    # the fit takes its width over the sampled rows
     rng = np.random.default_rng(3)
     x = fm(rng.standard_normal((2500, 3)))
-    anchors = rng.standard_normal((4, 3))
-    a = estimate_width(x, anchors, seed=1)
-    assert estimate_width(x, anchors, seed=1) == a
-    assert estimate_width(x, anchors, seed=2) != a
+    km, _, _ = fit_kernel(x, 4, 1, np.ones((1, 1)), np.zeros(2500, dtype=np.intp), modality=2)
+    assert np.array_equal(km.anchors, x.values[select_anchors(2500, 4, 1, modality=2)])
+    points = x.values[kernelfeat._width_sample(2500, 1, 2)]
+    assert km.sigma == estimate_width(points, km.anchors)
 
 
-def test_width_of_float32_rows_casts_only_the_sample():
-    # sampling before the float64 cast gives the same sigma and never holds
-    # a float64 copy of every row
+def test_width_of_float32_rows_casts_only_the_sample(monkeypatch):
+    # gathering before the float64 cast gives the same anchors and sigma and
+    # never holds a float64 copy of every row; the training pass runs in
+    # blocks of one step
+    monkeypatch.setattr(kernelfeat, "_FIT_BLOCK_CELLS", kernelfeat._BLOCK_CELLS)
     rng = np.random.default_rng(4)
     x32 = FeatureMatrix(rng.standard_normal((40_000, 64)).astype(np.float32))
     x64 = FeatureMatrix(x32.values.astype(np.float64))
-    anchors = select_anchors(x64, 50, seed=0)
+    codes, index = np.ones((1, 1)), np.zeros(40_000, dtype=np.intp)
     tracemalloc.start()
     try:
-        sigma = estimate_width(x32, anchors)
+        km, _, _ = fit_kernel(x32, 50, 0, codes, index)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sigma == estimate_width(x64, anchors)
+    ref, _, _ = fit_kernel(x64, 50, 0, codes, index)
+    assert km.sigma == ref.sigma and np.array_equal(km.anchors, ref.anchors)
     assert peak < x64.values.nbytes / 4
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fit_kernel_anchors_own_their_data(dtype):
+    # the map copies its anchors out of the gathered rows, so it pins none
+    # of the width sample
+    rng = np.random.default_rng(12)
+    x = FeatureMatrix(rng.standard_normal((60, 5)).astype(dtype))
+    km, _, _ = fit_kernel(x, 7, 0, np.ones((1, 1)), np.zeros(60, dtype=np.intp))
+    assert km.anchors.flags.owndata and km.anchors.shape == (7, 5)
+    assert km.anchors.dtype == np.float64
 
 
 @pytest.mark.parametrize("d, k", [(128, 500), (64, 1000), (128, 300)])
@@ -102,7 +125,7 @@ def test_width_equals_the_direct_expression(d, k):
     ours = kernelfeat._sq_distances(points, anchors, np.sum(anchors * anchors, axis=1),
                                     np.empty((2000, k)))
     assert np.array_equal(np.sqrt(ours), direct)
-    assert estimate_width(fm(points), anchors) == float(direct.mean())
+    assert estimate_width(points, anchors) == float(direct.mean())
 
 
 def test_kernel_value_at_anchor_is_one():

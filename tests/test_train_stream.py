@@ -1,11 +1,14 @@
 """`xmodhash train` reads its AMX1 feature files in row blocks as it fits.
 
 A fit from open AMX1 files must write the archive of the in-memory fit
-(and of the CSV files) byte for byte; a NaN anywhere in a feature file must
-fail with exit code 2 and that file's name; and the command's memory must
-not grow with the training rows beyond what the labels need.
+(and of the CSV files) byte for byte; each feature file must be read twice,
+once for the anchors and the width sample and once for the training pass;
+a NaN anywhere in a feature file must fail with exit code 2 and that
+file's name; and the command's memory must not grow with the training rows
+beyond what the labels need.
 """
 
+import collections
 import gc
 import struct
 import tracemalloc
@@ -88,6 +91,26 @@ def test_fit_from_files_equals_the_fit_in_memory(monkeypatch, tmp_path, n, k, dt
         _write_csv(v, path)
     with open_matrix(csv[0]) as f1, open_matrix(csv[1]) as f2:
         assert _archive_bytes([f1, f2], labels, cfg, ks, tmp_path / "csv.amh") == in_memory
+
+
+# n = 2 100 samples the width from 2 000 rows; n = 1 500 takes every row
+@pytest.mark.parametrize("n", [2100, 1500])
+def test_train_reads_each_feature_file_twice(monkeypatch, tmp_path, capsys, n):
+    data, model = tmp_path / "data", tmp_path / "m.amh"
+    assert run(capsys, "synth", "--n", n, "--c", "3", "--d1", "5", "--d2", "4",
+               "--seed", "2", "--out", data)[0] == 0
+    passes, blocks = collections.Counter(), dataio.MatrixRows.blocks
+
+    def counted(self, height):
+        passes[str(self.path)] += 1
+        return blocks(self, height)
+
+    monkeypatch.setattr(dataio.MatrixRows, "blocks", counted)
+    code, _, err = run(capsys, "train", "--x1", data / "x1.amx", "--x2", data / "x2.amx",
+                       "--labels", data / "labels.amx", "--out", model, "--bits", "8",
+                       "--k1", "16", "--k2", "12", "--max-iters", "2")
+    assert (code, err) == (0, "")
+    assert passes == {str(data / "x1.amx"): 2, str(data / "x2.amx"): 2}
 
 
 def test_train_names_the_feature_file_holding_a_nan(tmp_path, capsys):

@@ -13,7 +13,7 @@ from collective_trainer import (CollectiveState, constraint_residuals, init_coll
                                 update_projection, update_rotation)
 from conftest import (dense, fd_gradient, gradient_scale, naive_objective,
                       random_feasible_latent, random_labelset)
-from xmodhash.errors import DegenerateDataError, ValidationError
+from xmodhash.errors import DegenerateDataError, NumericalError, ValidationError
 from xmodhash.rng import component_rng
 from xmodhash.trainer import (TrainConfig, init_state, objective_value, train, update_codes,
                               update_label_projection)
@@ -153,6 +153,15 @@ def test_label_projection_shape():
     l, g = dense(labels)
     assert update_label_projection(v @ g.T, b @ l.T, labels,
                                    TrainConfig(r=16)).shape == (16, 5)
+
+
+def test_label_projection_solve_failure_names_the_solve():
+    # a non-finite B L^T makes the right-hand side, and so the solve, non-finite
+    rng = np.random.default_rng(8)
+    labels = random_labelset(rng, 3, 20)
+    v_gt, b_lt = np.zeros((4, 3)), np.full((4, 3), np.inf)
+    with pytest.raises(NumericalError, match=r"^label-projection solve "):
+        update_label_projection(v_gt, b_lt, labels, TrainConfig(r=4))
 
 
 # --------------------------------------- update_rotation (reference trainer)
