@@ -241,10 +241,10 @@ class MatrixRows:
 
     Making it checks the ``header`` just read from ``f`` and the declared
     payload size against the ``left`` bytes after it: fewer is a truncated
-    payload, more are trailing bytes.  ``blocks`` then reads the rows in
-    blocks, and ``gather`` picks rows by index; each starts again from the
-    first row.  ``read`` reads them all at once.  A file that ends early all
-    the same (it shrank while being read) is a ``FormatError`` either way.
+    payload, more are trailing bytes.  ``blocks`` reads the rows in blocks,
+    ``gather`` picks rows by index and ``read`` reads them all at once; each
+    starts again from the first row.  A file that ends early all the same
+    (it shrank while being read) is a ``FormatError`` either way.
     Every message starts with ``path``, the file's name.
     """
 
@@ -297,6 +297,7 @@ class MatrixRows:
 
     def read(self) -> np.ndarray:
         """Every row, read into one new n x d array; the values are not checked."""
+        self._f.seek(self._start)
         return _read_array(self._f, (self.n, self.dim), self.dtype, self._need, self._need,
                            self._error)
 

@@ -83,6 +83,18 @@ def test_huge_declared_payload_fails_before_allocating(tmp_path, read):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("first_pass", [lambda x: x.gather(np.array([7, 2])),
+                                        lambda x: next(x.blocks(4))], ids=["gather", "blocks"])
+def test_read_after_another_pass_returns_every_row(tmp_path, first_pass):
+    # a gather leaves the file at its end, a partly used block pass inside it
+    values = np.random.default_rng(2).standard_normal((10, 3))
+    path = tmp_path / "x.amx"
+    write_matrix(values, path)
+    with dataio.open_matrix(path) as x:
+        first_pass(x)
+        assert x.read().tobytes() == values.tobytes()
+
+
 def _peak_per_byte(fn, nbytes):
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,9 +36,11 @@ def test_all_columns_unit_norm():
 
 
 def test_grams_are_the_label_products():
-    # the first and last columns repeat: the Grams sum over all n instances;
-    # the second case has up to 24 labels per column.  G, built from the 0/1
-    # column sums, must equal bit for bit G divided by the columns' norms
+    # the first and last columns repeat; the second case has up to 24 labels
+    # per column.  G, built from the 0/1 column sums, and L L^T (integers)
+    # must equal the full-matrix values bit for bit.  L G^T and G G^T are
+    # summed over the distinct columns weighted by their counts, so they
+    # equal that product bit for bit and the n-column products to rounding
     rng = np.random.default_rng(3)
     many = (rng.random((24, 4000)) < rng.random((1, 4000))).astype(float)
     many[rng.integers(0, 24, 4000), np.arange(4000)] = 1.0
@@ -47,8 +50,29 @@ def test_grams_are_the_label_products():
         g = l / np.linalg.norm(l, axis=0, keepdims=True)
         assert dense(ls)[1].tobytes() == g.tobytes()
         assert ls.llt.tobytes() == (l @ l.T).tobytes()
-        assert ls.lgt.tobytes() == (l @ g.T).tobytes()
-        assert ls.ggt.tobytes() == (g @ g.T).tobytes()
+        first = np.unique(ls.index, return_index=True)[1]
+        p, g_u = l[:, first], g[:, first]
+        assert ls.lgt.tobytes() == ((p * ls.counts) @ g_u.T).tobytes()
+        assert ls.ggt.tobytes() == ((g_u * ls.counts) @ g_u.T).tobytes()
+        assert np.all(np.abs(ls.lgt - l @ g.T) <= 1e-13 * np.abs(l @ g.T))
+        assert np.all(np.abs(ls.ggt - g @ g.T) <= 1e-13 * np.abs(g @ g.T))
+
+
+def test_normalize_labels_builds_no_c_by_n_matrix():
+    # single-label c = 10, n = 80 000: one c x n float64 matrix is 6.1 MiB,
+    # and a G built over all n columns would add it to the packed keys
+    c, n = 10, 80_000
+    rng = np.random.default_rng(5)
+    l = np.zeros((c, n))
+    l[rng.integers(0, c, n), np.arange(n)] = 1.0
+    raw = RawLabelMatrix(l)
+    tracemalloc.start()
+    try:
+        normalize_labels(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c * n * 8
 
 
 @settings(max_examples=30, deadline=None)
